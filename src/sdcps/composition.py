@@ -83,13 +83,6 @@ class CompositionDag:
 
 
 @dataclass
-class NodeLoad:
-    node: NodeId
-    queue_len: int = 0
-    busy_until: int = 0
-
-
-@dataclass
 class Schedule:
     assignments: dict[str, tuple[NodeId, int, int]]  # task -> (node, start, end)
     makespan: int

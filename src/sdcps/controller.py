@@ -21,7 +21,7 @@ from .errors import (
     StaleReport,
     UnknownLink,
 )
-from .topology import LinkId, NodeId, Topology, link_id
+from .topology import LinkId, NodeId, Topology, link_id, multi_target_paths
 
 TenantId = int
 ControllerId = int
@@ -381,23 +381,20 @@ class Controller:
         """All-pairs slice paths between terminals through this domain only.
 
         Served over the westbound surface; peers never see the topology
-        itself, just these segments.
+        itself, just these segments. One single-source search per terminal
+        covers every later terminal; suspects other than the source may end
+        a segment but never relay one.
         """
         sl = self._slices.get(tenant)
         suspects = self.suspect_failed()
+        adj = self._topology.adjacency(
+            self.domain_nodes, lambda link: sl.covers(link.endpoints)
+        )
         table: dict[tuple[NodeId, NodeId], tuple[int, list[NodeId]]] = {}
         terms = sorted(set(terminals) & self.domain_nodes)
-        for i, u in enumerate(terms):
-            for v in terms[i + 1:]:
-                found = self._topology.shortest_path(
-                    u,
-                    v,
-                    link_filter=lambda link: sl.covers(link.endpoints)
-                    and link.endpoints[0] in self.domain_nodes
-                    and link.endpoints[1] in self.domain_nodes,
-                    exclude_nodes=suspects - {u, v},
-                )
-                if found is not None:
-                    table[(u, v)] = found
-                    table[(v, u)] = (found[0], list(reversed(found[1])))
+        for i, u in enumerate(terms[:-1]):
+            found = multi_target_paths(adj, u, terms[i + 1:], suspects - {u})
+            for v, (dist, _hops, seq) in sorted(found.items()):
+                table[(u, v)] = (dist, list(seq))
+                table[(v, u)] = (dist, list(reversed(seq)))
         return table

@@ -8,11 +8,10 @@ topology directly.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .controller import Controller, ControllerId, TenantId, Verdict, merge_verdicts
+from .controller import Controller, ControllerId, TenantId
 from .errors import (
     AccessDenied,
     DisconnectedDomain,
@@ -22,7 +21,7 @@ from .errors import (
     SliceViolation,
     UnassignedNode,
 )
-from .topology import LinkId, NodeId, Topology
+from .topology import Adjacency, LinkId, NodeId, Topology, multi_target_paths
 
 DomainId = int
 
@@ -38,7 +37,7 @@ class Domain:
 
 @dataclass
 class WestboundMessage:
-    kind: str  # ResolveNode | PathSegmentRequest | PathSegmentReply | PeerStoreRead | PeerStoreReply | HealthDigest
+    kind: str  # PathSegmentRequest | PathSegmentReply | PeerStoreRead | PeerStoreReply | Nack | HealthDigest
     sender: ControllerId
     receiver: ControllerId
     correlation: int
@@ -182,8 +181,6 @@ class Farm:
         if msg.kind == "PeerStoreRead":
             tenant, path = msg.payload
             return ctrl.store_get(tenant, path, as_controller=msg.sender)
-        if msg.kind == "ResolveNode":
-            return self.resolve(msg.payload)
         raise ValueError(f"unroutable westbound kind {msg.kind}")
 
     # -- federated operations -----------------------------------------------------
@@ -228,11 +225,6 @@ class Farm:
         self.processed_log.append(msg)
         self.controllers[msg.receiver].receive_digest(msg.sender, msg.payload)
         self.invalidate_caches()
-
-    def global_view(self) -> dict[NodeId, Verdict]:
-        return merge_verdicts(
-            [self.controllers[c].merged_view() for c in sorted(self.controllers)]
-        )
 
     def cross_domain_path(
         self, src: NodeId, dst: NodeId, tenant: TenantId
@@ -279,35 +271,20 @@ class Farm:
                 self._segment_cache[cache_key] = table
             segments.update(table)
 
-        # join segments and gateway hops with a deterministic Dijkstra
-        adj: dict[NodeId, list[tuple[NodeId, int, list[NodeId]]]] = {}
-
-        def add_edge(u, v, w, path):
-            adj.setdefault(u, []).append((v, w, path))
-
-        for (u, v), (w, path) in segments.items():
-            add_edge(u, v, w, path)
+        # join segments and gateway hops; keys rank by (latency, node hops,
+        # terminal sequence)
         for a, b in gateways:
             w = self._topology.links[(a, b)].latency
-            add_edge(a, b, w, [a, b])
-            add_edge(b, a, w, [b, a])
-        for u in adj:
-            adj[u].sort(key=lambda e: (e[0], e[1], e[2]))
-
-        best: dict[NodeId, tuple] = {}
-        heap = [(0, 0, (src,), [src])]
-        while heap:
-            dist, hops, seq, path = heapq.heappop(heap)
-            node = seq[-1]
-            if node in best and best[node] < (dist, hops, seq):
-                continue
-            if node == dst:
-                return path
-            for nxt, w, hop_path in adj.get(node, []):
-                if nxt in seq:
-                    continue
-                nkey = (dist + w, hops + len(hop_path) - 1, seq + (nxt,))
-                if nxt not in best or nkey < best[nxt]:
-                    best[nxt] = nkey
-                    heapq.heappush(heap, (*nkey, path + hop_path[1:]))
-        raise NoPath(f"tenant {tenant}: no slice route {src}->{dst}")
+            segments[(a, b)] = (w, [a, b])
+            segments[(b, a)] = (w, [b, a])
+        adj: Adjacency = {}
+        for (u, v), (w, path) in segments.items():
+            adj.setdefault(u, []).append((v, w, len(path) - 1))
+        found = multi_target_paths(adj, src, {dst}).get(dst)
+        if found is None:
+            raise NoPath(f"tenant {tenant}: no slice route {src}->{dst}")
+        seq = found[2]
+        route = [src]
+        for hop in zip(seq, seq[1:]):
+            route += segments[hop][1][1:]
+        return route

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import AbstractSet, Callable, Iterable, Optional
 
 from .errors import (
     BadParameter,
@@ -18,6 +18,7 @@ from .errors import (
     DuplicateLink,
     ExcludesEndpoint,
     SelfLoop,
+    UnknownLink,
     UnknownNode,
 )
 
@@ -106,19 +107,59 @@ class Link:
     latency: int
     capacity: int
 
-    def touches(self, n: NodeId) -> bool:
-        return n in self.endpoints
-
-    def other(self, n: NodeId) -> NodeId:
-        a, b = self.endpoints
-        return b if n == a else a
-
 
 def link_id(a: NodeId, b: NodeId) -> LinkId:
     return (a, b) if a <= b else (b, a)
 
 
 LinkFilter = Callable[[Link], bool]
+
+# node -> [(next, weight, hops)], at most one edge per (node, next);
+# weight >= 1 and hops >= 1
+Adjacency = dict[NodeId, list[tuple[NodeId, int, int]]]
+PathKey = tuple[int, int, tuple[NodeId, ...]]  # (latency, hops, node sequence)
+
+
+def multi_target_paths(
+    adj: Adjacency,
+    src: NodeId,
+    targets: Iterable[NodeId],
+    stop_at: AbstractSet[NodeId] = frozenset(),
+) -> dict[NodeId, PathKey]:
+    """Best (latency, hops, node sequence) path from src to each target.
+
+    Paths rank by that key. With positive weights and hops the order is
+    consistent with prefixes (the best path's prefix is the best path to the
+    node where it ends), so a lazy Dijkstra gives every node its best key the
+    first time it pops. Keys are distinct, so edge order does not change
+    the result. Nodes in stop_at may end a path but never relay one.
+    Unreachable targets are absent from the result; the search stops as soon
+    as every target has popped.
+    """
+    remaining = set(targets)
+    found: dict[NodeId, PathKey] = {}
+    best: dict[NodeId, PathKey] = {src: (0, 0, (src,))}
+    heap = [best[src]]
+    while heap and remaining:
+        key = heapq.heappop(heap)
+        dist, hops, seq = key
+        node = seq[-1]
+        if best[node] < key:
+            continue
+        if node in remaining:
+            remaining.discard(node)
+            found[node] = key
+        if node in stop_at:
+            continue
+        for nxt, weight, edge_hops in adj.get(node, ()):
+            old = best.get(nxt)
+            if old is not None and dist + weight > old[0]:
+                continue  # cheap reject before building the key
+            nkey = (dist + weight, hops + edge_hops, seq + (nxt,))
+            if old is None or nkey < old:
+                best[nxt] = nkey
+                heapq.heappush(heap, nkey)
+    return found
 
 
 class Topology:
@@ -191,6 +232,18 @@ class Topology:
 
     def node_ids(self) -> list[NodeId]:
         return sorted(self.nodes)
+
+    def adjacency(self, nodes: frozenset[NodeId], link_filter: LinkFilter) -> Adjacency:
+        """Search adjacency of the subgraph induced by nodes, over the links
+        that pass link_filter, weighted by raw latency."""
+        return {
+            n: [
+                (nxt, link.latency, 1)
+                for nxt, link in self._adj[n].items()
+                if nxt in nodes and link_filter(link)
+            ]
+            for n in nodes
+        }
 
     def slowdown(self, n: NodeId) -> float:
         h = self.nodes[n].health

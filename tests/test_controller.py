@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -286,6 +288,57 @@ def test_admit_flow_dest_outside_slice():
     slices.allocate(0, [(0, 1)], 1, Priority.GOLD)
     with pytest.raises(NoPathInSlice):
         ctrl.admit_flow(0, 0, 2, 1)
+
+
+def segment_case(seed):
+    """Random small graph (latencies 1-3, so ties occur), a domain, a slice,
+    terminals and suspects; suspects are drawn over all nodes, so some are
+    terminals."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    links = [
+        (a, b, rng.randint(1, 3))
+        for a in range(n) for b in range(a + 1, n) if rng.random() < 0.45
+    ]
+    rng.shuffle(links)  # adjacency order must not matter
+    domain = {v for v in range(n) if rng.random() < 0.85} or {0}
+    sliced = [(a, b) for a, b, _ in links if rng.random() < 0.9]
+    terminals = [v for v in range(n) if rng.random() < 0.6]
+    suspects = {v for v in range(n) if rng.random() < 0.25}
+    return n, links, domain, sliced, terminals, suspects
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=300)
+def test_segment_table_matches_pairwise_oracle(seed):
+    n, links, domain, sliced, terminals, suspects = segment_case(seed)
+    topo = build_topology(n, links)
+    ctrl, slices = make_controller(topo, nodes=domain)
+    slices.allocate(0, sliced, 1, Priority.GOLD)
+    ctrl.receive_digest(1, {s: Verdict.SUSPECT_FAILED for s in suspects})
+    sl = slices.get(0)
+
+    def in_slice(link):
+        return sl.covers(link.endpoints) and set(link.endpoints) <= domain
+
+    expected = {}
+    terms = sorted(set(terminals) & domain)
+    for i, u in enumerate(terms):
+        for v in terms[i + 1:]:
+            found = topo.shortest_path(
+                u, v, link_filter=in_slice, exclude_nodes=suspects - {u, v}
+            )
+            if found is not None:
+                expected[(u, v)] = found
+                expected[(v, u)] = (found[0], list(reversed(found[1])))
+    assert list(ctrl.segment_table(0, terminals).items()) == list(expected.items())
+
+
+def test_ingest_report_about_non_neighbour_raises_unknown_link():
+    topo = build_topology(3, [(0, 1)])
+    mon = HealthMonitor(topo)
+    with pytest.raises(UnknownLink):
+        mon.ingest(loss_report(0, 1, 2))
 
 
 def test_admit_flow_routes_around_suspect():

@@ -9,6 +9,7 @@ from sdcps.errors import (
     DuplicateLink,
     ExcludesEndpoint,
     SelfLoop,
+    UnknownLink,
     UnknownNode,
 )
 
@@ -134,6 +135,13 @@ def test_health_parameter_rules():
         Health.congested(0.5)
     with pytest.raises(BadParameter):
         Health.malicious(1.5)
+
+
+def test_link_missing_raises_unknown_link():
+    topo = build_topology(3, [(0, 1)])
+    assert topo.link(1, 0).endpoints == (0, 1)
+    with pytest.raises(UnknownLink):
+        topo.link(0, 2)
 
 
 # -- set_health ----------------------------------------------------------------
