@@ -55,6 +55,9 @@ class Bus:
         self.subscriptions.append(sub)
         return sub
 
+    def has_subscriber(self, topic: str) -> bool:
+        return any(s.matches(topic) for s in self.subscriptions)
+
     def publish(self, topic: str, payload: Any, tick: int, publisher: str) -> BusMessage:
         if not topic:
             raise ValueError("topic name must be non-empty")

@@ -125,6 +125,33 @@ class ServiceRegistry:
         return sorted(self._services)
 
 
+class _Transfers:
+    """Health-aware transfer latencies for one `schedule` or `execute` call.
+
+    Health is read when the call starts and path latencies are memoized per
+    (src, dst) until it returns, so a health change between calls is seen.
+    """
+
+    def __init__(self, topology: Topology, failed: set[NodeId]):
+        self._topology = topology
+        self._failed = failed
+        self._per_unit: dict[tuple[NodeId, NodeId], Optional[int]] = {}
+
+    def latency(self, src: NodeId, dst: NodeId, size: int) -> Optional[int]:
+        if size == 0 or src == dst:
+            return 0
+        key = (src, dst)
+        if key not in self._per_unit:
+            found = self._topology.shortest_path(
+                src, dst,
+                exclude_nodes=self._failed - {src, dst},
+                latency_fn=self._topology.effective_latency,
+            )
+            self._per_unit[key] = None if found is None else found[0]
+        per_unit = self._per_unit[key]
+        return None if per_unit is None else per_unit * size
+
+
 class Scheduler:
     """Pure function of (topology snapshot, registry, dag)."""
 
@@ -133,16 +160,7 @@ class Scheduler:
         self._registry = registry
 
     def _transfer_latency(self, src: NodeId, dst: NodeId, size: int) -> Optional[int]:
-        if size == 0 or src == dst:
-            return 0
-        found = self._topology.shortest_path(
-            src, dst,
-            exclude_nodes=self._failed_nodes() - {src, dst},
-            latency_fn=self._topology.effective_latency,
-        )
-        if found is None:
-            return None
-        return found[0] * size
+        return _Transfers(self._topology, self._failed_nodes()).latency(src, dst, size)
 
     def _failed_nodes(self) -> set[NodeId]:
         return {
@@ -160,6 +178,7 @@ class Scheduler:
         dag.validate()
         overrides = overrides or {}
         services = {t: self._registry.lookup(s) for t, s in dag.tasks}
+        transfers = _Transfers(self._topology, self._failed_nodes())
         assignments: dict[str, tuple[NodeId, int, int]] = {}
         busy: dict[NodeId, int] = {}
         for task in dag.topo_order():
@@ -167,7 +186,8 @@ class Scheduler:
             exclude = frozenset()
             if task in overrides:
                 exclude = sdef.providers - {overrides[task]}
-            placed = self._place(task, sdef, dag, assignments, busy, exclude=exclude)
+            placed = self._place(task, sdef, dag, transfers, assignments, busy,
+                                 exclude=exclude)
             if placed is None:
                 raise UnreachableProvider(
                     f"task {task}: no provider of {sdef.name!r} is reachable "
@@ -184,6 +204,7 @@ class Scheduler:
         task: str,
         sdef: ServiceDef,
         dag: CompositionDag,
+        transfers: _Transfers,
         assignments: dict[str, tuple[NodeId, int, int]],
         busy: dict[NodeId, int],
         exclude: frozenset[NodeId] = frozenset(),
@@ -195,7 +216,7 @@ class Scheduler:
             feasible = True
             for producer, size in dag.producers(task):
                 pnode, _, pend = assignments[producer]
-                lat = self._transfer_latency(pnode, node, size)
+                lat = transfers.latency(pnode, node, size)
                 if lat is None:
                     feasible = False
                     break
@@ -216,6 +237,7 @@ class Scheduler:
         """
         services = {t: self._registry.lookup(s) for t, s in dag.tasks}
         failed = self._failed_nodes()
+        transfers = _Transfers(self._topology, failed)
         actual: dict[str, tuple[NodeId, int, int]] = {}
         busy: dict[NodeId, int] = {}
         replaced = []
@@ -225,13 +247,13 @@ class Scheduler:
             if node in failed:
                 replaced.append(task)
                 placed = self._place(
-                    task, sdef, dag, actual, busy,
+                    task, sdef, dag, transfers, actual, busy,
                     exclude=frozenset(failed), congestion_aware=True,
                 )
             else:
                 # pin the planned provider; only its timing is re-derived
                 placed = self._place(
-                    task, sdef, dag, actual, busy,
+                    task, sdef, dag, transfers, actual, busy,
                     exclude=frozenset(failed) | (sdef.providers - {node}),
                     congestion_aware=True,
                 )

@@ -201,6 +201,9 @@ class SouthboundReport:
     # (neighbor, observed latency in ticks) or (neighbor, LOSS)
     neighbor_observations: tuple[tuple[NodeId, object], ...]
 
+    def __deepcopy__(self, memo):
+        return self  # immutable all the way down, so forks share it
+
 
 @dataclass
 class HealthEstimate:

@@ -146,7 +146,8 @@ class FlowEngine:
         self.total_dropped = 0
         self.total_cloned = 0
         self.delivered_this_tick: dict[TenantId, int] = {}
-        self.delivery_latencies: list[int] = []
+        self.latency_sum = 0  # delivery latencies, as sum and count
+        self.latency_count = 0
         self.slice_violations = 0
         self.qos_log: list[tuple[int, tuple, TenantId, int, int, int]] = []
 
@@ -455,7 +456,8 @@ class FlowEngine:
         self.delivered_this_tick[flow.tenant] = (
             self.delivered_this_tick.get(flow.tenant, 0) + 1
         )
-        self.delivery_latencies.append(self.now - unit.injected_tick)
+        self.latency_sum += self.now - unit.injected_tick
+        self.latency_count += 1
         self._log.emit(f"t={self.now} ev=deliver flow={flow.id} seq={unit.seq}")
         if len(flow.delivered_record) == flow.units and flow.state in (
             FlowState.ACTIVE, FlowState.RECOVERING,

@@ -2,14 +2,17 @@
 decision over a horizon, and commit it to the physical world only if the
 rehearsal improved things.
 
-A twin is a deep copy, so it runs the same code the physical world runs;
-with the same seed its trace hash is identical tick for tick. Twin
-mutations can never touch physical state.
+A twin is a `World.fork()`: a deep copy of the live state (topology,
+controllers, bus, flows, units, RNG, running trace digest, counters) in
+which the history sinks (event lines, metrics records, QoS and westbound
+logs) start empty. It runs the same code the physical world runs; with the
+same seed its trace hash and totals continue tick for tick from the
+physical world's, and its history begins at the snapshot. Twin mutations
+can never touch physical state.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -78,10 +81,10 @@ class TwinWorld:
 
 
 def spawn_twin(world: World, twin_seed: Optional[int] = None) -> TwinWorld:
-    """Deep-copy the world at a tick boundary into an isolated twin."""
+    """Fork the world at a tick boundary into an isolated twin."""
     if world.mid_tick:
         raise MidTickSpawn("twins may only be spawned between ticks")
-    twin = copy.deepcopy(world)
+    twin = world.fork()
     if twin_seed is not None:
         twin.reseed(twin_seed)
     mapping = {n: n for n in world.topology.node_ids()}
@@ -149,8 +152,8 @@ def evaluate(twin: TwinWorld, decision: Decision, horizon: int) -> MetricsDelta:
     if horizon < 1:
         raise UnresolvableDecision("horizon must be >= 1")
     snapshot_tick = twin.world.now
-    baseline = copy.deepcopy(twin.world)
-    candidate = copy.deepcopy(twin.world)
+    baseline = twin.world.fork()
+    candidate = twin.world.fork()
     apply_decision(candidate, decision)  # UnresolvableDecision propagates
     baseline.run(horizon)
     candidate.run(horizon)
@@ -159,8 +162,8 @@ def evaluate(twin: TwinWorld, decision: Decision, horizon: int) -> MetricsDelta:
         candidate.run_composition()
 
     def mean_latency(w: World) -> float:
-        lat = w.engine.delivery_latencies
-        return sum(lat) / len(lat) if lat else 0.0
+        e = w.engine
+        return e.latency_sum / e.latency_count if e.latency_count else 0.0
 
     return MetricsDelta(
         delivered_units=candidate.engine.total_delivered - baseline.engine.total_delivered,

@@ -74,6 +74,9 @@ class Health:
     def malicious(cls, drop_prob: float) -> "Health":
         return cls(HealthState.MALICIOUS, drop_prob=drop_prob)
 
+    def __deepcopy__(self, memo):
+        return self  # immutable, so forks share it
+
     def label(self) -> str:
         if self.state is HealthState.CONGESTED:
             return f"congested:{self.slowdown:g}"
@@ -106,6 +109,9 @@ class Link:
     endpoints: LinkId
     latency: int
     capacity: int
+
+    def __deepcopy__(self, memo):
+        return self  # immutable, so forks share it
 
 
 def link_id(a: NodeId, b: NodeId) -> LinkId:

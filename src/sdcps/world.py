@@ -1,7 +1,7 @@
 """The simulated world and its deterministic tick loop.
 
 One world owns everything mutable (topology, controllers, flows, bus, RNG,
-trace) so a deep copy is a faithful twin. Each tick runs fixed phases:
+trace) so `World.fork()` is a faithful twin. Each tick runs fixed phases:
 
   1. boundary changes   scheduled faults, committed decisions
   2. bus delivery       reports and digests published last tick, in
@@ -18,6 +18,7 @@ are processed monotonically.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 from dataclasses import dataclass
@@ -173,6 +174,15 @@ class World:
         path = self.route(tenant, origin, dest)
         return self.engine.open_flow(tenant, origin, dest, units, path)
 
+    def fork(self) -> "World":
+        """Deep-copy the live state: topology, slices, controllers, bus,
+        flows, units, buffers, RNG, running digest and counters. The pure
+        history sinks start empty in the copy, so its trace hash, counters
+        and totals continue from here while its history begins here."""
+        sinks = (self.log.lines, self.metrics, self.engine.qos_log,
+                 self.farm.sent_log, self.farm.processed_log)
+        return copy.deepcopy(self, {id(sink): [] for sink in sinks})
+
     def reseed(self, seed: int) -> None:
         self.seed = seed
         self.rng = random.Random(seed)
@@ -291,8 +301,9 @@ class World:
         self._telemetry(t)
 
         # mirror this tick's event lines onto the flow-events topic
-        for line in self.log.lines[self._line_mark:]:
-            self.bus.publish("events/flows", line, t, "kernel")
+        if self.bus.has_subscriber("events/flows"):
+            for line in self.log.lines[self._line_mark:]:
+                self.bus.publish("events/flows", line, t, "kernel")
 
         # 7. metrics
         rec = MetricsRecord(

@@ -220,6 +220,27 @@ def test_execute_replaces_failed_provider():
     assert report.assignments["a"][0] == 1
 
 
+def test_reused_scheduler_sees_health_change_in_transfers():
+    # 0-1-2 at latency 1 per link, or 0-3-2 at latency 3 per link
+    topo = Topology()
+    for i in range(4):
+        topo.add_node(compute_node(i))
+    for a, b, latency in [(0, 1, 1), (1, 2, 1), (0, 3, 3), (3, 2, 3)]:
+        topo.add_link(a, b, latency, 4)
+    reg = ServiceRegistry(topo)
+    reg.register_service("first", 2, [0])
+    reg.register_service("second", 2, [2])
+    dag = CompositionDag([("a", "first"), ("b", "second")], [("a", "b", 1)])
+    scheduler = Scheduler(topo, reg)
+    plan = scheduler.schedule(dag)
+    report = scheduler.execute(plan, dag)
+    assert report.assignments["b"][1] == report.assignments["a"][2] + 2
+    topo.set_health(1, Health.failed())
+    report = scheduler.execute(plan, dag)
+    assert report.assignments["b"][1] == report.assignments["a"][2] + 6
+    assert scheduler._transfer_latency(0, 2, 1) == 6
+
+
 def test_execute_all_providers_failed():
     topo = providers_topology(2, link_latency=1)
     reg = ServiceRegistry(topo)

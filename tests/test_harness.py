@@ -242,6 +242,28 @@ def test_flow_events_mirrored_on_bus():
     assert any("ev=deliver" in l for l in lines)
 
 
+def test_flow_events_not_published_without_subscriber():
+    scenario = load("minimal.json")
+    from sdcps.scenario import build_world
+
+    quiet = build_world(scenario)
+    topics = []
+    publish = quiet.bus.publish
+
+    def recording(topic, *args):
+        topics.append(topic)
+        return publish(topic, *args)
+
+    quiet.bus.publish = recording
+    quiet.run(scenario.horizon)
+    assert topics and "events/flows" not in topics
+    mirrored = build_world(scenario)
+    mirrored.bus.subscribe("events/flows")
+    mirrored.run(scenario.horizon)
+    assert quiet.trace_hash() == mirrored.trace_hash()
+    assert quiet.summary() == mirrored.summary()
+
+
 def test_materialized_transfers_open_flows():
     _, _, summary = run_scenario(load("composition.json"))
     assert summary["composition"]["makespan"] > 0

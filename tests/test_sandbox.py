@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from sdcps import (
@@ -14,6 +16,8 @@ from sdcps import (
     spawn_twin,
 )
 from sdcps.errors import MidTickSpawn, StaleDelta, UnresolvableDecision
+from sdcps.flow_engine import FlowEngine
+from sdcps.sandbox import apply_decision
 
 from conftest import build_world
 
@@ -27,6 +31,28 @@ def blocked_line_world():
     w.schedule_fault(1, 1, Health.failed())
     w.run(1)
     return w
+
+
+def congested_diamond_world():
+    """Two-domain diamond whose admitted branch congests at t=3, after two
+    deliveries; by t=5 every history sink holds something."""
+    w = World(seed=0)
+    for i in range(4):
+        w.add_node(Node(i, NodeKind.SMART_DEVICE, compute_capacity=1))
+    links = [w.add_link(a, b, 1, 2) for a, b in [(0, 1), (1, 3), (0, 2), (2, 3)]]
+    w.register_domain(0, [0, 1])
+    w.register_domain(1, [2, 3])
+    w.allocate_slice(0, links, 1, Priority.GOLD)
+    w.finish_setup()
+    w.schedule_flow(0, 0, 3, 10, 0)
+    w.schedule_fault(3, 1, Health.congested(4.0))
+    w.run(5)
+    return w
+
+
+def history(w):
+    return (w.log.lines, w.metrics, w.engine.qos_log, w.farm.sent_log,
+            w.farm.processed_log)
 
 
 # -- spawn_twin --------------------------------------------------------------------
@@ -52,6 +78,40 @@ def test_twin_mutations_leave_physical_untouched(diamond_world):
     solo.run(8)
     assert diamond_world.trace_hash() == solo.trace_hash()
     assert twin.world.trace_hash() != diamond_world.trace_hash()
+
+
+def test_twin_starts_with_empty_history_and_live_digest():
+    w = congested_diamond_world()
+    assert all(history(w))
+    twin = spawn_twin(w)
+    assert [len(sink) for sink in history(twin.world)] == [0] * 5
+    assert twin.world.trace_hash() == w.trace_hash()
+    assert twin.world.summary()["totals"] == w.summary()["totals"]
+    assert twin.world.summary()["health_events"] == w.summary()["health_events"]
+
+
+def test_twin_and_evaluate_leave_physical_history_untouched():
+    w = congested_diamond_world()
+    lengths = [len(sink) for sink in history(w)]
+    trace = w.trace_hash()
+    twin = spawn_twin(w)
+    twin.world.run(6)
+    evaluate(twin, Decision.inject_repair(1), horizon=6)
+    assert [len(sink) for sink in history(w)] == lengths
+    assert w.trace_hash() == trace
+
+
+def test_twin_metrics_records_track_physical():
+    w = congested_diamond_world()
+    twin = spawn_twin(w)
+    snapshot = len(w.metrics)
+    w.run(7)
+    twin.world.run(7)
+    assert [m.to_json() for m in twin.world.metrics] == [
+        m.to_json() for m in w.metrics[snapshot:]
+    ]
+    assert twin.world.log.lines == w.log.lines[-len(twin.world.log.lines):]
+    assert twin.world.trace_hash() == w.trace_hash()
 
 
 def test_twin_mapping_is_identity_bijection():
@@ -90,6 +150,34 @@ def test_noop_reroute_is_all_zero(line_world):
     twin = spawn_twin(line_world)
     delta = evaluate(twin, Decision.reroute(0, list(flow.path)), horizon=8)
     assert (delta.delivered_units, delta.mean_latency, delta.makespan, delta.violations) == (0, 0.0, 0, 0)
+
+
+def test_mean_latency_matches_list_oracle(monkeypatch):
+    """Every delivery latency since t=0, kept in a list that a full deep
+    copy carries along, gives the same mean as the running sum and count."""
+    deliver = FlowEngine._deliver
+
+    def recording(self, flow, unit):
+        self.__dict__.setdefault("oracle_latencies", []).append(
+            self.now - unit.injected_tick
+        )
+        deliver(self, flow, unit)
+
+    monkeypatch.setattr(FlowEngine, "_deliver", recording)
+
+    def mean(w):
+        lat = w.engine.__dict__.get("oracle_latencies", [])
+        return sum(lat) / len(lat) if lat else 0.0
+
+    w = congested_diamond_world()
+    decision = Decision.inject_repair(1)
+    delta = evaluate(spawn_twin(w), decision, horizon=8)
+    baseline, candidate = copy.deepcopy(w), copy.deepcopy(w)
+    apply_decision(candidate, decision)
+    baseline.run(8)
+    candidate.run(8)
+    assert delta.mean_latency == mean(candidate) - mean(baseline)
+    assert delta.mean_latency != 0.0
 
 
 def test_zero_horizon_rejected(line_world):
