@@ -1,7 +1,8 @@
 """Command-line entry points.
 
-Exit codes: 0 on success, 1 on validation failure, 2 on runtime abort.
-SDCPS_SEED overrides the scenario seed; an explicit --seed beats both.
+Exit codes: 0 on success, 1 on bad input (scenario file, SDCPS_SEED or
+sweep arguments), 2 on a runtime abort. SDCPS_SEED overrides the scenario
+seed; an explicit --seed beats both.
 """
 
 from __future__ import annotations
@@ -17,13 +18,17 @@ from .sandbox import spawn_twin
 from .scenario import build_world, parse_scenario, run_scenario
 
 
+def _bad_input(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(1)
+
+
 def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_scenario(fh.read())
-    except FileNotFoundError:
-        print(f"error: no such scenario file: {path}", file=sys.stderr)
-        raise SystemExit(1)
+    except (OSError, UnicodeDecodeError) as exc:
+        _bad_input(f"cannot read scenario file: {exc}")
     except ScenarioSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         raise SystemExit(1)
@@ -38,9 +43,12 @@ def _seed_for(scenario, args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("SDCPS_SEED")
-    if env is not None:
+    if env is None:
+        return scenario.seed
+    try:
         return int(env)
-    return scenario.seed
+    except ValueError:
+        _bad_input(f"SDCPS_SEED must be an integer, not {env!r}")
 
 
 def cmd_run(args) -> int:
@@ -95,11 +103,14 @@ def cmd_twin_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = _load(args.scenario)
-    instances = [int(x) for x in args.instances.split(",") if x]
     sweep_opts = scenario.options.get("sweep", {})
     n_tasks = args.tasks if args.tasks is not None else sweep_opts.get("n_tasks", 64)
     cost = args.cost if args.cost is not None else sweep_opts.get("cost", 1)
-    rows = speedup_curve(n_tasks, instances, cost)
+    try:
+        instances = [int(x) for x in args.instances.split(",") if x]
+        rows = speedup_curve(n_tasks, instances, cost)
+    except (ValueError, SdcpsError) as exc:
+        _bad_input(f"sweep: {exc}")
     out_lines = ["m,makespan,speedup"]
     for m, makespan, speedup in rows:
         out_lines.append(f"{m},{makespan},{speedup:.6g}")

@@ -118,7 +118,7 @@ class ServiceRegistry:
 
     def lookup(self, name: str) -> ServiceDef:
         if name not in self._services:
-            raise UnknownService(f"service {name!r}")
+            raise UnknownService(f"unknown service {name!r}")
         return self._services[name]
 
     def names(self) -> list[str]:
@@ -281,6 +281,8 @@ def speedup_curve(
     results = []
     base_makespan = None
     for m in instances:
+        if m < 1:
+            raise BadParameter(f"instance count {m} must be >= 1")
         topo = Topology()
         for i in range(m):
             topo.add_node(Node(i, NodeKind.CONTROLLER_VES, compute_capacity=1,

@@ -13,6 +13,7 @@ from typing import Iterable, Optional
 
 from .errors import (
     AccessDenied,
+    BadParameter,
     EmptyPath,
     NoPathInSlice,
     NoSlice,
@@ -70,21 +71,23 @@ class SliceTable:
         share: int,
         priority: Priority,
     ) -> TenantSlice:
+        if share < 0:
+            raise BadParameter(f"tenant {tenant}: share must be >= 0")
         links = frozenset(link_id(a, b) for a, b in links)
         for lid in sorted(links):
             if lid not in self._topology.links:
-                raise UnknownLink(f"link {lid}")
+                raise UnknownLink(f"tenant {tenant}: slice link {lid} does not exist")
+        claimed = dict.fromkeys(links, 0)
+        for t, s in self.slices.items():
+            if t != tenant:
+                for lid in s.links & links:
+                    claimed[lid] += s.share
         for lid in sorted(links):
             cap = self._topology.links[lid].capacity
-            claimed = sum(
-                s.share
-                for t, s in self.slices.items()
-                if t != tenant and s.covers(lid)
-            )
-            if claimed + share > cap:
+            if claimed[lid] + share > cap:
                 raise Oversubscribed(
                     lid,
-                    f"link {lid}: shares {claimed + share} exceed capacity {cap}",
+                    f"link {lid} oversubscribed: shares {claimed[lid] + share} exceed capacity {cap}",
                 )
         sl = TenantSlice(tenant, links, share, priority)
         self.slices[tenant] = sl

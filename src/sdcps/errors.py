@@ -27,10 +27,6 @@ class BadParameter(SdcpsError):
     pass
 
 
-class ExcludesEndpoint(SdcpsError):
-    pass
-
-
 # -- controller ------------------------------------------------------------
 
 class Oversubscribed(SdcpsError):

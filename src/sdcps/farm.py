@@ -15,6 +15,7 @@ from .controller import Controller, ControllerId, TenantId
 from .errors import (
     AccessDenied,
     DisconnectedDomain,
+    DuplicateId,
     NoPath,
     NotFound,
     OverlappingDomain,
@@ -48,12 +49,6 @@ class WestboundMessage:
     def order_key(self) -> tuple[int, int, int]:
         return (self.tick, self.sender, self.seq)
 
-    def render(self) -> str:
-        return (
-            f"west kind={self.kind} from={self.sender} to={self.receiver} "
-            f"corr={self.correlation} t={self.tick} seq={self.seq}"
-        )
-
 
 class Farm:
     """Controller farm over a shared topology.
@@ -81,21 +76,25 @@ class Farm:
         self._cache_version = 0
 
     def attach_bus(self, bus) -> None:
-        """Mirror westbound traffic onto `west/<pair>` topics for tracing."""
+        """Carry health digests over the bus (`west/to/<peer>/<sender>`), so
+        peers receive them next tick; without a bus they arrive at once."""
         self._bus = bus
 
     # -- registration ---------------------------------------------------------
 
     def register_controller(self, domain: Domain) -> ControllerId:
-        taken = set(self._owner)
-        overlap = domain.nodes & taken
+        if domain.id in self.domains:
+            raise DuplicateId(f"domain {domain.id} declared twice")
+        overlap = sorted(domain.nodes & self._owner.keys())
         if overlap:
             raise OverlappingDomain(
-                f"domain {domain.id}: nodes {sorted(overlap)} already owned"
+                f"domains {self._owner[overlap[0]]} and {domain.id} overlap on nodes {overlap}"
             )
         for n in sorted(domain.nodes):
             self._topology.node(n)
-        if not self._domain_connected(domain.nodes):
+        if domain.nodes and domain.nodes != self._topology.reachable(
+            min(domain.nodes), lambda link: domain.nodes.issuperset(link.endpoints)
+        ):
             raise DisconnectedDomain(f"domain {domain.id} induces a disconnected subgraph")
         cid = domain.id
         ctrl = Controller(
@@ -113,20 +112,6 @@ class Farm:
             self._owner[n] = cid
         self.invalidate_caches()
         return cid
-
-    def _domain_connected(self, nodes: frozenset[NodeId]) -> bool:
-        if len(nodes) <= 1:
-            return True
-        start = min(nodes)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for v in self._topology.neighbors(u):
-                if v in nodes and v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return seen == nodes
 
     def resolve(self, n: NodeId) -> ControllerId:
         if n not in self._owner:
@@ -164,11 +149,6 @@ class Farm:
         )
         self.message_count += 1
         self.sent_log.append(msg)
-        if self._bus is not None:
-            pair = f"{min(sender, receiver)}-{max(sender, receiver)}"
-            self._bus.publish(
-                f"west/{pair}", msg.render(), self.now, f"controller/{sender:06d}"
-            )
         return msg
 
     def _dispatch(self, msg: WestboundMessage) -> Any:

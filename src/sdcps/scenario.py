@@ -1,33 +1,39 @@
-"""Scenario documents: JSON with fixed sections, validated exhaustively.
+"""Scenario documents: JSON with fixed sections, checked in two steps that
+report every violation, not just the first.
 
-Validation collects every violation it can find instead of stopping at the
-first, and rejects at parse time anything a module would reject at run time
-(domain partition, slice capacity, DAG shape, slice connectivity of flows).
+1. Shape: each section and field has the JSON type `_SHAPE` gives it
+   (integers are not booleans or floats). Entries that fail skip step 2.
+2. Build: `build_world` makes every constructor call and turns each
+   `SdcpsError` into one violation, so each rule the simulator enforces
+   (domain partition, slice capacity, DAG shape, option ranges, ...) is
+   written once, in the module that owns it.
+
+Only the document's own rules live here: horizon >= 1, unique tenant ids,
+and each flow's tenant, endpoints, units, start tick and slice connectivity.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import reprlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .composition import CompositionDag, ServiceRegistry
 from .controller import Priority
 from .errors import ScenarioSyntaxError, ScenarioValidationError, SdcpsError
-from .topology import Health, Node, NodeKind, link_id
+from .topology import Health, HealthState, Node, NodeId, NodeKind
 from .world import World, WorldOptions
-
-_KINDS = {k.value for k in NodeKind}
-_PRIORITIES = {"gold", "silver", "bronze"}
 
 
 @dataclass
 class Scenario:
-    seed: int
-    horizon: int
-    nodes: list[dict]
-    links: list[dict]
-    domains: list[dict]
+    seed: int = 0
+    horizon: int = 1
+    nodes: list[dict] = field(default_factory=list)
+    links: list[dict] = field(default_factory=list)
+    domains: list[dict] = field(default_factory=list)
     tenants: list[dict] = field(default_factory=list)
     services: list[dict] = field(default_factory=list)
     dag: Optional[dict] = None
@@ -36,27 +42,132 @@ class Scenario:
     options: dict = field(default_factory=dict)
 
 
+# -- shape -------------------------------------------------------------------------
+
+def _is_int(v) -> bool:
+    return type(v) is int
+
+
+def _is_num(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _is_str(v) -> bool:
+    return type(v) is str
+
+
+def _one_of(values) -> tuple:
+    return f"one of {sorted(values)}", lambda v: _is_str(v) and v in values
+
+
+def _rows(*types) -> Callable:
+    """A list of fixed-length lists with one JSON type per position."""
+    return lambda v: type(v) is list and all(
+        type(row) is list and tuple(map(type, row)) == types for row in v
+    )
+
+
+_HEALTH_PARAM = {"healthy": None, "failed": None,
+                 "congested": "slowdown", "malicious": "drop_prob"}
+
+
+def _is_health(v) -> bool:
+    if _is_str(v):
+        return v in ("healthy", "failed")
+    kind = v.get("kind") if type(v) is dict else None
+    if not _is_str(kind) or kind not in _HEALTH_PARAM:
+        return False
+    param = _HEALTH_PARAM[kind]
+    return param is None or _is_num(v.get(param))
+
+
+_INT = ("an integer", _is_int)
+_NUM = ("a finite number", _is_num)
+_STR = ("a string", _is_str)
+_IDS = ("a list of integers", lambda v: type(v) is list and all(map(_is_int, v)))
+
+# section -> ({field: (expected, check)}, required fields); "dag" and
+# "options" are single objects, every other section a list of them
+_SHAPE = {
+    "nodes": ({"id": _INT, "kind": _one_of({k.value for k in NodeKind}),
+               "compute": _INT}, {"id"}),
+    "links": ({"a": _INT, "b": _INT, "latency": _INT, "capacity": _INT}, {"a", "b"}),
+    "domains": ({"id": _INT, "nodes": _IDS}, {"id"}),
+    "tenants": ({"id": _INT, "priority": _one_of({p.name.lower() for p in Priority}),
+                 "share": _INT,
+                 "links": ("a list of [a, b] integer pairs", _rows(int, int))},
+                {"id"}),
+    "services": ({"name": _STR, "cost": _INT, "providers": _IDS}, {"name"}),
+    "dag": ({"tasks": ("a list of [task, service] string pairs", _rows(str, str)),
+             "edges": ("a list of [producer, consumer, size] triples",
+                       _rows(str, str, int))}, set()),
+    "flows": ({"tenant": _INT, "origin": _INT, "dest": _INT, "units": _INT, "start": _INT},
+              {"tenant", "origin", "dest"}),
+    "faults": ({"node": _INT, "tick": _INT,
+                "health": ('"healthy", "failed" or a {"kind": ...} object', _is_health)},
+               {"node"}),
+    "options": ({"w": _INT, "digest_period": _INT, "congestion_threshold": _NUM,
+                 "materialize_transfers": ("true or false", lambda v: type(v) is bool),
+                 "transfer_tenant": _INT,
+                 "sweep": ("an object of integers",
+                           lambda v: type(v) is dict and all(map(_is_int, v.values())))},
+                set()),
+}
+
+# scenario option -> WorldOptions field; unset options keep its defaults
+_OPTIONS = {"w": "window", "digest_period": "digest_period",
+            "congestion_threshold": "congestion_threshold",
+            "materialize_transfers": "materialize_transfers",
+            "transfer_tenant": "transfer_tenant"}
+
+
+def _entry_ok(where: str, entry, fields: dict, required: set, problems: list[str]) -> bool:
+    """True if entry is an object with well-typed fields; otherwise append
+    one violation per problem."""
+    if type(entry) is not dict:
+        problems.append(f"{where}: {reprlib.repr(entry)} is not an object")
+        return False
+    before = len(problems)
+    for name in sorted(required - entry.keys()):
+        problems.append(f"{where}: {name!r} is missing")
+    for name, (expected, ok) in fields.items():
+        if name in entry and not ok(entry[name]):
+            problems.append(f"{where}.{name}: {reprlib.repr(entry[name])} is not {expected}")
+    return len(problems) == before
+
+
+def _check_shape(doc: dict, problems: list[str]) -> dict:
+    """Append one violation per ill-typed value; return the Scenario fields
+    of the well-typed part of the document."""
+    top = {"seed": _INT, "horizon": _INT}
+    top_ok = _entry_ok("scenario", doc, top, set(), problems)
+    out = {k: doc[k] for k in top if top_ok and k in doc}
+    for key, (fields, required) in _SHAPE.items():
+        value = doc.get(key)
+        if key not in doc or (key == "dag" and value is None):
+            continue
+        if key in ("dag", "options"):
+            if _entry_ok(key, value, fields, required, problems):
+                out[key] = value
+        elif type(value) is not list:
+            problems.append(f"{key}: {reprlib.repr(value)} is not a list")
+        else:
+            out[key] = [e for i, e in enumerate(value)
+                        if _entry_ok(f"{key}[{i}]", e, fields, required, problems)]
+    return out
+
+
 def parse_health(spec) -> Health:
-    if isinstance(spec, str):
-        if spec == "healthy":
-            return Health.healthy()
-        if spec == "failed":
-            return Health.failed()
-        raise ValueError(f"unknown health {spec!r}")
-    kind = spec.get("kind")
-    if kind == "healthy":
-        return Health.healthy()
-    if kind == "failed":
-        return Health.failed()
-    if kind == "congested":
-        return Health.congested(float(spec["slowdown"]))
-    if kind == "malicious":
-        return Health.malicious(float(spec["drop_prob"]))
-    raise ValueError(f"unknown health {spec!r}")
+    """Health from a value that passed the shape check."""
+    if _is_str(spec):
+        return Health(HealthState(spec))
+    param = _HEALTH_PARAM[spec["kind"]]
+    params = {param: float(spec[param])} if param else {}
+    return Health(HealthState(spec["kind"]), **params)
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse and fully validate a scenario document."""
+    """Parse a scenario document; check its shape, then build its world."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -65,309 +176,103 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioSyntaxError(1, "scenario must be a JSON object")
 
     problems: list[str] = []
-    scenario = Scenario(
-        seed=int(doc.get("seed", 0)),
-        horizon=int(doc.get("horizon", 1)),
-        nodes=doc.get("nodes", []),
-        links=doc.get("links", []),
-        domains=doc.get("domains", []),
-        tenants=doc.get("tenants", []),
-        services=doc.get("services", []),
-        dag=doc.get("dag"),
-        flows=doc.get("flows", []),
-        faults=doc.get("faults", []),
-        options=doc.get("options", {}),
-    )
-    _validate(scenario, problems)
+    scenario = Scenario(**_check_shape(doc, problems))
+    try:
+        build_world(scenario)
+    except ScenarioValidationError as exc:
+        problems += exc.violations
     if problems:
         raise ScenarioValidationError(problems)
     return scenario
 
 
-def _validate(s: Scenario, problems: list[str]) -> None:
-    if s.horizon < 1:
-        problems.append("horizon must be >= 1")
-
-    node_ids: set[int] = set()
-    capacities: dict[int, int] = {}
-    for n in s.nodes:
-        nid = n.get("id")
-        if not isinstance(nid, int) or nid < 0:
-            problems.append(f"node id {nid!r} must be a non-negative integer")
-            continue
-        if nid in node_ids:
-            problems.append(f"node {nid} declared twice")
-            continue
-        node_ids.add(nid)
-        kind = n.get("kind", "switch")
-        if kind not in _KINDS:
-            problems.append(f"node {nid}: unknown kind {kind!r}")
-        compute = n.get("compute", 0 if kind == "switch" else 1)
-        capacities[nid] = compute
-        if compute < 0:
-            problems.append(f"node {nid}: compute must be >= 0")
-        elif compute == 0 and kind != "switch":
-            problems.append(f"node {nid}: compute 0 is only permitted for switches")
-
-    link_caps: dict[tuple[int, int], int] = {}
-    adjacency: dict[int, set[int]] = {n: set() for n in node_ids}
-    for l in s.links:
-        a, b = l.get("a"), l.get("b")
-        if a == b:
-            problems.append(f"link ({a},{b}) is a self-loop")
-            continue
-        missing = [x for x in (a, b) if x not in node_ids]
-        if missing:
-            problems.append(f"link ({a},{b}) references unknown nodes {missing}")
-            continue
-        lid = link_id(a, b)
-        if lid in link_caps:
-            problems.append(f"link {lid} declared twice")
-            continue
-        latency = l.get("latency", 1)
-        capacity = l.get("capacity", 1)
-        if latency < 1:
-            problems.append(f"link {lid}: latency must be >= 1")
-        if capacity < 1:
-            problems.append(f"link {lid}: capacity must be >= 1")
-        link_caps[lid] = capacity
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-
-    # domains must partition the node set with connected induced subgraphs
-    owned: dict[int, int] = {}
-    domain_ids: set[int] = set()
-    for d in s.domains:
-        did = d.get("id")
-        members = d.get("nodes", [])
-        if did in domain_ids:
-            problems.append(f"domain {did} declared twice")
-            continue
-        domain_ids.add(did)
-        for n in members:
-            if n not in node_ids:
-                problems.append(f"domain {did} contains unknown node {n}")
-            elif n in owned:
-                problems.append(
-                    f"domains {owned[n]} and {did} overlap on node {n}"
-                )
-            else:
-                owned[n] = did
-        ok_members = [n for n in members if n in node_ids]
-        if ok_members and not _connected(set(ok_members), adjacency):
-            problems.append(f"domain {did} induces a disconnected subgraph")
-    uncovered = sorted(node_ids - set(owned))
-    if uncovered:
-        problems.append(f"nodes {uncovered} belong to no domain")
-
-    tenant_ids: set[int] = set()
-    slice_links: dict[int, set[tuple[int, int]]] = {}
-    claims: dict[tuple[int, int], int] = {}
-    for t in s.tenants:
-        tid = t.get("id")
-        if tid in tenant_ids:
-            problems.append(f"tenant {tid} declared twice")
-            continue
-        tenant_ids.add(tid)
-        prio = t.get("priority", "bronze")
-        if prio not in _PRIORITIES:
-            problems.append(f"tenant {tid}: unknown priority {prio!r}")
-        share = t.get("share", 1)
-        if share < 0:
-            problems.append(f"tenant {tid}: share must be >= 0")
-        mine: set[tuple[int, int]] = set()
-        for pair in t.get("links", []):
-            lid = link_id(*pair)
-            if lid not in link_caps:
-                problems.append(f"tenant {tid}: slice link {lid} does not exist")
-                continue
-            mine.add(lid)
-            claims[lid] = claims.get(lid, 0) + share
-        slice_links[tid] = mine
-    for lid, total in sorted(claims.items()):
-        if lid in link_caps and total > link_caps[lid]:
-            problems.append(
-                f"link {lid} oversubscribed: shares {total} exceed capacity {link_caps[lid]}"
-            )
-
-    service_names: set[str] = set()
-    service_costs: dict[str, int] = {}
-    for svc in s.services:
-        name = svc.get("name")
-        if name in service_names:
-            problems.append(f"service {name!r} declared twice")
-            continue
-        service_names.add(name)
-        cost = svc.get("cost", 1)
-        service_costs[name] = cost
-        if cost <= 0:
-            problems.append(f"service {name!r}: cost must be > 0")
-        providers = svc.get("providers", [])
-        usable = [
-            p for p in providers if p in node_ids and capacities.get(p, 0) > 0
-        ]
-        for p in providers:
-            if p not in node_ids:
-                problems.append(f"service {name!r}: unknown provider {p}")
-        if not usable:
-            problems.append(f"service {name!r} has no providers with compute capacity")
-
-    if s.dag is not None:
-        task_ids: set[str] = set()
-        for entry in s.dag.get("tasks", []):
-            task, svc = entry[0], entry[1]
-            if task in task_ids:
-                problems.append(f"task {task!r} declared twice")
-            task_ids.add(task)
-            if svc not in service_names:
-                problems.append(f"task {task!r} uses unknown service {svc!r}")
-        edges = [tuple(e) for e in s.dag.get("edges", [])]
-        for a, b, size in edges:
-            if a not in task_ids or b not in task_ids:
-                problems.append(f"dag edge ({a},{b}) references unknown tasks")
-            if size < 0:
-                problems.append(f"dag edge ({a},{b}): transfer size must be >= 0")
-        if _has_cycle(task_ids, [(a, b) for a, b, _ in edges]):
-            problems.append("dag contains a cycle")
-
-    for i, f in enumerate(s.flows):
-        tid = f.get("tenant")
-        if tid not in tenant_ids:
-            problems.append(f"flow {i}: unknown tenant {tid}")
-            continue
-        units = f.get("units", 0)
-        if units < 0:
-            problems.append(f"flow {i}: units must be >= 0")
-        if f.get("start", 0) < 0:
-            problems.append(f"flow {i}: start tick must be >= 0")
-        endpoints = [f.get("origin"), f.get("dest")]
-        if any(e not in node_ids for e in endpoints):
-            problems.append(f"flow {i}: endpoints {endpoints} must be declared nodes")
-            continue
-        links = slice_links.get(tid, set())
-        if not _slice_connected(endpoints[0], endpoints[1], links):
-            problems.append(
-                f"flow {i}: tenant {tid} slice does not connect "
-                f"{endpoints[0]} to {endpoints[1]}"
-            )
-
-    for i, fault in enumerate(s.faults):
-        if fault.get("node") not in node_ids:
-            problems.append(f"fault {i}: unknown node {fault.get('node')}")
-        if fault.get("tick", 0) < 0:
-            problems.append(f"fault {i}: tick must be >= 0")
-        try:
-            parse_health(fault.get("health", "failed"))
-        except (ValueError, KeyError, SdcpsError) as exc:
-            problems.append(f"fault {i}: {exc}")
-
-    opts = s.options
-    if opts.get("w", 3) < 1:
-        problems.append("options.w must be >= 1")
-    if opts.get("digest_period", 5) < 1:
-        problems.append("options.digest_period must be >= 1")
-    if opts.get("congestion_threshold", 2.0) <= 0:
-        problems.append("options.congestion_threshold must be > 0")
-
-
-def _connected(members: set[int], adjacency: dict[int, set[int]]) -> bool:
-    if len(members) <= 1:
-        return True
-    start = min(members)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        u = frontier.pop()
-        for v in adjacency.get(u, ()):
-            if v in members and v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return seen == members
-
-
-def _slice_connected(origin: int, dest: int, links: set[tuple[int, int]]) -> bool:
-    if origin == dest:
-        return True
-    adj: dict[int, set[int]] = {}
-    for a, b in links:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    seen = {origin}
-    frontier = [origin]
-    while frontier:
-        u = frontier.pop()
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return dest in seen
-
-
-def _has_cycle(tasks: set[str], edges: list[tuple[str, str]]) -> bool:
-    indeg = {t: 0 for t in tasks}
-    outs: dict[str, list[str]] = {t: [] for t in tasks}
-    for a, b in edges:
-        if a in indeg and b in indeg:
-            indeg[b] += 1
-            outs[a].append(b)
-    ready = [t for t, d in indeg.items() if d == 0]
-    seen = 0
-    while ready:
-        t = ready.pop()
-        seen += 1
-        for b in outs[t]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                ready.append(b)
-    return seen != len(tasks)
-
-
 def build_world(scenario: Scenario, seed: Optional[int] = None) -> World:
-    """Materialize a validated scenario into a ready-to-run world."""
-    opts = WorldOptions(
-        window=scenario.options.get("w", 3),
-        digest_period=scenario.options.get("digest_period", 5),
-        congestion_threshold=scenario.options.get("congestion_threshold", 2.0),
-        materialize_transfers=scenario.options.get("materialize_transfers", False),
-        transfer_tenant=scenario.options.get("transfer_tenant", 0),
-    )
-    world = World(seed=seed if seed is not None else scenario.seed, options=opts)
-    for n in scenario.nodes:
+    """Materialize a shape-checked scenario into a ready-to-run world.
+
+    Every constructor call is made even after one fails. Each SdcpsError
+    becomes one violation, and any violation raises ScenarioValidationError
+    with the full list.
+    """
+    problems: list[str] = []
+
+    def attempt(where: str, fn, *args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except SdcpsError as exc:
+            problems.append(f"{where}: {exc}")
+            return None
+
+    if scenario.horizon < 1:
+        problems.append("horizon must be >= 1")
+    opts = attempt("options", WorldOptions, **{
+        attr: scenario.options[key] for key, attr in _OPTIONS.items() if key in scenario.options
+    })
+    world = World(seed=seed if seed is not None else scenario.seed,
+                  options=opts or WorldOptions())
+    for i, n in enumerate(scenario.nodes):
         kind = NodeKind(n.get("kind", "switch"))
         compute = n.get("compute", 0 if kind is NodeKind.SWITCH else 1)
-        world.add_node(Node(n["id"], kind, compute_capacity=compute))
-    for l in scenario.links:
-        world.add_link(l["a"], l["b"], l.get("latency", 1), l.get("capacity", 1))
-    for d in scenario.domains:
-        world.register_domain(d["id"], d.get("nodes", []))
-    for t in scenario.tenants:
-        world.allocate_slice(
-            t["id"],
-            [tuple(p) for p in t.get("links", [])],
-            t.get("share", 1),
-            Priority.parse(t.get("priority", "bronze")),
-        )
-    if scenario.services:
-        registry = ServiceRegistry(world.topology)
-        for svc in scenario.services:
-            registry.register_service(svc["name"], svc["cost"], svc["providers"])
+        node = attempt(f"nodes[{i}]", Node, n["id"], kind, compute_capacity=compute)
+        if node is not None:
+            attempt(f"nodes[{i}]", world.add_node, node)
+    for i, l in enumerate(scenario.links):
+        attempt(f"links[{i}]", world.add_link,
+                l["a"], l["b"], l.get("latency", 1), l.get("capacity", 1))
+    for i, d in enumerate(scenario.domains):
+        attempt(f"domains[{i}]", world.register_domain, d["id"], d.get("nodes", []))
+    tenant_ids: set[int] = set()
+    for i, t in enumerate(scenario.tenants):
+        if t["id"] in tenant_ids:
+            problems.append(f"tenants[{i}]: tenant {t['id']} declared twice")
+            continue
+        tenant_ids.add(t["id"])
+        attempt(f"tenants[{i}]", world.allocate_slice, t["id"],
+                [tuple(p) for p in t.get("links", [])], t.get("share", 1),
+                Priority.parse(t.get("priority", "bronze")))
+    if scenario.services or scenario.dag is not None:
+        world.registry = ServiceRegistry(world.topology)
+        for i, svc in enumerate(scenario.services):
+            attempt(f"services[{i}]", world.registry.register_service,
+                    svc["name"], svc.get("cost", 1), svc.get("providers", []))
         if scenario.dag is not None:
             dag = CompositionDag(
                 [tuple(t) for t in scenario.dag.get("tasks", [])],
                 [tuple(e) for e in scenario.dag.get("edges", [])],
             )
-            world.set_composition(registry, dag)
-        else:
-            world.registry = registry
-    for f in scenario.flows:
-        world.schedule_flow(
-            f["tenant"], f["origin"], f["dest"], f.get("units", 1), f.get("start", 0)
-        )
-    for fault in scenario.faults:
-        world.schedule_fault(
-            fault.get("tick", 0), fault["node"], parse_health(fault.get("health", "failed"))
-        )
-    world.finish_setup()
+            attempt("dag", world.set_composition, world.registry, dag)
+    reach: dict[tuple[int, NodeId], set[NodeId]] = {}  # slice-connected groups
+    for i, f in enumerate(scenario.flows):
+        where, tenant, origin, dest = f"flows[{i}]", f["tenant"], f["origin"], f["dest"]
+        units, start = f.get("units", 1), f.get("start", 0)
+        if tenant not in tenant_ids:
+            problems.append(f"{where}: unknown tenant {tenant}")
+            continue
+        if units < 0:
+            problems.append(f"{where}: units must be >= 0")
+        if start < 0:
+            problems.append(f"{where}: start tick must be >= 0")
+        if origin not in world.topology.nodes or dest not in world.topology.nodes:
+            problems.append(f"{where}: endpoints {[origin, dest]} must be declared nodes")
+            continue
+        sl = world.slices.slices.get(tenant)
+        if sl is None:
+            continue  # the failed allocation is already a violation
+        if (tenant, origin) not in reach:
+            group = world.topology.reachable(origin, lambda link: sl.covers(link.endpoints))
+            reach.update(dict.fromkeys([(tenant, n) for n in group], group))
+        if dest not in reach[tenant, origin]:
+            problems.append(
+                f"{where}: tenant {tenant} slice does not connect {origin} to {dest}"
+            )
+        world.schedule_flow(tenant, origin, dest, units, start)
+    for i, fault in enumerate(scenario.faults):
+        health = attempt(f"faults[{i}]", parse_health, fault.get("health", "failed"))
+        if health is not None:
+            attempt(f"faults[{i}]", world.schedule_fault,
+                    fault.get("tick", 0), fault["node"], health)
+    attempt("domains", world.finish_setup)
+    if problems:
+        raise ScenarioValidationError(problems)
     return world
 
 

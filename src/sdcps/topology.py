@@ -16,7 +16,6 @@ from .errors import (
     BadParameter,
     DuplicateId,
     DuplicateLink,
-    ExcludesEndpoint,
     SelfLoop,
     UnknownLink,
     UnknownNode,
@@ -183,20 +182,20 @@ class Topology:
 
     def add_node(self, node: Node) -> NodeId:
         if node.id in self.nodes:
-            raise DuplicateId(f"node {node.id} already exists")
+            raise DuplicateId(f"node {node.id} declared twice")
         self.nodes[node.id] = node
         self._adj[node.id] = {}
         return node.id
 
     def add_link(self, a: NodeId, b: NodeId, latency: int, capacity: int) -> LinkId:
         if a == b:
-            raise SelfLoop(f"link ({a},{b})")
+            raise SelfLoop(f"link ({a},{b}) is a self-loop")
         for n in (a, b):
             if n not in self.nodes:
-                raise UnknownNode(f"node {n}")
+                raise UnknownNode(f"unknown node {n}")
         lid = link_id(a, b)
         if lid in self.links:
-            raise DuplicateLink(f"link {lid}")
+            raise DuplicateLink(f"link {lid} declared twice")
         if latency < 1:
             raise BadParameter("latency must be >= 1")
         if capacity < 1:
@@ -221,7 +220,7 @@ class Topology:
         try:
             return self.nodes[n]
         except KeyError:
-            raise UnknownNode(f"node {n}") from None
+            raise UnknownNode(f"unknown node {n}") from None
 
     def link(self, a: NodeId, b: NodeId) -> Link:
         try:
@@ -348,34 +347,20 @@ class Topology:
                 )
         return found
 
-    def reachable_excluding(
-        self,
-        src: NodeId,
-        dst: NodeId,
-        excluded: Iterable[NodeId],
-        link_filter: Optional[LinkFilter] = None,
-    ) -> bool:
-        """True iff a path src->dst exists avoiding all excluded nodes."""
+    def reachable(
+        self, src: NodeId, link_filter: Optional[LinkFilter] = None
+    ) -> set[NodeId]:
+        """Every node connected to src over links that pass link_filter,
+        src included."""
         self.node(src)
-        self.node(dst)
-        excluded = set(excluded)
-        if src in excluded or dst in excluded:
-            raise ExcludesEndpoint(f"excluded set contains an endpoint of ({src},{dst})")
         seen = {src}
         frontier = [src]
         while frontier:
-            node = frontier.pop()
-            if node == dst:
-                return True
-            for nxt in self._adj[node]:
-                if nxt in excluded or nxt in seen:
-                    continue
-                link = self._adj[node][nxt]
-                if link_filter is not None and not link_filter(link):
-                    continue
-                seen.add(nxt)
-                frontier.append(nxt)
-        return dst in seen
+            for nxt, link in self._adj[frontier.pop()].items():
+                if nxt not in seen and (link_filter is None or link_filter(link)):
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        return seen
 
     def path_latency(self, path: list[NodeId]) -> int:
         return sum(self.link(a, b).latency for a, b in zip(path, path[1:]))

@@ -33,6 +33,7 @@ from .controller import (
     Verdict,
 )
 from .errors import (
+    BadParameter,
     NoPath,
     NoPathInSlice,
     SdcpsError,
@@ -52,6 +53,14 @@ class WorldOptions:
     congestion_threshold: float = 2.0
     materialize_transfers: bool = False
     transfer_tenant: int = 0
+
+    def __post_init__(self):
+        if self.window < 1:
+            raise BadParameter("window (w) must be >= 1")
+        if self.digest_period < 1:
+            raise BadParameter("digest_period must be >= 1")
+        if self.congestion_threshold <= 0:
+            raise BadParameter("congestion_threshold must be > 0")
 
 
 @dataclass
@@ -153,6 +162,9 @@ class World:
         self.pending_flows.append(PendingFlow(tenant, origin, dest, units, start))
 
     def schedule_fault(self, tick: int, node: NodeId, health: Health) -> None:
+        self.topology.node(node)
+        if tick < 0:
+            raise BadParameter(f"fault tick {tick} must be >= 0")
         self.pending_faults.append(PendingFault(tick, node, health))
 
     def finish_setup(self) -> None:
@@ -191,6 +203,10 @@ class World:
     # -- composition workload ------------------------------------------------------
 
     def set_composition(self, registry, dag) -> None:
+        """Install a task graph whose every task uses a registered service."""
+        dag.validate()
+        for _, service in dag.tasks:
+            registry.lookup(service)
         self.registry = registry
         self.dag = dag
 
@@ -289,7 +305,7 @@ class World:
         self.pending_flows = [p for p in self.pending_flows if p.start > t]
 
         # 4. digest broadcast
-        if self.options.digest_period > 0 and t % self.options.digest_period == 0:
+        if t % self.options.digest_period == 0:
             for cid in sorted(self.farm.controllers):
                 self.farm.broadcast_health_digest(cid)
 

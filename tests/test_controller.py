@@ -17,6 +17,7 @@ from sdcps import (
 from sdcps.controller import LOSS, merge_verdicts
 from sdcps.errors import (
     AccessDenied,
+    BadParameter,
     EmptyPath,
     NoPathInSlice,
     NoSlice,
@@ -65,6 +66,14 @@ def test_empty_slice_is_valid():
     table = SliceTable(topo)
     sl = table.allocate(0, [], 1, Priority.BRONZE)
     assert sl.links == frozenset()
+
+
+def test_slice_negative_share_rejected():
+    topo = build_topology(2, [(0, 1)])
+    table = SliceTable(topo)
+    with pytest.raises(BadParameter):
+        table.allocate(0, [(0, 1)], -1, Priority.GOLD)
+    assert table.slices == {}
 
 
 def test_slice_unknown_link():

@@ -19,6 +19,7 @@ from sdcps.controller import LOSS
 from sdcps.errors import (
     AccessDenied,
     DisconnectedDomain,
+    DuplicateId,
     NoPath,
     NotFound,
     OverlappingDomain,
@@ -97,6 +98,34 @@ def test_register_disconnected_domain_rejected():
     farm = Farm(topo, SliceTable(topo))
     with pytest.raises(DisconnectedDomain):
         farm.register_controller(Domain(0, frozenset({0, 2})))
+
+
+def test_register_duplicate_domain_id_rejected():
+    topo = Topology()
+    for i in range(4):
+        topo.add_node(make_node(i))
+    topo.add_link(0, 1, 1, 1)
+    topo.add_link(2, 3, 1, 1)
+    farm = Farm(topo, SliceTable(topo))
+    farm.register_controller(Domain(0, frozenset({0, 1})))
+    with pytest.raises(DuplicateId):
+        farm.register_controller(Domain(0, frozenset({2, 3})))
+    assert farm.domains[0].nodes == {0, 1}
+    assert farm.unassigned_nodes() == [2, 3]
+
+
+def test_world_duplicate_domain_keeps_first_controller_and_subscriptions():
+    w = World(seed=0)
+    for i in range(4):
+        w.add_node(Node(i, NodeKind.SMART_DEVICE, compute_capacity=1))
+    w.add_link(0, 1, 1, 1)
+    w.add_link(2, 3, 1, 1)
+    w.register_domain(0, [0, 1])
+    before = list(w.bus.subscriptions)
+    with pytest.raises(DuplicateId):
+        w.register_domain(0, [2, 3])
+    assert w.bus.subscriptions == before
+    assert w.farm.resolve(0) == 0 and w.farm.unassigned_nodes() == [2, 3]
 
 
 def test_uncovered_node_rejected_at_setup():

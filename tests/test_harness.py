@@ -3,10 +3,12 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdcps import Bus, parse_scenario, run_scenario
 from sdcps.cli import main as cli_main
-from sdcps.errors import ScenarioSyntaxError, ScenarioValidationError
+from sdcps.errors import ScenarioSyntaxError, ScenarioValidationError, SdcpsError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -161,11 +163,15 @@ def fuzz_scenario(rng):
         "domains": [{"id": 0, "nodes": list(range(n))}],
         "tenants": [{"id": 0, "priority": "gold", "share": 1,
                      "links": [[l["a"], l["b"]] for l in links]}],
+        "services": [{"name": "svc", "cost": rng.randint(1, 3), "providers": [0, n - 1]}],
+        "dag": {"tasks": [["t0", "svc"], ["t1", "svc"]], "edges": [["t0", "t1", rng.randint(0, 2)]]},
         "flows": [{"tenant": 0, "origin": 0, "dest": n - 1,
                    "units": rng.randint(0, 4), "start": rng.randint(0, 3)}],
         "faults": [],
     }
-    breakage = rng.choice([None, "dup_node", "orphan", "self_loop", "oversub", "bad_tenant"])
+    breakage = rng.choice([None, "dup_node", "orphan", "self_loop", "oversub", "bad_tenant",
+                           "dup_domain", "neg_share", "unknown_service", "dag_cycle",
+                           "fault_node", "fault_tick", "w_zero"])
     if breakage == "dup_node":
         doc["nodes"].append({"id": 0, "kind": "switch"})
     elif breakage == "orphan":
@@ -177,6 +183,20 @@ def fuzz_scenario(rng):
                                "links": [[links[0]["a"], links[0]["b"]]]})
     elif breakage == "bad_tenant":
         doc["flows"][0]["tenant"] = 5
+    elif breakage == "dup_domain":
+        doc["domains"].append({"id": 0, "nodes": []})
+    elif breakage == "neg_share":
+        doc["tenants"][0]["share"] = -1
+    elif breakage == "unknown_service":
+        doc["dag"]["tasks"].append(["t2", "nope"])
+    elif breakage == "dag_cycle":
+        doc["dag"]["edges"].append(["t1", "t0", 1])
+    elif breakage == "fault_node":
+        doc["faults"].append({"tick": 1, "node": n, "health": "failed"})
+    elif breakage == "fault_tick":
+        doc["faults"].append({"tick": -1, "node": 0, "health": "failed"})
+    elif breakage == "w_zero":
+        doc["options"] = {"w": 0}
     return doc, breakage
 
 
@@ -191,6 +211,62 @@ def test_validation_completeness_fuzz():
             assert breakage is not None
             continue
         run_scenario(scenario)  # must not raise
+
+
+def json_paths(value, prefix=()):
+    """Every path into a JSON value, the empty path (the value itself) first."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from json_paths(child, prefix + (key,))
+
+
+SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-3, 40) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@st.composite
+def one_value_replaced(draw):
+    name = draw(st.sampled_from(all_fixture_names()))
+    doc = json.loads((FIXTURES / name).read_text())
+    return name, draw(st.sampled_from(list(json_paths(doc)))), draw(SMALL_JSON)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=one_value_replaced())
+@example(case=("minimal.json", (), {"nodes": [1]}))
+@example(case=("minimal.json", ("seed",), "x"))
+@example(case=("minimal.json", ("tenants", 0, "links", 0), [0]))
+@example(case=("composition.json", ("dag", "tasks", 0), ["a"]))
+@example(case=("minimal.json", ("options",), {"w": "3"}))
+@example(case=("minimal.json", ("links",), 5))
+@example(case=("minimal.json", ("flows", 0, "units"), 2.5))
+@example(case=("congested.json", ("faults", 0, "health"), {"kind": "congested"}))
+def test_one_replaced_value_is_rejected_or_runs(case):
+    """Any document one value away from a fixture is either rejected as a
+    syntax or validation error, or runs raising only SdcpsError."""
+    name, path, value = case
+    doc = json.loads((FIXTURES / name).read_text())
+    if path:
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+    else:
+        doc = value
+    try:
+        scenario = parse_scenario(json.dumps(doc))
+    except (ScenarioSyntaxError, ScenarioValidationError):
+        return
+    scenario.horizon = min(scenario.horizon, 30)
+    try:
+        run_scenario(scenario)
+    except SdcpsError:
+        pass
 
 
 # -- run ----------------------------------------------------------------------------------
@@ -262,6 +338,12 @@ def test_flow_events_not_published_without_subscriber():
     mirrored.run(scenario.horizon)
     assert quiet.trace_hash() == mirrored.trace_hash()
     assert quiet.summary() == mirrored.summary()
+
+
+@pytest.mark.parametrize("name", all_fixture_names())
+def test_fixture_runs_publish_nothing_without_subscriber(name):
+    world, _, _ = run_scenario(load(name))
+    assert world.bus.dropped_no_subscriber == 0
 
 
 def test_materialized_transfers_open_flows():
@@ -341,3 +423,60 @@ def test_cli_sweep_csv(tmp_path):
     table = {int(r.split(",")[0]): r.split(",") for r in rows[1:]}
     assert table[1][1] == "32"
     assert table[8][1] == "4"
+
+
+def cli_exit_code(argv):
+    try:
+        return cli_main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+RUNTIME_ABORT = {  # providers in disconnected domains: only scheduling finds out
+    "horizon": 4,
+    "nodes": [{"id": i, "kind": "controller_ves", "compute": 1} for i in range(4)],
+    "links": [{"a": 0, "b": 1}, {"a": 2, "b": 3}],
+    "domains": [{"id": 0, "nodes": [0, 1]}, {"id": 1, "nodes": [2, 3]}],
+    "services": [{"name": "first", "providers": [0]}, {"name": "second", "providers": [3]}],
+    "dag": {"tasks": [["a", "first"], ["b", "second"]], "edges": [["a", "b", 2]]},
+}
+
+
+CLI_CASES = [
+    (["validate", "{good}"], None, 0),
+    (["validate", "{invalid}"], None, 1),
+    (["validate", "{syntax}"], None, 1),
+    (["validate", "{missing}"], None, 1),
+    (["run", "{good}", "--out", "{out}"], None, 0),
+    (["run", "{good}", "--out", "{out}"], "7", 0),
+    (["run", "{invalid}", "--out", "{out}"], None, 1),
+    (["run", "{good}", "--out", "{out}"], "x", 1),
+    (["twin-compare", "{good}"], "x", 1),
+    (["run", "{abort}", "--out", "{out}"], None, 2),
+    (["sweep", "{good}", "--out", "{out}"], None, 0),
+    (["sweep", "{good}", "--instances", "0"], None, 1),
+    (["sweep", "{good}", "--cost", "0"], None, 1),
+    (["sweep", "{good}", "--instances", "1,x"], None, 1),
+    (["sweep", "{invalid}"], None, 1),
+]
+
+
+@pytest.mark.parametrize("argv, env_seed, code", CLI_CASES, ids=[
+    "_".join(a.strip("{}-") for a in argv) + (f"_SDCPS_SEED={e}" if e else "")
+    for argv, e, _ in CLI_CASES
+])
+def test_cli_exit_codes(argv, env_seed, code, tmp_path, monkeypatch, capsys):
+    files = {"good": str(FIXTURES / "minimal.json"), "missing": str(tmp_path / "none.json"),
+             "out": str(tmp_path / "out.txt")}
+    for key, text in [("invalid", json.dumps({"nodes": [1]})), ("syntax", "{"),
+                      ("abort", json.dumps(RUNTIME_ABORT))]:
+        files[key] = str(tmp_path / f"{key}.json")
+        Path(files[key]).write_text(text)
+    if env_seed is None:
+        monkeypatch.delenv("SDCPS_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SDCPS_SEED", env_seed)
+    assert cli_exit_code([a.format(**files) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (err == "") == (code == 0)

@@ -6,8 +6,19 @@ from pathlib import Path
 
 import pytest
 
-from sdcps import FlowState, Health, Node, NodeKind, Priority, World
+from sdcps import (
+    CompositionDag,
+    FlowState,
+    Health,
+    Node,
+    NodeKind,
+    Priority,
+    ServiceRegistry,
+    World,
+    WorldOptions,
+)
 from sdcps.cli import main as cli_main
+from sdcps.errors import BadParameter, CyclicDag, UnknownNode, UnknownService
 from sdcps.flow_engine import CloneCase
 
 from conftest import build_world
@@ -139,6 +150,33 @@ def test_idempotent_health_set_leaves_trace_unchanged(line_world):
     assert line_world.trace_hash() == before
     line_world.apply_health(1, Health.failed())
     assert line_world.trace_hash() != before
+
+
+@pytest.mark.parametrize("bad", [
+    {"window": 0}, {"digest_period": 0}, {"congestion_threshold": 0.0},
+])
+def test_world_options_out_of_range_rejected(bad):
+    with pytest.raises(BadParameter):
+        WorldOptions(**bad)
+
+
+def test_schedule_fault_checks_node_and_tick(line_world):
+    with pytest.raises(UnknownNode):
+        line_world.schedule_fault(1, 9, Health.failed())
+    with pytest.raises(BadParameter):
+        line_world.schedule_fault(-1, 1, Health.failed())
+    assert line_world.pending_faults == []
+
+
+def test_set_composition_checks_dag_and_services(line_world):
+    registry = ServiceRegistry(line_world.topology)
+    registry.register_service("svc", 1, [0])
+    with pytest.raises(UnknownService):
+        line_world.set_composition(registry, CompositionDag([("a", "other")]))
+    with pytest.raises(CyclicDag):
+        line_world.set_composition(registry, CompositionDag(
+            [("a", "svc"), ("b", "svc")], [("a", "b", 1), ("b", "a", 1)]))
+    assert line_world.dag is None
 
 
 def test_cli_horizon_override(tmp_path):

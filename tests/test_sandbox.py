@@ -194,6 +194,13 @@ def test_unresolvable_decision(line_world):
         evaluate(twin, Decision.reroute(5, [0, 1]), horizon=2)
 
 
+def test_negative_share_decision_unresolvable(line_world):
+    links = sorted(line_world.topology.links)
+    with pytest.raises(UnresolvableDecision):
+        apply_decision(line_world, Decision.set_slice(0, links, -1, Priority.GOLD))
+    assert line_world.slices.get(0).share == 1
+
+
 def test_evaluate_leaves_twin_at_snapshot(line_world):
     line_world.schedule_flow(0, 0, 2, 2, 0)
     line_world.run(2)

@@ -7,7 +7,6 @@ from sdcps.errors import (
     BadParameter,
     DuplicateId,
     DuplicateLink,
-    ExcludesEndpoint,
     SelfLoop,
     UnknownLink,
     UnknownNode,
@@ -233,27 +232,33 @@ def test_shortest_latency_matches_bruteforce():
             assert topo.path_latency(got[0]) == best_latency
 
 
-# -- reachable_excluding -------------------------------------------------------------
+# -- reachable -----------------------------------------------------------------------
+
+def avoiding(excluded):
+    """Link filter that keeps only links with no endpoint in excluded."""
+    return lambda link: not (set(link.endpoints) & excluded)
+
 
 def test_reachable_line_excluding_middle():
     topo = build_topology(3, [(0, 1), (1, 2)])
-    assert topo.reachable_excluding(0, 2, {1}) is False
+    assert 2 not in topo.reachable(0, avoiding({1}))
 
 
 def test_reachable_diamond_excluding_one_arm():
     topo = build_topology(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
-    assert topo.reachable_excluding(0, 3, {1}) is True
+    assert 3 in topo.reachable(0, avoiding({1}))
 
 
 def test_reachable_empty_exclusion_connected():
     topo = build_topology(3, [(0, 1), (1, 2)])
-    assert topo.reachable_excluding(0, 2, set()) is True
+    assert topo.reachable(0) == {0, 1, 2}
 
 
-def test_reachable_excluding_endpoint_rejected():
+def test_reachable_always_holds_source_and_rejects_unknown():
     topo = build_topology(2, [(0, 1)])
-    with pytest.raises(ExcludesEndpoint):
-        topo.reachable_excluding(0, 1, {1})
+    assert topo.reachable(0, lambda link: False) == {0}
+    with pytest.raises(UnknownNode):
+        topo.reachable(5)
 
 
 def test_reachable_iff_filtered_kpaths_nonempty():
@@ -264,11 +269,8 @@ def test_reachable_iff_filtered_kpaths_nonempty():
         src, dst = rng.sample(nodes, 2)
         others = [n for n in nodes if n not in (src, dst)]
         excluded = set(rng.sample(others, min(len(others), rng.randint(0, 3))))
-        paths = topo.k_shortest_paths(
-            src, dst, 1,
-            link_filter=lambda l: not (set(l.endpoints) & excluded),
-        )
-        assert topo.reachable_excluding(src, dst, excluded) == bool(paths)
+        paths = topo.k_shortest_paths(src, dst, 1, link_filter=avoiding(excluded))
+        assert (dst in topo.reachable(src, avoiding(excluded))) == bool(paths)
 
 
 def test_mutation_preserves_unrelated_ids():
