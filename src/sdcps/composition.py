@@ -4,8 +4,10 @@ Placement is earliest-estimated-finish: tasks are visited in topological
 order (ties by ascending task id) and each goes to the provider minimizing
 max(latest input arrival, provider busy-until) + ceil(cost / capacity),
 with input arrival = producer end + transfer_size * path latency over the
-current health-aware topology. Ties break by ascending node id, so equal
-worlds always produce equal schedules.
+current health-aware topology: congestion stretches link latency and failed
+nodes relay nothing. Each call searches once per producer node over that
+topology. Ties break by ascending node id, so equal worlds always produce
+equal schedules.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     UnknownService,
     UnreachableProvider,
 )
-from .topology import HealthState, NodeId, Topology
+from .topology import HealthState, NodeId, PathKey, Topology, multi_target_paths
 
 
 @dataclass
@@ -128,28 +130,28 @@ class ServiceRegistry:
 class _Transfers:
     """Health-aware transfer latencies for one `schedule` or `execute` call.
 
-    Health is read when the call starts and path latencies are memoized per
-    (src, dst) until it returns, so a health change between calls is seen.
+    Health is read once, when the call starts: one adjacency over every node,
+    weighted by `effective_latency`, and one search per source node, memoized
+    until the call returns, so a health change between calls is seen. Failed
+    nodes other than the source may end a transfer but never relay one.
     """
 
     def __init__(self, topology: Topology, failed: set[NodeId]):
-        self._topology = topology
+        self._adj = topology.adjacency(
+            topology.nodes.keys(), latency_fn=topology.effective_latency
+        )
         self._failed = failed
-        self._per_unit: dict[tuple[NodeId, NodeId], Optional[int]] = {}
+        self._from: dict[NodeId, dict[NodeId, PathKey]] = {}
 
     def latency(self, src: NodeId, dst: NodeId, size: int) -> Optional[int]:
         if size == 0 or src == dst:
             return 0
-        key = (src, dst)
-        if key not in self._per_unit:
-            found = self._topology.shortest_path(
-                src, dst,
-                exclude_nodes=self._failed - {src, dst},
-                latency_fn=self._topology.effective_latency,
+        if src not in self._from:
+            self._from[src] = multi_target_paths(
+                self._adj, src, self._adj.keys(), self._failed - {src}
             )
-            self._per_unit[key] = None if found is None else found[0]
-        per_unit = self._per_unit[key]
-        return None if per_unit is None else per_unit * size
+        found = self._from[src].get(dst)
+        return None if found is None else found[0] * size
 
 
 class Scheduler:

@@ -15,7 +15,6 @@ from .errors import (
     AccessDenied,
     BadParameter,
     EmptyPath,
-    NoPathInSlice,
     NoSlice,
     NotFound,
     Oversubscribed,
@@ -97,12 +96,6 @@ class SliceTable:
         if tenant not in self.slices:
             raise NoSlice(f"tenant {tenant} has no slice")
         return self.slices[tenant]
-
-    def share_on(self, tenant: TenantId, lid: LinkId) -> int:
-        sl = self.slices.get(tenant)
-        if sl is None or not sl.covers(lid):
-            return 0
-        return sl.share
 
 
 def qos_schedule(
@@ -324,11 +317,6 @@ class Controller:
 
     # -- tenant surface ------------------------------------------------------
 
-    def slice_allocate(
-        self, tenant: TenantId, links: Iterable[LinkId], share: int, priority: Priority
-    ) -> TenantSlice:
-        return self._slices.allocate(tenant, links, share, priority)
-
     def store_put(self, tenant: TenantId, path: Iterable[str], value: bytes) -> None:
         self.store.put(tenant, path, value)
 
@@ -358,28 +346,6 @@ class Controller:
         }
 
     # -- routing -------------------------------------------------------------
-
-    def admit_flow(
-        self, tenant: TenantId, origin: NodeId, dest: NodeId, units: int
-    ) -> list[NodeId]:
-        """Least-latency intra-domain route over the tenant slice, skipping
-        nodes this controller currently believes failed."""
-        sl = self._slices.get(tenant)
-        for n in (origin, dest):
-            self._topology.node(n)
-            if n not in self.domain_nodes:
-                raise NoPathInSlice(f"node {n} outside domain of controller {self.id}")
-        found = self._topology.shortest_path(
-            origin,
-            dest,
-            link_filter=lambda link: sl.covers(link.endpoints)
-            and link.endpoints[0] in self.domain_nodes
-            and link.endpoints[1] in self.domain_nodes,
-            exclude_nodes=self.suspect_failed() - {origin, dest},
-        )
-        if found is None:
-            raise NoPathInSlice(f"tenant {tenant}: no slice path {origin}->{dest}")
-        return found[1]
 
     def segment_table(
         self, tenant: TenantId, terminals: list[NodeId]

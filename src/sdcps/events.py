@@ -23,15 +23,13 @@ def fnv1a_64(data: bytes, state: int = FNV_OFFSET) -> int:
 class EventLog:
     """Append-only event lines plus an incrementally maintained digest."""
 
-    def __init__(self, keep_lines: bool = True):
-        self.keep_lines = keep_lines
+    def __init__(self):
         self.lines: list[str] = []
         self._digest = FNV_OFFSET
         self.count = 0
 
     def emit(self, line: str) -> None:
-        if self.keep_lines:
-            self.lines.append(line)
+        self.lines.append(line)
         self._digest = fnv1a_64(line.encode() + b"\n", self._digest)
         self.count += 1
 

@@ -26,7 +26,7 @@ from .errors import (
     Unrecoverable,
 )
 from .events import EventLog
-from .topology import HealthState, NodeId, Topology, link_id
+from .topology import HealthState, NodeId, Topology, link_id, multi_target_paths
 
 
 class FlowState(str, Enum):
@@ -222,36 +222,34 @@ class FlowEngine:
         branch = flow.path[branch_idx]
         cloned = self.at_risk_seqs(fid, bad)
 
+        # one search from the branch point reaches the destination and
+        # every rejoin candidate over the slice; the branch is never in avoid
         sl = self._slices.get(flow.tenant)
-        in_slice = lambda link: sl.covers(link.endpoints)
-        avoid_detour = avoid - {branch}
-
-        to_dest = self._topology.shortest_path(
-            branch, flow.destination, link_filter=in_slice, exclude_nodes=avoid_detour
+        adj = self._topology.adjacency(
+            self._topology.nodes.keys() - avoid,
+            lambda link: sl.covers(link.endpoints),
         )
-        best_rejoin = None  # (latency, path index, detour)
-        for idx in range(bad_idx + 1, len(flow.path) - 1):
-            r = flow.path[idx]
-            if r in avoid:
-                continue
-            found = self._topology.shortest_path(
-                branch, r, link_filter=in_slice,
-                exclude_nodes=avoid_detour - {r},
-            )
-            if found is None:
-                continue
-            cand = (found[0], idx, found[1])
-            if best_rejoin is None or cand[:2] < best_rejoin[:2]:
-                best_rejoin = cand
+        rejoins = [
+            idx for idx in range(bad_idx + 1, len(flow.path) - 1)
+            if flow.path[idx] not in avoid
+        ]
+        found = multi_target_paths(
+            adj, branch, [flow.destination] + [flow.path[idx] for idx in rejoins]
+        )
+        to_dest = found.get(flow.destination)
+        best_rejoin = min(  # (latency, path index)
+            ((found[flow.path[idx]][0], idx) for idx in rejoins if flow.path[idx] in found),
+            default=None,
+        )
 
         if best_rejoin is not None and (to_dest is None or best_rejoin[0] <= to_dest[0]):
             case = CloneCase.REJOIN
             clone_dest = flow.path[best_rejoin[1]]
-            detour = best_rejoin[2]
+            detour = list(found[clone_dest][2])
         elif to_dest is not None:
             case = CloneCase.TO_DESTINATION
             clone_dest = flow.destination
-            detour = to_dest[1]
+            detour = list(to_dest[2])
         else:
             self._set_state(flow, FlowState.FAILED)
             self._log.emit(f"t={self.now} ev=unrecoverable flow={fid} node={bad}")

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Optional
 
 from .controller import Priority
-from .errors import MidTickSpawn, StaleDelta, UnresolvableDecision
+from .errors import MidTickSpawn, SdcpsError, StaleDelta, UnresolvableDecision
 from .topology import Health, NodeId
 from .world import World
 
@@ -126,10 +126,10 @@ def apply_decision(world: World, decision: Decision) -> None:
             )
     elif decision.kind is DecisionKind.SET_SLICE:
         try:
-            world.slices.allocate(
+            world.allocate_slice(
                 decision.tenant, decision.links, decision.share, decision.priority
             )
-        except Exception as exc:
+        except SdcpsError as exc:
             raise UnresolvableDecision(str(exc)) from exc
     elif decision.kind is DecisionKind.PLACE_TASK:
         if decision.node not in world.topology.nodes:

@@ -8,6 +8,7 @@ the same world always route identically.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import AbstractSet, Callable, Iterable, Optional
@@ -118,6 +119,7 @@ def link_id(a: NodeId, b: NodeId) -> LinkId:
 
 
 LinkFilter = Callable[[Link], bool]
+LatencyFn = Callable[[NodeId, NodeId], int]  # per-hop cost of a link a-b
 
 # node -> [(next, weight, hops)], at most one edge per (node, next);
 # weight >= 1 and hops >= 1
@@ -238,14 +240,20 @@ class Topology:
     def node_ids(self) -> list[NodeId]:
         return sorted(self.nodes)
 
-    def adjacency(self, nodes: frozenset[NodeId], link_filter: LinkFilter) -> Adjacency:
+    def adjacency(
+        self,
+        nodes: AbstractSet[NodeId],
+        link_filter: Optional[LinkFilter] = None,
+        latency_fn: Optional[LatencyFn] = None,
+    ) -> Adjacency:
         """Search adjacency of the subgraph induced by nodes, over the links
-        that pass link_filter, weighted by raw latency."""
+        that pass link_filter, weighted by latency_fn (raw latency when
+        None)."""
         return {
             n: [
-                (nxt, link.latency, 1)
+                (nxt, link.latency if latency_fn is None else latency_fn(n, nxt), 1)
                 for nxt, link in self._adj[n].items()
-                if nxt in nodes and link_filter(link)
+                if nxt in nodes and (link_filter is None or link_filter(link))
             ]
             for n in nodes
         }
@@ -256,8 +264,10 @@ class Topology:
 
     def effective_latency(self, a: NodeId, b: NodeId) -> int:
         """Traversal latency of link a-b including endpoint congestion."""
-        raw = self.link(a, b).latency
-        return max(1, _ceil(raw * self.slowdown(a) * self.slowdown(b)))
+        scaled = self.link(a, b).latency * self.slowdown(a) * self.slowdown(b)
+        if not math.isfinite(scaled):
+            raise BadParameter(f"link {link_id(a, b)}: congested latency overflows")
+        return max(1, _ceil(scaled))
 
     # -- path computation ----------------------------------------------------
 
@@ -267,85 +277,21 @@ class Topology:
         dst: NodeId,
         link_filter: Optional[LinkFilter] = None,
         exclude_nodes: Iterable[NodeId] = (),
-        latency_fn: Optional[Callable[[NodeId, NodeId], int]] = None,
+        latency_fn: Optional[LatencyFn] = None,
     ) -> Optional[tuple[int, list[NodeId]]]:
         """Deterministic least-latency path, or None when unreachable.
 
-        Ties break on hop count then lexicographic node-id sequence. The
-        optional latency_fn substitutes per-hop cost (health-aware callers
-        pass effective_latency).
+        One pair's `multi_target_paths` search over the nodes not excluded;
+        latency_fn substitutes per-hop cost as in `adjacency`.
         """
         self.node(src)
         self.node(dst)
-        excluded = set(exclude_nodes)
-        if src in excluded or dst in excluded:
+        nodes = self.nodes.keys() - set(exclude_nodes)
+        if src not in nodes or dst not in nodes:
             return None
-        if src == dst:
-            return 0, [src]
-        cost = latency_fn or (lambda a, b: self.link(a, b).latency)
-        best: dict[NodeId, tuple] = {}
-        heap = [(0, 0, (src,))]
-        while heap:
-            dist, hops, path = heapq.heappop(heap)
-            node = path[-1]
-            key = (dist, hops, path)
-            if node in best and best[node] < key:
-                continue
-            if node == dst:
-                return dist, list(path)
-            for nxt in sorted(self._adj[node]):
-                if nxt in excluded or nxt in path:
-                    continue
-                link = self._adj[node][nxt]
-                if link_filter is not None and not link_filter(link):
-                    continue
-                nkey = (dist + cost(node, nxt), hops + 1, path + (nxt,))
-                if nxt not in best or nkey < best[nxt]:
-                    best[nxt] = nkey
-                    heapq.heappush(heap, nkey)
-        return None
-
-    def k_shortest_paths(
-        self,
-        src: NodeId,
-        dst: NodeId,
-        k: int,
-        link_filter: Optional[LinkFilter] = None,
-        exclude_nodes: Iterable[NodeId] = (),
-    ) -> list[list[NodeId]]:
-        """At most k loop-free paths ordered by (latency, hops, sequence).
-
-        Best-first enumeration over simple paths; positive latencies make
-        completed paths pop in exactly the stated order, so the result for
-        k is always a prefix of the result for k+1.
-        """
-        self.node(src)
-        self.node(dst)
-        if k < 1:
-            raise BadParameter("k must be >= 1")
-        excluded = set(exclude_nodes)
-        if src in excluded or dst in excluded:
-            return []
-        if src == dst:
-            return [[src]]
-        found: list[list[NodeId]] = []
-        heap = [(0, 0, (src,))]
-        while heap and len(found) < k:
-            dist, hops, path = heapq.heappop(heap)
-            node = path[-1]
-            if node == dst:
-                found.append(list(path))
-                continue
-            for nxt in sorted(self._adj[node]):
-                if nxt in excluded or nxt in path:
-                    continue
-                link = self._adj[node][nxt]
-                if link_filter is not None and not link_filter(link):
-                    continue
-                heapq.heappush(
-                    heap, (dist + link.latency, hops + 1, path + (nxt,))
-                )
-        return found
+        adj = self.adjacency(nodes, link_filter, latency_fn)
+        found = multi_target_paths(adj, src, (dst,)).get(dst)
+        return None if found is None else (found[0], list(found[2]))
 
     def reachable(
         self, src: NodeId, link_filter: Optional[LinkFilter] = None

@@ -156,7 +156,11 @@ class World:
         return cid
 
     def allocate_slice(self, tenant: int, links, share: int, priority: Priority):
-        return self.slices.allocate(tenant, links, share, priority)
+        """Install or replace a tenant slice; cached segment tables were
+        computed over the old slice, so they are dropped."""
+        sl = self.slices.allocate(tenant, links, share, priority)
+        self.farm.invalidate_caches()
+        return sl
 
     def schedule_flow(self, tenant, origin, dest, units, start) -> None:
         self.pending_flows.append(PendingFlow(tenant, origin, dest, units, start))

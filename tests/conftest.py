@@ -1,3 +1,5 @@
+import heapq
+
 import pytest
 
 from sdcps import Node, NodeKind, Priority, Topology, World
@@ -20,6 +22,41 @@ def build_topology(n_nodes, links):
         capacity = spec[3] if len(spec) > 3 else 1
         topo.add_link(a, b, latency, capacity)
     return topo
+
+
+def reference_shortest_path(topo, src, dst, link_filter=None, exclude_nodes=(),
+                            latency_fn=None):
+    """Independent pairwise oracle: a lazy Dijkstra over loop-free paths that
+    reads the topology directly and ranks by (latency, hops, node sequence)."""
+    topo.node(src)
+    topo.node(dst)
+    excluded = set(exclude_nodes)
+    if src in excluded or dst in excluded:
+        return None
+    if src == dst:
+        return 0, [src]
+    cost = latency_fn or (lambda a, b: topo.link(a, b).latency)
+    best = {}
+    heap = [(0, 0, (src,))]
+    while heap:
+        dist, hops, path = heapq.heappop(heap)
+        node = path[-1]
+        key = (dist, hops, path)
+        if node in best and best[node] < key:
+            continue
+        if node == dst:
+            return dist, list(path)
+        for nxt in sorted(topo._adj[node]):
+            if nxt in excluded or nxt in path:
+                continue
+            link = topo._adj[node][nxt]
+            if link_filter is not None and not link_filter(link):
+                continue
+            nkey = (dist + cost(node, nxt), hops + 1, path + (nxt,))
+            if nxt not in best or nkey < best[nxt]:
+                best[nxt] = nkey
+                heapq.heappush(heap, nkey)
+    return None
 
 
 def build_world(n_nodes, links, seed=0, share=1, priority=Priority.GOLD,

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from sdcps import CompositionDag, Health, Node, NodeKind, Scheduler, ServiceRegistry, Topology, speedup_curve
+from sdcps.composition import _Transfers
+from sdcps.topology import HealthState
 from sdcps.errors import (
     BadParameter,
     CyclicDag,
@@ -13,7 +15,7 @@ from sdcps.errors import (
     UnknownService,
 )
 
-from conftest import make_node
+from conftest import make_node, reference_shortest_path
 
 
 def compute_node(i, capacity=1):
@@ -239,6 +241,48 @@ def test_reused_scheduler_sees_health_change_in_transfers():
     report = scheduler.execute(plan, dag)
     assert report.assignments["b"][1] == report.assignments["a"][2] + 6
     assert scheduler._transfer_latency(0, 2, 1) == 6
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_transfers_match_pairwise_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        n = rng.randint(2, 9)
+        topo = providers_topology(n)
+        for i in range(1, n):
+            topo.add_link(i, rng.randrange(i), rng.randint(1, 4), 4)
+        for _ in range(rng.randint(0, n)):
+            a, b = rng.sample(range(n), 2)
+            if not topo.has_link(a, b):
+                topo.add_link(a, b, rng.randint(1, 4), 4)
+        for v in range(n):
+            r = rng.random()
+            if r < 0.2:
+                topo.set_health(v, Health.failed())
+            elif r < 0.45:
+                topo.set_health(v, Health.congested(rng.choice([1.5, 2.0, 3.5])))
+        failed = {v for v in range(n) if topo.node(v).health.state is HealthState.FAILED}
+        transfers = _Transfers(topo, failed)
+        for src, dst in itertools.product(range(n), repeat=2):
+            size = rng.randint(0, 3)
+            found = reference_shortest_path(
+                topo, src, dst, exclude_nodes=failed - {src, dst},
+                latency_fn=topo.effective_latency,
+            )
+            expected = None if found is None else found[0] * size
+            assert transfers.latency(src, dst, size) == (0 if size == 0 else expected)
+
+
+def test_congestion_overflow_aborts_scheduling():
+    topo = providers_topology(3, link_latency=1)
+    reg = ServiceRegistry(topo)
+    reg.register_service("first", 2, [0])
+    reg.register_service("second", 2, [2])
+    dag = CompositionDag([("a", "first"), ("b", "second")], [("a", "b", 1)])
+    for n in (1, 2):
+        topo.set_health(n, Health.congested(1e200))
+    with pytest.raises(BadParameter, match=r"link \(1, 2\)"):
+        Scheduler(topo, reg).schedule(dag)
 
 
 def test_execute_all_providers_failed():

@@ -19,7 +19,6 @@ from sdcps.errors import (
     AccessDenied,
     BadParameter,
     EmptyPath,
-    NoPathInSlice,
     NoSlice,
     NotFound,
     Oversubscribed,
@@ -28,7 +27,7 @@ from sdcps.errors import (
     UnknownNode,
 )
 
-from conftest import build_topology
+from conftest import build_topology, reference_shortest_path
 
 
 def make_controller(topo, nodes=None, window=3):
@@ -47,8 +46,9 @@ def test_two_tenants_fit_on_capacity_two():
     table = SliceTable(topo)
     table.allocate(0, [(0, 1)], 1, Priority.GOLD)
     table.allocate(1, [(0, 1)], 1, Priority.SILVER)
-    assert table.share_on(0, (0, 1)) == 1
-    assert table.share_on(1, (0, 1)) == 1
+    for tenant in (0, 1):
+        assert table.get(tenant).covers((0, 1))
+        assert table.get(tenant).share == 1
 
 
 def test_third_tenant_oversubscribes():
@@ -275,28 +275,27 @@ def test_merge_verdicts_most_severe_wins():
     assert merged == {5: Verdict.SUSPECT_FAILED, 6: Verdict.SUSPECT_CONGESTED}
 
 
-# -- admit_flow -----------------------------------------------------------------------
+# -- admission segments ----------------------------------------------------------------
 
 def test_admit_flow_on_line_slice():
     topo = build_topology(3, [(0, 1), (1, 2)])
     ctrl, slices = make_controller(topo)
     slices.allocate(0, [(0, 1), (1, 2)], 1, Priority.GOLD)
-    assert ctrl.admit_flow(0, 0, 2, 4) == [0, 1, 2]
+    assert ctrl.segment_table(0, [0, 2]) == {(0, 2): (2, [0, 1, 2]), (2, 0): (2, [2, 1, 0])}
 
 
 def test_admit_flow_requires_slice():
     topo = build_topology(3, [(0, 1), (1, 2)])
     ctrl, _ = make_controller(topo)
     with pytest.raises(NoSlice):
-        ctrl.admit_flow(0, 0, 2, 1)
+        ctrl.segment_table(0, [0, 2])
 
 
 def test_admit_flow_dest_outside_slice():
     topo = build_topology(3, [(0, 1), (1, 2)])
     ctrl, slices = make_controller(topo)
     slices.allocate(0, [(0, 1)], 1, Priority.GOLD)
-    with pytest.raises(NoPathInSlice):
-        ctrl.admit_flow(0, 0, 2, 1)
+    assert ctrl.segment_table(0, [0, 2]) == {}
 
 
 def segment_case(seed):
@@ -334,8 +333,8 @@ def test_segment_table_matches_pairwise_oracle(seed):
     terms = sorted(set(terminals) & domain)
     for i, u in enumerate(terms):
         for v in terms[i + 1:]:
-            found = topo.shortest_path(
-                u, v, link_filter=in_slice, exclude_nodes=suspects - {u, v}
+            found = reference_shortest_path(
+                topo, u, v, link_filter=in_slice, exclude_nodes=suspects - {u, v}
             )
             if found is not None:
                 expected[(u, v)] = found
@@ -354,10 +353,10 @@ def test_admit_flow_routes_around_suspect():
     topo = build_topology(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
     ctrl, slices = make_controller(topo)
     slices.allocate(0, [(0, 1), (1, 3), (0, 2), (2, 3)], 1, Priority.GOLD)
-    assert ctrl.admit_flow(0, 0, 3, 1) == [0, 1, 3]
+    assert ctrl.segment_table(0, [0, 3])[(0, 3)] == (2, [0, 1, 3])
     for t in range(1, 4):
         ctrl.ingest_report(loss_report(0, t, 1))
-    assert ctrl.admit_flow(0, 0, 3, 1) == [0, 2, 3]
+    assert ctrl.segment_table(0, [0, 3])[(0, 3)] == (2, [0, 2, 3])
 
 
 # -- qos discipline --------------------------------------------------------------------
@@ -403,7 +402,7 @@ def test_qos_round_robin_within_class():
 @settings(max_examples=300)
 def test_qos_isolation_property(capacity, requests):
     reqs = [(i, prio, share, pending) for i, (prio, share, pending) in enumerate(requests)]
-    # cap shares so the guarantee is actually promisable, as slice_allocate does
+    # cap shares so the guarantee is actually promisable, as SliceTable.allocate does
     total_share = sum(r[2] for r in reqs)
     if total_share > capacity:
         scale = capacity / total_share

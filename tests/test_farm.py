@@ -195,7 +195,7 @@ def test_two_domain_line_concatenates_segments():
 def test_same_domain_pair_degenerates_to_intra():
     w = farm_world({0: [0, 1, 2]}, [(0, 1), (1, 2)])
     assert w.farm.cross_domain_path(0, 2, 0) == [0, 1, 2]
-    assert w.farm.controllers[0].admit_flow(0, 0, 2, 1) == [0, 1, 2]
+    assert w.farm.controllers[0].segment_table(0, [0, 2])[(0, 2)] == (2, [0, 1, 2])
 
 
 def test_no_cross_domain_link_in_slice_is_no_path():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sdcps import CloneCase, FlowState, Health, Priority, ReorderBuffer, Unit, World
@@ -9,7 +11,7 @@ from sdcps.errors import (
     Unrecoverable,
 )
 
-from conftest import build_world
+from conftest import build_world, reference_shortest_path
 
 
 # -- open_flow -------------------------------------------------------------------
@@ -174,13 +176,83 @@ def test_rejoin_latency_never_exceeds_destination_detour():
             continue
         if d.case_tag is CloneCase.REJOIN:
             sl = w.slices.get(0)
-            best_dest = w.topology.shortest_path(
-                d.branch_point, flow.destination,
+            best_dest = reference_shortest_path(
+                w.topology, d.branch_point, flow.destination,
                 link_filter=lambda l: sl.covers(l.endpoints),
                 exclude_nodes={bad},
             )
             assert best_dest is not None
             assert w.topology.path_latency(d.detour) <= best_dest[0]
+
+
+def reference_detour(w, flow, bad, suspects):
+    """(case, branch, clone destination, detour) by pairwise searches, or
+    None when no detour exists."""
+    avoid = (set(suspects) | {bad}) - {flow.origin, flow.destination}
+    bad_idx = flow.path.index(bad)
+    idx = min(bad_idx - 1, max(flow.high_water.values(), default=0))
+    while idx > 0 and flow.path[idx] in avoid:
+        idx -= 1
+    branch = flow.path[idx]
+    sl = w.slices.get(flow.tenant)
+
+    def search(dst):
+        return reference_shortest_path(
+            w.topology, branch, dst, link_filter=lambda l: sl.covers(l.endpoints),
+            exclude_nodes=avoid - {branch, dst},
+        )
+
+    to_dest = search(flow.destination)
+    rejoins = [
+        (found[0], i, found[1])
+        for i in range(bad_idx + 1, len(flow.path) - 1)
+        if flow.path[i] not in avoid and (found := search(flow.path[i])) is not None
+    ]
+    best = min(rejoins, default=None, key=lambda r: r[:2])
+    if best is not None and (to_dest is None or best[0] <= to_dest[0]):
+        return CloneCase.REJOIN, branch, flow.path[best[1]], best[2]
+    if to_dest is not None:
+        return CloneCase.TO_DESTINATION, branch, flow.destination, to_dest[1]
+    return None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_on_unhealthy_matches_pairwise_reference(seed):
+    rng = random.Random(seed)
+    checked = 0
+    while checked < 25:
+        n = rng.randint(5, 10)
+        # a unit-latency line keeps admitted paths long; slower chords
+        # offer detours and rejoins
+        links = [(i, i + 1, 1) for i in range(n - 1)]
+        for _ in range(rng.randint(n, 2 * n)):
+            a, b = sorted(rng.sample(range(n), 2))
+            if all((a, b) != (x, y) for x, y, _ in links):
+                links.append((a, b, rng.randint(2, 4)))
+        w = build_world(n, links)
+        origin, dest = rng.sample(range(n), 2)
+        fid = w.open_flow(0, origin, dest, 12)
+        flow = w.engine.flows[fid]
+        if len(flow.path) < 3:
+            continue
+        on_path = set(zip(flow.path, flow.path[1:]))
+        kept = [(a, b) for a, b, _ in links if (a, b) in on_path or (b, a) in on_path
+                or rng.random() < 0.85]
+        w.allocate_slice(0, kept, 1, Priority.GOLD)
+        for _ in range(rng.randint(0, 8)):
+            w.tick()
+        if flow.state is not FlowState.ACTIVE:
+            continue
+        bad = rng.choice(flow.path[1:-1])
+        suspects = set(rng.sample(range(n), rng.randint(0, 2)))
+        expected = reference_detour(w, flow, bad, suspects)
+        checked += 1
+        if expected is None:
+            with pytest.raises(Unrecoverable):
+                w.engine.on_unhealthy(fid, bad, suspects)
+            continue
+        d = w.engine.on_unhealthy(fid, bad, suspects)
+        assert (d.case_tag, d.branch_point, d.clone_destination, d.detour) == expected
 
 
 # -- clone_subflow ----------------------------------------------------------------------

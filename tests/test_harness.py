@@ -442,6 +442,15 @@ RUNTIME_ABORT = {  # providers in disconnected domains: only scheduling finds ou
 }
 
 
+def congestion_overflow():
+    """congested.json with nodes 0 and 1 congested so far that the latency
+    of link (0, 1) is no finite number."""
+    doc = json.loads((FIXTURES / "congested.json").read_text())
+    huge = {"kind": "congested", "slowdown": 1e200}
+    doc["faults"] = [{"tick": 1, "node": n, "health": huge} for n in (0, 1)]
+    return doc
+
+
 CLI_CASES = [
     (["validate", "{good}"], None, 0),
     (["validate", "{invalid}"], None, 1),
@@ -453,6 +462,8 @@ CLI_CASES = [
     (["run", "{good}", "--out", "{out}"], "x", 1),
     (["twin-compare", "{good}"], "x", 1),
     (["run", "{abort}", "--out", "{out}"], None, 2),
+    (["validate", "{overflow}"], None, 0),
+    (["run", "{overflow}", "--out", "{out}"], None, 2),
     (["sweep", "{good}", "--out", "{out}"], None, 0),
     (["sweep", "{good}", "--instances", "0"], None, 1),
     (["sweep", "{good}", "--cost", "0"], None, 1),
@@ -469,7 +480,8 @@ def test_cli_exit_codes(argv, env_seed, code, tmp_path, monkeypatch, capsys):
     files = {"good": str(FIXTURES / "minimal.json"), "missing": str(tmp_path / "none.json"),
              "out": str(tmp_path / "out.txt")}
     for key, text in [("invalid", json.dumps({"nodes": [1]})), ("syntax", "{"),
-                      ("abort", json.dumps(RUNTIME_ABORT))]:
+                      ("abort", json.dumps(RUNTIME_ABORT)),
+                      ("overflow", json.dumps(congestion_overflow()))]:
         files[key] = str(tmp_path / f"{key}.json")
         Path(files[key]).write_text(text)
     if env_seed is None:

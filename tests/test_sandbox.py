@@ -1,4 +1,5 @@
 import copy
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +12,13 @@ from sdcps import (
     Priority,
     ServiceRegistry,
     World,
+    build_world as build_scenario_world,
     commit,
     evaluate,
+    parse_scenario,
     spawn_twin,
 )
-from sdcps.errors import MidTickSpawn, StaleDelta, UnresolvableDecision
+from sdcps.errors import MidTickSpawn, NoPathInSlice, StaleDelta, UnresolvableDecision
 from sdcps.flow_engine import FlowEngine
 from sdcps.sandbox import apply_decision
 
@@ -199,6 +202,18 @@ def test_negative_share_decision_unresolvable(line_world):
     with pytest.raises(UnresolvableDecision):
         apply_decision(line_world, Decision.set_slice(0, links, -1, Priority.GOLD))
     assert line_world.slices.get(0).share == 1
+
+
+def test_committed_slice_change_reroutes_admission():
+    # domains {0,1,2} and {3,4,5}; node 5 hangs off node 4 alone
+    text = (Path(__file__).parent / "fixtures" / "two_domains.json").read_text()
+    world = build_scenario_world(parse_scenario(text))
+    assert world.route(0, 0, 5) == [0, 1, 4, 5]
+    links = sorted(world.slices.get(0).links - {(4, 5)})
+    apply_decision(world, Decision.set_slice(0, links, 2, Priority.GOLD))
+    with pytest.raises(NoPathInSlice):
+        world.route(0, 0, 5)
+    assert world.route(0, 0, 3) == [0, 1, 2, 3]
 
 
 def test_evaluate_leaves_twin_at_snapshot(line_world):

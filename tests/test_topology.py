@@ -12,7 +12,7 @@ from sdcps.errors import (
     UnknownNode,
 )
 
-from conftest import build_topology, make_node
+from conftest import build_topology, make_node, reference_shortest_path
 
 
 # -- oracle: exhaustive simple-path enumeration -------------------------------
@@ -97,8 +97,8 @@ def test_add_fifty_nodes_all_queryable():
 
 def test_add_link_creates_bidirectional_path():
     topo = build_topology(2, [(0, 1)])
-    assert topo.k_shortest_paths(0, 1, 1) == [[0, 1]]
-    assert topo.k_shortest_paths(1, 0, 1) == [[1, 0]]
+    assert topo.shortest_path(0, 1) == (1, [0, 1])
+    assert topo.shortest_path(1, 0) == (1, [1, 0])
 
 
 def test_add_link_self_loop():
@@ -166,33 +166,33 @@ def test_congestion_doubles_effective_latency():
     assert topo.effective_latency(1, 2) == 2
 
 
-# -- k_shortest_paths -------------------------------------------------------------
+# -- shortest_path ----------------------------------------------------------------
 
 def test_k_paths_line():
     topo = build_topology(3, [(0, 1), (1, 2)])
-    assert topo.k_shortest_paths(0, 2, 3) == [[0, 1, 2]]
+    assert topo.shortest_path(0, 2) == (2, [0, 1, 2])
 
 
 def test_k_paths_src_equals_dst():
     topo = build_topology(2, [(0, 1)])
-    assert topo.k_shortest_paths(0, 0, 2) == [[0]]
+    assert topo.shortest_path(0, 0) == (0, [0])
 
 
 def test_k_paths_diamond_lexicographic_tiebreak():
     topo = build_topology(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
-    assert topo.k_shortest_paths(0, 3, 2) == [[0, 1, 3], [0, 2, 3]]
+    assert topo.shortest_path(0, 3) == (2, [0, 1, 3])
 
 
 def test_k_paths_unreachable_is_empty():
     topo = build_topology(3, [(0, 1)])
-    assert topo.k_shortest_paths(0, 2, 4) == []
+    assert topo.shortest_path(0, 2) is None
 
 
 def test_k_paths_respects_link_filter():
     topo = build_topology(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
     banned = {(0, 1)}
-    paths = topo.k_shortest_paths(0, 3, 5, link_filter=lambda l: l.endpoints not in banned)
-    assert paths == [[0, 2, 3]]
+    found = topo.shortest_path(0, 3, link_filter=lambda l: l.endpoints not in banned)
+    assert found == (2, [0, 2, 3])
 
 
 def test_k_paths_match_enumeration_oracle():
@@ -202,19 +202,9 @@ def test_k_paths_match_enumeration_oracle():
         adj = adj_of(topo)
         src, dst = rng.sample(sorted(topo.nodes), 2)
         expected = oracle_ranked_paths(adj, src, dst)
-        for k in (1, 2, 5, len(expected) + 2 if expected else 3):
-            assert topo.k_shortest_paths(src, dst, k) == expected[:k]
-
-
-def test_k_paths_prefix_property():
-    rng = random.Random(77)
-    for _ in range(20):
-        topo = random_topology(rng)
-        src, dst = rng.sample(sorted(topo.nodes), 2)
-        for k in range(1, 6):
-            shorter = topo.k_shortest_paths(src, dst, k)
-            longer = topo.k_shortest_paths(src, dst, k + 1)
-            assert longer[:k] == shorter
+        assert topo.shortest_path(src, dst) == (
+            (topo.path_latency(expected[0]), expected[0]) if expected else None
+        )
 
 
 def test_shortest_latency_matches_bruteforce():
@@ -224,12 +214,49 @@ def test_shortest_latency_matches_bruteforce():
         adj = adj_of(topo)
         src, dst = rng.sample(sorted(topo.nodes), 2)
         ranked = oracle_ranked_paths(adj, src, dst)
-        got = topo.k_shortest_paths(src, dst, 1)
+        got = topo.shortest_path(src, dst)
         if not ranked:
-            assert got == []
+            assert got is None
         else:
             best_latency = sum(adj[a][b] for a, b in zip(ranked[0], ranked[0][1:]))
-            assert topo.path_latency(got[0]) == best_latency
+            assert got == (best_latency, ranked[0])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shortest_path_matches_reference_with_filters_exclusions_congestion(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        topo = random_topology(rng)
+        nodes = sorted(topo.nodes)
+        for n in rng.sample(nodes, rng.randint(0, len(nodes) // 2)):
+            topo.set_health(n, Health.congested(rng.choice([1.5, 2.0, 3.0])))
+        banned = {lid for lid in topo.links if rng.random() < 0.2}
+        kwargs = {
+            "link_filter": rng.choice([None, lambda l: l.endpoints not in banned]),
+            "exclude_nodes": set(rng.sample(nodes, rng.randint(0, min(3, len(nodes))))),
+            "latency_fn": rng.choice([None, topo.effective_latency]),
+        }
+        src, dst = rng.choice(nodes), rng.choice(nodes)
+        assert topo.shortest_path(src, dst, **kwargs) == reference_shortest_path(
+            topo, src, dst, **kwargs
+        )
+
+
+def test_shortest_path_rejects_unknown_endpoints():
+    topo = build_topology(2, [(0, 1)])
+    with pytest.raises(UnknownNode):
+        topo.shortest_path(0, 5)
+    with pytest.raises(UnknownNode):
+        topo.shortest_path(5, 0)
+
+
+def test_effective_latency_overflow_names_the_link():
+    topo = build_topology(3, [(0, 1, 1), (1, 2, 1)])
+    topo.set_health(0, Health.congested(1e200))
+    topo.set_health(1, Health.congested(1e200))
+    assert topo.effective_latency(1, 2) > 1
+    with pytest.raises(BadParameter, match=r"\(0, 1\)"):
+        topo.effective_latency(1, 0)
 
 
 # -- reachable -----------------------------------------------------------------------
@@ -269,8 +296,8 @@ def test_reachable_iff_filtered_kpaths_nonempty():
         src, dst = rng.sample(nodes, 2)
         others = [n for n in nodes if n not in (src, dst)]
         excluded = set(rng.sample(others, min(len(others), rng.randint(0, 3))))
-        paths = topo.k_shortest_paths(src, dst, 1, link_filter=avoiding(excluded))
-        assert (dst in topo.reachable(src, avoiding(excluded))) == bool(paths)
+        found = topo.shortest_path(src, dst, link_filter=avoiding(excluded))
+        assert (dst in topo.reachable(src, avoiding(excluded))) == (found is not None)
 
 
 def test_mutation_preserves_unrelated_ids():
