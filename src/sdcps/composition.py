@@ -161,9 +161,6 @@ class Scheduler:
         self._topology = topology
         self._registry = registry
 
-    def _transfer_latency(self, src: NodeId, dst: NodeId, size: int) -> Optional[int]:
-        return _Transfers(self._topology, self._failed_nodes()).latency(src, dst, size)
-
     def _failed_nodes(self) -> set[NodeId]:
         return {
             n for n, node in self._topology.nodes.items()

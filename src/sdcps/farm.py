@@ -46,18 +46,16 @@ class WestboundMessage:
     tick: int = 0
     seq: int = 0
 
-    def order_key(self) -> tuple[int, int, int]:
-        return (self.tick, self.sender, self.seq)
-
 
 class Farm:
     """Controller farm over a shared topology.
 
     The farm is the single mutation point for registration; controllers it
-    creates share only read-only structures.
+    creates share only read-only structures. Health digests ride the bus
+    (`west/to/<peer>/<sender>`), so peers receive them next tick.
     """
 
-    def __init__(self, topology, slice_table, window=3, congestion_threshold=2.0):
+    def __init__(self, topology, slice_table, bus, window=3, congestion_threshold=2.0):
         self._topology: Topology = topology
         self._slices = slice_table
         self._window = window
@@ -70,15 +68,9 @@ class Farm:
         self.processed_log: list[WestboundMessage] = []
         self.sent_log: list[WestboundMessage] = []
         self.message_count = 0
-        self._bus = None
+        self._bus = bus
         self.now = 0  # advanced by the world each tick; plain int so twins deep-copy cleanly
         self._segment_cache: dict[tuple, dict] = {}
-        self._cache_version = 0
-
-    def attach_bus(self, bus) -> None:
-        """Carry health digests over the bus (`west/to/<peer>/<sender>`), so
-        peers receive them next tick; without a bus they arrive at once."""
-        self._bus = bus
 
     # -- registration ---------------------------------------------------------
 
@@ -133,7 +125,6 @@ class Farm:
     # -- westbound transport ----------------------------------------------------
 
     def invalidate_caches(self) -> None:
-        self._cache_version += 1
         self._segment_cache.clear()
 
     def _send(self, kind: str, sender: ControllerId, receiver: ControllerId,
@@ -190,15 +181,10 @@ class Farm:
             if peer == sender:
                 continue
             msg = self._send("HealthDigest", sender, peer, dict(estimates))
-            if self._bus is not None:
-                self._bus.publish(
-                    f"west/to/{peer:06d}/{sender:06d}", msg, self.now,
-                    f"controller/{sender:06d}",
-                )
-            else:
-                # no bus attached: deliver immediately (library use)
-                self.processed_log.append(msg)
-                self.controllers[peer].receive_digest(sender, estimates)
+            self._bus.publish(
+                f"west/to/{peer:06d}/{sender:06d}", msg, self.now,
+                f"controller/{sender:06d}",
+            )
         self.invalidate_caches()
 
     def deliver_digest(self, msg: WestboundMessage) -> None:
@@ -234,7 +220,7 @@ class Farm:
             terms = sorted(terminals[cid])
             if len(terms) < 2:
                 continue
-            cache_key = (self._cache_version, cid, tenant, tuple(terms))
+            cache_key = (cid, tenant, tuple(terms))
             table = self._segment_cache.get(cache_key)
             if table is None:
                 if cid == orchestrator:

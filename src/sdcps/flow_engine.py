@@ -41,7 +41,7 @@ class CloneCase(IntEnum):
     REJOIN = 2          # subflow rejoins the original path at an intermediate
 
 
-@dataclass
+@dataclass(eq=False)
 class Unit:
     flow: int
     seq: int
@@ -63,8 +63,6 @@ class ReorderBuffer:
     released here: duplicates of them are absorbed silently.
     """
 
-    at: NodeId
-    flow: int
     onward: list[NodeId]  # remaining path after release; [] delivers
     held: dict[int, Unit] = field(default_factory=dict)
     done: set[int] = field(default_factory=set)
@@ -98,7 +96,7 @@ class Flow:
     path: list[NodeId]  # current canonical path, rewritten on recovery
     state: FlowState = FlowState.ACTIVE
     start_tick: int = 0
-    high_water: dict[int, int] = field(default_factory=dict)  # seq -> furthest path index reached
+    progress: int = 0  # furthest path index any unit has reached; see _rebase_progress
     delivered_record: list[int] = field(default_factory=list)  # post-buffer, in release order
     destination_arrivals: list[int] = field(default_factory=list)  # pre-buffer, duplicates included
     clone_count: int = 0
@@ -163,24 +161,23 @@ class FlowEngine:
         self._next_flow_id += 1
         flow = Flow(fid, tenant, origin, dest, units, list(path), start_tick=self.now)
         self.flows[fid] = flow
-        self.buffers[(fid, dest)] = ReorderBuffer(dest, fid, onward=[])
+        self.buffers[(fid, dest)] = ReorderBuffer(onward=[])
         self._log.emit(
             f"t={self.now} ev=open flow={fid} tenant={tenant} "
             f"path={_fmt_path(path)} units={units}"
         )
-        for seq in range(units):
-            self.units.append(Unit(fid, seq, flow.path, 0, injected_tick=self.now))
-            flow.high_water[seq] = 0
+        fresh = [Unit(fid, seq, flow.path, 0, injected_tick=self.now) for seq in range(units)]
         if units == 0:
             self._set_state(flow, FlowState.DELIVERED)
         elif origin == dest:
             # degenerate self-flow: units are already home
             buf = self._dest_buffer(flow)
-            for u in sorted((u for u in self.units if u.flow == fid), key=Unit.key):
+            for u in fresh:
                 flow.destination_arrivals.append(u.seq)
                 for r in buf.absorb(u):
                     self._deliver(flow, r)
-                self.units.remove(u)
+        else:
+            self.units.extend(fresh)
         return fid
 
     def delivered(self, fid: int) -> list[int]:
@@ -284,9 +281,10 @@ class FlowEngine:
         if bad_idx is None:
             return frozenset()
         done = self._dest_buffer(flow).done
+        furthest = self._furthest(flow)
         return frozenset(
             s for s in range(flow.units)
-            if s not in done and not self._safely_past(flow, s, bad_idx)
+            if s not in done and furthest.get(s, (-1, False))[0] <= bad_idx
         )
 
     def _branch_index(self, flow: Flow, bad_idx: int, avoid: set[NodeId]) -> int:
@@ -295,27 +293,29 @@ class FlowEngine:
         Custody extends to the furthest index any unit has reached; if that
         node is itself suspect the branch walks back toward the origin.
         """
-        progress = max(flow.high_water.values(), default=0)
-        idx = min(bad_idx - 1, progress)
+        idx = min(bad_idx - 1, flow.progress)
         while idx > 0 and flow.path[idx] in avoid:
             idx -= 1
         return idx
 
-    def _safely_past(self, flow: Flow, seq: int, bad_idx: int) -> bool:
-        """True when the unit can no longer be harmed by the flagged node.
+    def _furthest(self, flow: Flow) -> dict[int, tuple[int, bool]]:
+        """Per seq, the furthest (canonical path index, settled) pair over its
+        live units, in one pass.
 
-        A unit is safe once its current node, or the node it is on the wire
-        toward, lies strictly beyond the flagged index; anything at or
-        heading into the flagged node is at risk.
+        The index is that of the unit's current node, or of the node it is on
+        the wire toward; settled is False while it is on the wire. A seq is
+        safely past a flagged index once its index lies strictly beyond it,
+        and beyond a buffer point once its pair reaches (point, True). Units
+        stranded on an old detour are off the path and count for nothing.
         """
+        out: dict[int, tuple[int, bool]] = {}
         for u in self.units:
-            if u.flow == flow.id and u.seq == seq:
-                idx = flow.path_index(u.route[u.position])
-                if idx is None:
-                    continue  # stranded on an old detour: treat as at risk
-                if idx > bad_idx:
-                    return True
-        return False
+            if u.flow != flow.id:
+                continue
+            idx = flow.path_index(u.route[u.position])
+            if idx is not None:
+                out[u.seq] = max(out.get(u.seq, (-1, False)), (idx, not u.in_transit))
+        return out
 
     def clone_subflow(self, decision: CloneDecision) -> int:
         """Inject duplicates of the cloned seqs at the branch point and
@@ -333,13 +333,10 @@ class FlowEngine:
             onward = flow.path[dest_idx:]
             key = (flow.id, decision.clone_destination)
             if key not in self.buffers:
-                buf = ReorderBuffer(decision.clone_destination, flow.id, onward=onward)
-                buf.done = set(self._dest_buffer(flow).done)
-                for seq in range(flow.units):
-                    if seq in buf.done:
-                        continue
-                    if self._beyond_buffer_point(flow, seq, dest_idx):
-                        buf.done.add(seq)
+                buf = ReorderBuffer(onward=onward)
+                buf.done = self._dest_buffer(flow).done | {
+                    s for s, pair in self._furthest(flow).items() if pair >= (dest_idx, True)
+                }
                 self.buffers[key] = buf
 
         branch_idx = flow.path_index(decision.branch_point)
@@ -360,40 +357,39 @@ class FlowEngine:
         else:
             rewritten = prefix[:-1] + decision.detour
         flow.path = _simplify(rewritten)
-        self._rebase_high_water(flow)
+        self._rebase_progress(flow)
         if flow.state is FlowState.RECOVERING:
             self._set_state(flow, FlowState.ACTIVE)
         return subflow_id
 
-    def _rebase_high_water(self, flow: Flow) -> None:
-        """Re-express per-seq progress against the rewritten canonical path."""
-        done = self._dest_buffer(flow).done
-        positions: dict[int, int] = {}
-        for u in self.units:
-            if u.flow != flow.id:
-                continue
-            idx = flow.path_index(u.route[u.position])
-            if idx is not None:
-                positions[u.seq] = max(positions.get(u.seq, 0), idx)
-        for seq in range(flow.units):
-            if seq in done:
-                flow.high_water[seq] = len(flow.path) - 1
-            else:
-                flow.high_water[seq] = positions.get(seq, 0)
+    def _rebase_progress(self, flow: Flow) -> None:
+        """Re-express progress against a rewritten canonical path: the
+        destination once any seq is delivered, else the furthest index any
+        live unit holds on the new path."""
+        if flow.delivered_record:
+            flow.progress = len(flow.path) - 1
+        else:
+            flow.progress = max((idx for idx, _ in self._furthest(flow).values()), default=0)
 
-    def _beyond_buffer_point(self, flow: Flow, seq: int, point_idx: int) -> bool:
-        """Will this unit never pass through the buffer node again?"""
-        for u in self.units:
-            if u.flow == flow.id and u.seq == seq:
-                here = u.route[u.position]
-                idx = flow.path_index(here)
-                if idx is None:
-                    continue
-                if u.in_transit and idx > point_idx:
-                    return True
-                if not u.in_transit and idx >= point_idx:
-                    return True
-        return False
+    def reroute(self, fid: int, path: list[NodeId]) -> None:
+        """Move a flow onto a new canonical path, validated by the caller.
+
+        Units queued at a node of the new path continue along it; units on
+        the wire, or queued off it, keep their routes.
+        """
+        flow = self._flow(fid)
+        if path == flow.path:
+            return
+        flow.path = list(path)
+        for unit in self.units:
+            if unit.flow != fid or unit.in_transit:
+                continue
+            here = unit.route[unit.position]
+            if here in path:
+                unit.route = list(path)
+                unit.position = path.index(here)
+        self._rebase_progress(flow)
+        self._log.emit(f"t={self.now} ev=reroute flow={fid} path={_fmt_path(path)}")
 
     # -- per-tick movement ----------------------------------------------------------
 
@@ -425,7 +421,7 @@ class FlowEngine:
         self._log.emit(f"t={self.now} ev=arrive flow={unit.flow} seq={unit.seq} node={node}")
         idx = flow.path_index(node)
         if idx is not None:
-            flow.high_water[unit.seq] = max(flow.high_water.get(unit.seq, 0), idx)
+            flow.progress = max(flow.progress, idx)
         buf = self.buffers.get((unit.flow, node))
         if buf is not None:
             if node == flow.destination:

@@ -110,20 +110,7 @@ def apply_decision(world: World, decision: Decision) -> None:
                 raise UnresolvableDecision(f"reroute uses missing link ({a},{b})")
             if sl is None or not sl.covers(world.topology.link(a, b).endpoints):
                 raise UnresolvableDecision(f"reroute leaves the tenant slice at ({a},{b})")
-        if path != flow.path:
-            flow.path = list(path)
-            for unit in world.engine.units:
-                if unit.flow != flow.id or unit.in_transit:
-                    continue
-                here = unit.route[unit.position]
-                if here in path:
-                    unit.route = list(path)
-                    unit.position = path.index(here)
-            world.engine._rebase_high_water(flow)
-            world.log.emit(
-                f"t={world.now} ev=reroute flow={flow.id} "
-                f"path={'>'.join(str(n) for n in path)}"
-            )
+        world.engine.reroute(flow.id, path)
     elif decision.kind is DecisionKind.SET_SLICE:
         try:
             world.allocate_slice(

@@ -89,7 +89,6 @@ class Health:
 class Node:
     id: NodeId
     kind: NodeKind
-    domain: int = 0
     compute_capacity: int = 0
     health: Health = field(default_factory=Health.healthy)
 

@@ -30,7 +30,6 @@ from .controller import (
     Priority,
     SliceTable,
     SouthboundReport,
-    Verdict,
 )
 from .errors import (
     BadParameter,
@@ -117,10 +116,10 @@ class World:
         self.farm = Farm(
             self.topology,
             self.slices,
+            self.bus,
             window=self.options.window,
             congestion_threshold=self.options.congestion_threshold,
         )
-        self.farm.attach_bus(self.bus)
         self.engine = FlowEngine(self.topology, self.slices, self.rng, self.log)
         self.now = 0
         self.mid_tick = False
@@ -355,10 +354,7 @@ class World:
             if flow.state is not FlowState.ACTIVE:
                 continue
             owner = self.farm.resolve(flow.origin)
-            view = self.farm.controllers[owner].merged_view()
-            suspects = {
-                n for n, v in view.items() if v is Verdict.SUSPECT_FAILED
-            }
+            suspects = self.farm.controllers[owner].suspect_failed()
             for node in flow.path[1:-1]:
                 if node not in suspects or node in flow.handled_bad:
                     continue

@@ -5,10 +5,10 @@ import pytest
 from sdcps import Node, NodeKind, Priority, Topology, World
 
 
-def make_node(i, kind=NodeKind.SWITCH, compute=None, domain=0):
+def make_node(i, kind=NodeKind.SWITCH, compute=None):
     if compute is None:
         compute = 0 if kind is NodeKind.SWITCH else 1
-    return Node(i, kind, domain=domain, compute_capacity=compute)
+    return Node(i, kind, compute_capacity=compute)
 
 
 def build_topology(n_nodes, links):
@@ -57,6 +57,60 @@ def reference_shortest_path(topo, src, dst, link_filter=None, exclude_nodes=(),
                 best[nxt] = nkey
                 heapq.heappush(heap, nkey)
     return None
+
+
+def reference_safely_past(engine, flow, seq, bad_idx):
+    """Per-seq oracle for `FlowEngine.at_risk_seqs`: True when the unit can no
+    longer be harmed by the flagged node.
+
+    A unit is safe once its current node, or the node it is on the wire
+    toward, lies strictly beyond the flagged index; anything at or heading
+    into the flagged node is at risk.
+    """
+    for u in engine.units:
+        if u.flow == flow.id and u.seq == seq:
+            idx = flow.path_index(u.route[u.position])
+            if idx is None:
+                continue  # stranded on an old detour: treat as at risk
+            if idx > bad_idx:
+                return True
+    return False
+
+
+def reference_beyond_buffer_point(engine, flow, seq, point_idx):
+    """Per-seq oracle for a new REJOIN buffer's `done` set: will this unit
+    never pass through the buffer node again?"""
+    for u in engine.units:
+        if u.flow == flow.id and u.seq == seq:
+            here = u.route[u.position]
+            idx = flow.path_index(here)
+            if idx is None:
+                continue
+            if u.in_transit and idx > point_idx:
+                return True
+            if not u.in_transit and idx >= point_idx:
+                return True
+    return False
+
+
+def reference_high_water(engine, flow):
+    """Per-seq oracle for `Flow.progress` after a path rewrite: seq -> its
+    furthest index on the rewritten canonical path."""
+    done = engine.buffers[(flow.id, flow.destination)].done
+    high_water = {}
+    positions = {}
+    for u in engine.units:
+        if u.flow != flow.id:
+            continue
+        idx = flow.path_index(u.route[u.position])
+        if idx is not None:
+            positions[u.seq] = max(positions.get(u.seq, 0), idx)
+    for seq in range(flow.units):
+        if seq in done:
+            high_water[seq] = len(flow.path) - 1
+        else:
+            high_water[seq] = positions.get(seq, 0)
+    return high_water
 
 
 def build_world(n_nodes, links, seed=0, share=1, priority=Priority.GOLD,

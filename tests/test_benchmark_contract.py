@@ -18,3 +18,17 @@ def test_every_traced_entry_point_resolves():
         if not callable(getattr(owner, attr, None))
     ]
     assert missing == []
+
+
+def test_one_rehearsing_instance_runs_clean():
+    """The harness reads engine state directly (`engine.units`, the
+    destination buffer's `held`, `Flow.destination_arrivals`); one run over a
+    golden twin-rehearsal instance must rehearse without error and deliver
+    every delivered flow exactly once, in order."""
+    text = (Path(__file__).parent / "golden" / "twin-rehearsal-2-0.json").read_text()
+    scenario, world, _ = harness.set_up(text)
+    out = harness.PassResult()
+    harness.run_instance(out, "twin-rehearsal-2-0", True, scenario, world)
+    assert out.bad_records == []
+    assert out.stats[0]["rehearsals"] > 0
+    assert out.stats[0]["rehearsal_errors"] == 0

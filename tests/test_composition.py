@@ -170,12 +170,15 @@ def test_schedule_validity_property():
             for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
                 assert e1 <= s2
         # precedence with transfer latency honored
-        scheduler = Scheduler(topo, reg)
+        failed = {v for v in topo.nodes if topo.node(v).health.state is HealthState.FAILED}
         for a, b, size in dag.edges:
             a_node, _, a_end = sched.assignments[a]
             b_node, b_start, _ = sched.assignments[b]
-            lat = scheduler._transfer_latency(a_node, b_node, size)
-            assert b_start >= a_end + lat
+            lat, _path = reference_shortest_path(
+                topo, a_node, b_node, exclude_nodes=failed - {a_node, b_node},
+                latency_fn=topo.effective_latency,
+            )
+            assert b_start >= a_end + lat * size
         assert sched.makespan == max(e for _, _, e in sched.assignments.values())
 
 
@@ -240,7 +243,11 @@ def test_reused_scheduler_sees_health_change_in_transfers():
     topo.set_health(1, Health.failed())
     report = scheduler.execute(plan, dag)
     assert report.assignments["b"][1] == report.assignments["a"][2] + 6
-    assert scheduler._transfer_latency(0, 2, 1) == 6
+    failed = {v for v in topo.nodes if topo.node(v).health.state is HealthState.FAILED}
+    lat, _path = reference_shortest_path(
+        topo, 0, 2, exclude_nodes=failed - {0, 2}, latency_fn=topo.effective_latency
+    )
+    assert lat * 1 == 6  # the a->b edge carries size 1
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from sdcps import (
+    Bus,
     Domain,
     Farm,
     Node,
@@ -84,7 +85,7 @@ def test_register_overlapping_domains_rejected():
     topo.add_link(0, 1, 1, 1)
     topo.add_link(2, 3, 1, 1)
     topo.add_link(1, 2, 1, 1)
-    farm = Farm(topo, SliceTable(topo))
+    farm = Farm(topo, SliceTable(topo), Bus())
     farm.register_controller(Domain(0, frozenset({0, 1})))
     with pytest.raises(OverlappingDomain):
         farm.register_controller(Domain(1, frozenset({1, 2})))
@@ -95,7 +96,7 @@ def test_register_disconnected_domain_rejected():
     for i in range(3):
         topo.add_node(make_node(i))
     topo.add_link(0, 1, 1, 1)
-    farm = Farm(topo, SliceTable(topo))
+    farm = Farm(topo, SliceTable(topo), Bus())
     with pytest.raises(DisconnectedDomain):
         farm.register_controller(Domain(0, frozenset({0, 2})))
 
@@ -106,7 +107,7 @@ def test_register_duplicate_domain_id_rejected():
         topo.add_node(make_node(i))
     topo.add_link(0, 1, 1, 1)
     topo.add_link(2, 3, 1, 1)
-    farm = Farm(topo, SliceTable(topo))
+    farm = Farm(topo, SliceTable(topo), Bus())
     farm.register_controller(Domain(0, frozenset({0, 1})))
     with pytest.raises(DuplicateId):
         farm.register_controller(Domain(0, frozenset({2, 3})))
@@ -142,7 +143,7 @@ def test_uncovered_node_rejected_at_setup():
 def test_resolve_unassigned():
     topo = Topology()
     topo.add_node(make_node(0))
-    farm = Farm(topo, SliceTable(topo))
+    farm = Farm(topo, SliceTable(topo), Bus())
     with pytest.raises(UnassignedNode):
         farm.resolve(0)
 
@@ -156,7 +157,7 @@ def test_domain_partition_property_random():
             topo.add_node(make_node(i))
         for i in range(1, n):
             topo.add_link(i, rng.randrange(i), 1, 1)
-        farm = Farm(topo, SliceTable(topo))
+        farm = Farm(topo, SliceTable(topo), Bus())
         # greedy connected chunks in random order
         unassigned = set(range(n))
         did = 0

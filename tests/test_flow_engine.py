@@ -11,7 +11,13 @@ from sdcps.errors import (
     Unrecoverable,
 )
 
-from conftest import build_world, reference_shortest_path
+from conftest import (
+    build_world,
+    reference_beyond_buffer_point,
+    reference_high_water,
+    reference_safely_past,
+    reference_shortest_path,
+)
 
 
 # -- open_flow -------------------------------------------------------------------
@@ -190,7 +196,7 @@ def reference_detour(w, flow, bad, suspects):
     None when no detour exists."""
     avoid = (set(suspects) | {bad}) - {flow.origin, flow.destination}
     bad_idx = flow.path.index(bad)
-    idx = min(bad_idx - 1, max(flow.high_water.values(), default=0))
+    idx = min(bad_idx - 1, flow.progress)
     while idx > 0 and flow.path[idx] in avoid:
         idx -= 1
     branch = flow.path[idx]
@@ -255,6 +261,54 @@ def test_on_unhealthy_matches_pairwise_reference(seed):
         assert (d.case_tag, d.branch_point, d.clone_destination, d.detour) == expected
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_unit_positions_match_per_seq_scans(seed):
+    """at_risk_seqs, a new REJOIN buffer's done set and the progress rebase
+    agree with per-seq scans of the unit list, over repeated recoveries that
+    strand units on old detours."""
+    rng = random.Random(seed)
+    rejoins = checked = 0
+    while checked < 30 or rejoins < 3:
+        n = rng.randint(5, 10)
+        links = [(i, i + 1, 1) for i in range(n - 1)]
+        for _ in range(rng.randint(n, 2 * n)):
+            a, b = sorted(rng.sample(range(n), 2))
+            if all((a, b) != (x, y) for x, y, _ in links):
+                links.append((a, b, rng.randint(2, 4)))
+        w = build_world(n, links, capacity=rng.randint(1, 3))
+        fid = w.open_flow(0, *rng.sample(range(n), 2), 12)
+        engine, flow = w.engine, w.engine.flows[fid]
+        for _ in range(3):
+            w.run(rng.randint(0, 4))
+            if flow.state is not FlowState.ACTIVE or len(flow.path) < 3:
+                break
+            bad = rng.choice(flow.path[1:-1])
+            bad_idx = flow.path.index(bad)
+            done = engine.buffers[(fid, flow.destination)].done
+            assert engine.at_risk_seqs(fid, bad) == frozenset(
+                s for s in range(flow.units)
+                if s not in done and not reference_safely_past(engine, flow, s, bad_idx)
+            )
+            try:
+                d = engine.on_unhealthy(fid, bad, set())
+            except Unrecoverable:
+                break
+            key = (fid, d.clone_destination)
+            expected_done = None
+            if d.case_tag is CloneCase.REJOIN and key not in engine.buffers:
+                dest_idx = flow.path.index(d.clone_destination)
+                expected_done = set(done) | {
+                    s for s in range(flow.units)
+                    if reference_beyond_buffer_point(engine, flow, s, dest_idx)
+                }
+            engine.clone_subflow(d)
+            if expected_done is not None:
+                assert engine.buffers[key].done == expected_done
+                rejoins += 1
+            assert flow.progress == max(reference_high_water(engine, flow).values(), default=0)
+            checked += 1
+
+
 # -- clone_subflow ----------------------------------------------------------------------
 
 def test_clone_duplicates_exact_cardinality(diamond_world):
@@ -314,26 +368,26 @@ def unit(flow, seq):
 
 
 def test_recompose_reorders():
-    buf = ReorderBuffer(at=9, flow=0, onward=[])
+    buf = ReorderBuffer(onward=[])
     assert buf.absorb(unit(0, 1)) == []
     released = buf.absorb(unit(0, 0))
     assert [u.seq for u in released] == [0, 1]
 
 
 def test_recompose_dedupes():
-    buf = ReorderBuffer(at=9, flow=0, onward=[])
+    buf = ReorderBuffer(onward=[])
     assert [u.seq for u in buf.absorb(unit(0, 0))] == [0]
     assert buf.absorb(unit(0, 0)) == []
 
 
 def test_recompose_in_order_is_immediate():
-    buf = ReorderBuffer(at=9, flow=0, onward=[])
+    buf = ReorderBuffer(onward=[])
     for seq in range(4):
         assert [u.seq for u in buf.absorb(unit(0, seq))] == [seq]
 
 
 def test_recompose_skips_preseeded():
-    buf = ReorderBuffer(at=9, flow=0, onward=[])
+    buf = ReorderBuffer(onward=[])
     buf.done = {0, 2}
     assert [u.seq for u in buf.absorb(unit(0, 1))] == [1]
     assert [u.seq for u in buf.absorb(unit(0, 3))] == [3]

@@ -155,6 +155,32 @@ def test_noop_reroute_is_all_zero(line_world):
     assert (delta.delivered_units, delta.mean_latency, delta.makespan, delta.violations) == (0, 0.0, 0, 0)
 
 
+def test_committed_reroute_rehomes_queued_units_only():
+    # admitted 0-1-2-4; the reroute moves the flow onto 0-1-3-4 while seq 1
+    # queues at node 1, seqs 4-5 queue at the origin and seqs 0, 2 and 3
+    # are on the wire
+    w = build_world(5, [(0, 1, 1, 2), (1, 2, 1, 1), (2, 4, 1, 1), (1, 3), (3, 4)],
+                    capacity=1)
+    w.schedule_flow(0, 0, 4, 6, 0)
+    w.run(2)
+    flow = w.engine.flows[0]
+    assert flow.path == [0, 1, 2, 4]
+    decision = Decision.reroute(0, [0, 1, 3, 4])
+    delta = evaluate(spawn_twin(w), decision, horizon=4)
+    assert commit(w, decision, delta, policy=lambda d: True) is True
+    w.tick()
+    t3 = [line for line in w.log.lines if line.startswith("t=3 ")]
+    assert t3[0] == "t=3 ev=reroute flow=0 path=0>1>3>4"
+    assert "t=3 ev=send flow=0 seq=1 link=1-3" in t3
+    assert flow.path == [0, 1, 3, 4]
+    routes = {u.seq: u.route for u in w.engine.units}
+    assert routes == {0: [0, 1, 2, 4], 1: [0, 1, 3, 4], 2: [0, 1, 2, 4],
+                      3: [0, 1, 2, 4], 4: [0, 1, 3, 4], 5: [0, 1, 3, 4]}
+    w.run(20)
+    assert flow.delivered_record == list(range(6))
+    assert sorted(flow.destination_arrivals) == list(range(6))
+
+
 def test_mean_latency_matches_list_oracle(monkeypatch):
     """Every delivery latency since t=0, kept in a list that a full deep
     copy carries along, gives the same mean as the running sum and count."""
