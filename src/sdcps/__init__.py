@@ -14,7 +14,7 @@ from .controller import (
     Verdict,
     qos_schedule,
 )
-from .farm import Domain, Farm, WestboundMessage
+from .farm import Farm
 from .flow_engine import CloneCase, CloneDecision, Flow, FlowEngine, FlowState, ReorderBuffer, Unit
 from .composition import CompositionDag, Scheduler, ServiceRegistry, speedup_curve
 from .sandbox import Decision, MetricsDelta, TwinWorld, commit, evaluate, spawn_twin
@@ -31,7 +31,6 @@ __all__ = [
     "Controller",
     "DataStore",
     "Decision",
-    "Domain",
     "Farm",
     "Flow",
     "FlowEngine",
@@ -55,7 +54,6 @@ __all__ = [
     "Topology",
     "Unit",
     "Verdict",
-    "WestboundMessage",
     "World",
     "WorldOptions",
     "build_world",

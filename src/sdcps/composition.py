@@ -123,9 +123,6 @@ class ServiceRegistry:
             raise UnknownService(f"unknown service {name!r}")
         return self._services[name]
 
-    def names(self) -> list[str]:
-        return sorted(self._services)
-
 
 class _Transfers:
     """Health-aware transfer latencies for one `schedule` or `execute` call.
@@ -275,29 +272,28 @@ def speedup_curve(
 ) -> list[tuple[int, int, float]]:
     """Makespan and speedup of n independent equal tasks over m identical
     virtual execution spaces, for each m in `instances`."""
-    from .topology import Health, Node, NodeKind
+    from .topology import Node, NodeKind
 
-    results = []
-    base_makespan = None
-    for m in instances:
+    dag = CompositionDag([(f"t{i:04d}", "unit") for i in range(n_tasks)])
+
+    def makespan(m: int) -> int:
         if m < 1:
             raise BadParameter(f"instance count {m} must be >= 1")
         topo = Topology()
         for i in range(m):
-            topo.add_node(Node(i, NodeKind.CONTROLLER_VES, compute_capacity=1,
-                               health=Health.healthy()))
+            topo.add_node(Node(i, NodeKind.CONTROLLER_VES, compute_capacity=1))
         registry = ServiceRegistry(topo)
         registry.register_service("unit", cost, range(m))
-        dag = CompositionDag([(f"t{i:04d}", "unit") for i in range(n_tasks)])
-        sched = Scheduler(topo, registry).schedule(dag)
+        return Scheduler(topo, registry).schedule(dag).makespan
+
+    results = []
+    base_makespan = None
+    for m in instances:
+        span = makespan(m)
         if base_makespan is None:
-            solo = Topology()
-            solo.add_node(Node(0, NodeKind.CONTROLLER_VES, compute_capacity=1))
-            reg1 = ServiceRegistry(solo)
-            reg1.register_service("unit", cost, [0])
-            base_makespan = Scheduler(solo, reg1).schedule(dag).makespan
-        speedup = base_makespan / sched.makespan if sched.makespan else float(n_tasks)
-        results.append((m, sched.makespan, speedup))
+            base_makespan = makespan(1)
+        speedup = base_makespan / span if span else float(n_tasks)
+        results.append((m, span, speedup))
     return results
 
 

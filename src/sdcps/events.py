@@ -26,12 +26,10 @@ class EventLog:
     def __init__(self):
         self.lines: list[str] = []
         self._digest = FNV_OFFSET
-        self.count = 0
 
     def emit(self, line: str) -> None:
         self.lines.append(line)
         self._digest = fnv1a_64(line.encode() + b"\n", self._digest)
-        self.count += 1
 
     def trace_hash(self) -> str:
         return f"{self._digest:016x}"

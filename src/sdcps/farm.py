@@ -1,58 +1,39 @@
 """Federated controller deployment.
 
 Domains strictly partition the node set. Controllers coordinate only through
-westbound messages; cross-domain routes are composed from per-domain path
-segments joined at gateway links, so no controller ever reads a peer's
-topology directly.
+the farm: cross-domain routes are composed from per-domain path segments
+joined at gateway links, so no controller ever reads a peer's topology
+directly. The farm owns each controller's bus inboxes and counts westbound
+traffic; it keeps no message log.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
-
-from .controller import Controller, ControllerId, TenantId
+from .controller import Controller, ControllerId, HealthEstimate, SouthboundReport, TenantId
 from .errors import (
-    AccessDenied,
     DisconnectedDomain,
     DuplicateId,
     NoPath,
-    NotFound,
     OverlappingDomain,
     SliceViolation,
+    StaleReport,
     UnassignedNode,
 )
 from .topology import Adjacency, LinkId, NodeId, Topology, multi_target_paths
 
-DomainId = int
-
 DEFAULT_DIGEST_PERIOD = 5
-
-
-@dataclass
-class Domain:
-    id: DomainId
-    nodes: frozenset[NodeId]
-    controller: Optional[ControllerId] = None
-
-
-@dataclass
-class WestboundMessage:
-    kind: str  # PathSegmentRequest | PathSegmentReply | PeerStoreRead | PeerStoreReply | Nack | HealthDigest
-    sender: ControllerId
-    receiver: ControllerId
-    correlation: int
-    payload: Any
-    tick: int = 0
-    seq: int = 0
 
 
 class Farm:
     """Controller farm over a shared topology.
 
     The farm is the single mutation point for registration; controllers it
-    creates share only read-only structures. Health digests ride the bus
-    (`west/to/<peer>/<sender>`), so peers receive them next tick.
+    creates share only read-only structures. Each controller has two bus
+    inboxes, delivered next tick: southbound reports from its domain's nodes
+    (`south/<domain>/reports`) and health digests from its peers
+    (`west/to/<peer>/<sender>`). Segment tables and store reads are direct
+    calls; `message_count` counts each call to a peer as a request plus its
+    reply or nack, and each digest as one message.
     """
 
     def __init__(self, topology, slice_table, bus, window=3, congestion_threshold=2.0):
@@ -60,50 +41,46 @@ class Farm:
         self._slices = slice_table
         self._window = window
         self._congestion_threshold = congestion_threshold
-        self.domains: dict[DomainId, Domain] = {}
         self.controllers: dict[ControllerId, Controller] = {}
         self._owner: dict[NodeId, ControllerId] = {}
-        self._corr = 0
-        self._send_seq: dict[ControllerId, int] = {}
-        self.processed_log: list[WestboundMessage] = []
-        self.sent_log: list[WestboundMessage] = []
+        self._inboxes: dict[ControllerId, tuple] = {}  # (reports, digests)
         self.message_count = 0
+        self.report_count = 0
         self._bus = bus
         self.now = 0  # advanced by the world each tick; plain int so twins deep-copy cleanly
         self._segment_cache: dict[tuple, dict] = {}
 
     # -- registration ---------------------------------------------------------
 
-    def register_controller(self, domain: Domain) -> ControllerId:
-        if domain.id in self.domains:
-            raise DuplicateId(f"domain {domain.id} declared twice")
-        overlap = sorted(domain.nodes & self._owner.keys())
+    def register_domain(self, domain_id: ControllerId, nodes) -> ControllerId:
+        """Give a connected node set its own controller, whose id is the
+        domain id, and subscribe that controller's inboxes."""
+        nodes = frozenset(nodes)
+        if domain_id in self.controllers:
+            raise DuplicateId(f"domain {domain_id} declared twice")
+        overlap = sorted(nodes & self._owner.keys())
         if overlap:
             raise OverlappingDomain(
-                f"domains {self._owner[overlap[0]]} and {domain.id} overlap on nodes {overlap}"
+                f"domains {self._owner[overlap[0]]} and {domain_id} overlap on nodes {overlap}"
             )
-        for n in sorted(domain.nodes):
+        for n in sorted(nodes):
             self._topology.node(n)
-        if domain.nodes and domain.nodes != self._topology.reachable(
-            min(domain.nodes), lambda link: domain.nodes.issuperset(link.endpoints)
+        if nodes and nodes != self._topology.reachable(
+            min(nodes), lambda link: nodes.issuperset(link.endpoints)
         ):
-            raise DisconnectedDomain(f"domain {domain.id} induces a disconnected subgraph")
-        cid = domain.id
-        ctrl = Controller(
-            cid,
-            frozenset(domain.nodes),
-            self._topology,
-            self._slices,
-            window=self._window,
-            congestion_threshold=self._congestion_threshold,
+            raise DisconnectedDomain(f"domain {domain_id} induces a disconnected subgraph")
+        self.controllers[domain_id] = Controller(
+            domain_id, nodes, self._topology, self._slices,
+            self._window, self._congestion_threshold,
         )
-        domain.controller = cid
-        self.domains[domain.id] = domain
-        self.controllers[cid] = ctrl
-        for n in domain.nodes:
-            self._owner[n] = cid
+        for n in nodes:
+            self._owner[n] = domain_id
+        self._inboxes[domain_id] = (
+            self._bus.subscribe(f"south/{domain_id}/reports"),
+            self._bus.subscribe(f"west/to/{domain_id:06d}/*"),
+        )
         self.invalidate_caches()
-        return cid
+        return domain_id
 
     def resolve(self, n: NodeId) -> ControllerId:
         if n not in self._owner:
@@ -122,39 +99,10 @@ class Farm:
                 out.append(lid)
         return out
 
-    # -- westbound transport ----------------------------------------------------
+    # -- westbound traffic ------------------------------------------------------
 
     def invalidate_caches(self) -> None:
         self._segment_cache.clear()
-
-    def _send(self, kind: str, sender: ControllerId, receiver: ControllerId,
-              payload: Any, correlation: Optional[int] = None) -> WestboundMessage:
-        if correlation is None:
-            self._corr += 1
-            correlation = self._corr
-        seq = self._send_seq.get(sender, 0)
-        self._send_seq[sender] = seq + 1
-        msg = WestboundMessage(
-            kind, sender, receiver, correlation, payload,
-            tick=self.now, seq=seq,
-        )
-        self.message_count += 1
-        self.sent_log.append(msg)
-        return msg
-
-    def _dispatch(self, msg: WestboundMessage) -> Any:
-        """Deliver a request to its receiver and return the reply payload."""
-        self.processed_log.append(msg)
-        ctrl = self.controllers[msg.receiver]
-        if msg.kind == "PathSegmentRequest":
-            tenant, terminals = msg.payload
-            return ctrl.segment_table(tenant, terminals)
-        if msg.kind == "PeerStoreRead":
-            tenant, path = msg.payload
-            return ctrl.store_get(tenant, path, as_controller=msg.sender)
-        raise ValueError(f"unroutable westbound kind {msg.kind}")
-
-    # -- federated operations -----------------------------------------------------
 
     def peer_store_read(
         self,
@@ -163,16 +111,9 @@ class Farm:
         tenant: TenantId,
         path,
     ) -> bytes:
-        if owner == requester:
-            return self.controllers[owner].store_get(tenant, path, as_controller=requester)
-        msg = self._send("PeerStoreRead", requester, owner, (tenant, tuple(path)))
-        try:
-            reply = self._dispatch(msg)
-        except (NotFound, AccessDenied):
-            self._send("Nack", owner, requester, None, correlation=msg.correlation)
-            raise
-        self._send("PeerStoreReply", owner, requester, None, correlation=msg.correlation)
-        return reply
+        if owner != requester:
+            self.message_count += 2  # the request, and its reply or nack
+        return self.controllers[owner].store_get(tenant, path, as_controller=requester)
 
     def broadcast_health_digest(self, sender: ControllerId) -> None:
         """Push this controller's estimate set to every peer via the bus."""
@@ -180,17 +121,43 @@ class Farm:
         for peer in sorted(self.controllers):
             if peer == sender:
                 continue
-            msg = self._send("HealthDigest", sender, peer, dict(estimates))
+            self.message_count += 1
             self._bus.publish(
-                f"west/to/{peer:06d}/{sender:06d}", msg, self.now,
+                f"west/to/{peer:06d}/{sender:06d}", (sender, estimates), self.now,
                 f"controller/{sender:06d}",
             )
         self.invalidate_caches()
 
-    def deliver_digest(self, msg: WestboundMessage) -> None:
-        self.processed_log.append(msg)
-        self.controllers[msg.receiver].receive_digest(msg.sender, msg.payload)
+    def deliver_digest(self, receiver: ControllerId, sender: ControllerId, estimates) -> None:
+        self.controllers[receiver].receive_digest(sender, estimates)
         self.invalidate_caches()
+
+    def send_report(self, report: SouthboundReport) -> None:
+        """Publish a node's telemetry to its domain controller's inbox."""
+        self._bus.publish(
+            f"south/{self.resolve(report.reporter)}/reports", report, self.now,
+            f"node/{report.reporter:06d}",
+        )
+        self.report_count += 1
+
+    def drain_inboxes(self) -> list[tuple[ControllerId, HealthEstimate]]:
+        """Hand each controller, in id order, its delivered digests and then
+        its reports; return the verdict changes in that order."""
+        changes = []
+        for cid in sorted(self.controllers):
+            reports, digests = self._inboxes[cid]
+            for msg in digests.drain():
+                self.deliver_digest(cid, *msg.payload)
+            ctrl = self.controllers[cid]
+            for msg in reports.drain():
+                try:
+                    transitions = ctrl.ingest_report(msg.payload)
+                except StaleReport:
+                    continue  # replayed telemetry is dropped, not fatal
+                for est in transitions:
+                    changes.append((cid, est))
+                    self.invalidate_caches()
+        return changes
 
     def cross_domain_path(
         self, src: NodeId, dst: NodeId, tenant: TenantId
@@ -223,17 +190,9 @@ class Farm:
             cache_key = (cid, tenant, tuple(terms))
             table = self._segment_cache.get(cache_key)
             if table is None:
-                if cid == orchestrator:
-                    table = self.controllers[cid].segment_table(tenant, terms)
-                else:
-                    msg = self._send(
-                        "PathSegmentRequest", orchestrator, cid, (tenant, terms)
-                    )
-                    table = self._dispatch(msg)
-                    self._send(
-                        "PathSegmentReply", cid, orchestrator, None,
-                        correlation=msg.correlation,
-                    )
+                table = self.controllers[cid].segment_table(tenant, terms)
+                if cid != orchestrator:
+                    self.message_count += 2  # the request and its reply
                 self._segment_cache[cache_key] = table
             segments.update(table)
 

@@ -4,8 +4,8 @@ rehearsal improved things.
 
 A twin is a `World.fork()`: a deep copy of the live state (topology,
 controllers, bus, flows, units, RNG, running trace digest, counters) in
-which the history sinks (event lines, metrics records, QoS and westbound
-logs) start empty. It runs the same code the physical world runs; with the
+which the history sinks (event lines, metrics records, QoS log) start
+empty. It runs the same code the physical world runs; with the
 same seed its trace hash and totals continue tick for tick from the
 physical world's, and its history begins at the snapshot. Twin mutations
 can never touch physical state.
@@ -74,10 +74,6 @@ class TwinWorld:
     world: World
     mapping: dict[NodeId, NodeId]
     twin_seed: int
-
-    @property
-    def tick(self) -> int:
-        return self.world.now
 
 
 def spawn_twin(world: World, twin_seed: Optional[int] = None) -> TwinWorld:

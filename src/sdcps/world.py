@@ -12,8 +12,8 @@ trace) so `World.fork()` is a faithful twin. Each tick runs fixed phases:
   6. movement           arrivals, QoS-scheduled transmissions, telemetry
   7. metrics            one record per tick
 
-Phases 3 and 4 stay in this order so per-sender westbound sequence numbers
-are processed monotonically.
+Phases 3 and 4 stay in this order: a digest broadcast drops the segment
+cache, so admissions run before it.
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ from .errors import (
     NoPath,
     NoPathInSlice,
     SdcpsError,
-    StaleReport,
     Unrecoverable,
 )
 from .events import EventLog
-from .farm import DEFAULT_DIGEST_PERIOD, Domain, Farm
+from .farm import DEFAULT_DIGEST_PERIOD, Farm
 from .flow_engine import FlowEngine, FlowState
 from .topology import Health, HealthState, Node, NodeId, Topology
 
@@ -129,9 +128,6 @@ class World:
         self.metrics: list[MetricsRecord] = []
         self.rejected_flows: list[tuple[PendingFlow, str]] = []
         self.health_log: list[str] = []
-        self.south_reports = 0
-        self._subs_south: dict[int, object] = {}
-        self._subs_west: dict[int, object] = {}
         self._line_mark = 0
         # optional service-composition workload
         self.registry = None
@@ -149,10 +145,7 @@ class World:
         return self.topology.add_link(a, b, latency, capacity)
 
     def register_domain(self, domain_id: int, nodes) -> int:
-        cid = self.farm.register_controller(Domain(domain_id, frozenset(nodes)))
-        self._subs_south[cid] = self.bus.subscribe(f"south/{domain_id}/reports")
-        self._subs_west[cid] = self.bus.subscribe(f"west/to/{cid:06d}/*")
-        return cid
+        return self.farm.register_domain(domain_id, nodes)
 
     def allocate_slice(self, tenant: int, links, share: int, priority: Priority):
         """Install or replace a tenant slice; cached segment tables were
@@ -192,10 +185,10 @@ class World:
     def fork(self) -> "World":
         """Deep-copy the live state: topology, slices, controllers, bus,
         flows, units, buffers, RNG, running digest and counters. The pure
-        history sinks start empty in the copy, so its trace hash, counters
-        and totals continue from here while its history begins here."""
-        sinks = (self.log.lines, self.metrics, self.engine.qos_log,
-                 self.farm.sent_log, self.farm.processed_log)
+        history sinks (event lines, metrics records, QoS log) start empty
+        in the copy, so its trace hash, counters and totals continue from
+        here while its history begins here."""
+        sinks = (self.log.lines, self.metrics, self.engine.qos_log)
         return copy.deepcopy(self, {id(sink): [] for sink in sinks})
 
     def reseed(self, seed: int) -> None:
@@ -276,23 +269,13 @@ class World:
 
         # 2. bus delivery, then controller ingestion in delivered order
         self.bus.deliver_up_to(t)
-        for cid in sorted(self.farm.controllers):
-            ctrl = self.farm.controllers[cid]
-            for msg in self._subs_west[cid].drain():
-                self.farm.deliver_digest(msg.payload)
-            for msg in self._subs_south[cid].drain():
-                try:
-                    transitions = ctrl.ingest_report(msg.payload)
-                except StaleReport:
-                    continue  # replayed telemetry is dropped, not fatal
-                for est in transitions:
-                    line = (
-                        f"t={t} ev=estimate ctrl={cid} node={est.node} "
-                        f"verdict={est.verdict.value}"
-                    )
-                    self.log.emit(line)
-                    self.health_log.append(line)
-                    self.farm.invalidate_caches()
+        for cid, est in self.farm.drain_inboxes():
+            line = (
+                f"t={t} ev=estimate ctrl={cid} node={est.node} "
+                f"verdict={est.verdict.value}"
+            )
+            self.log.emit(line)
+            self.health_log.append(line)
 
         # 3. scenario admissions (start tick 0 opens on the first tick)
         for pf in [p for p in self.pending_flows if p.start <= t]:
@@ -332,7 +315,7 @@ class World:
             cloned_units=self.engine.total_cloned,
             active_flows=self.engine.active_flow_count(),
             per_tenant_throughput=dict(self.engine.delivered_this_tick),
-            controller_messages=self.farm.message_count + self.south_reports,
+            controller_messages=self.farm.message_count + self.farm.report_count,
         )
         self.metrics.append(rec)
         self.mid_tick = False
@@ -394,12 +377,7 @@ class World:
                     )
             if not observations:
                 continue
-            report = SouthboundReport(reporter, t, tuple(observations))
-            domain = self.farm.resolve(reporter)
-            self.bus.publish(
-                f"south/{domain}/reports", report, t, f"node/{reporter:06d}"
-            )
-            self.south_reports += 1
+            self.farm.send_report(SouthboundReport(reporter, t, tuple(observations)))
 
     # -- summary ------------------------------------------------------------------------
 

@@ -5,7 +5,6 @@ import pytest
 
 from sdcps import (
     Bus,
-    Domain,
     Farm,
     Node,
     NodeKind,
@@ -86,9 +85,9 @@ def test_register_overlapping_domains_rejected():
     topo.add_link(2, 3, 1, 1)
     topo.add_link(1, 2, 1, 1)
     farm = Farm(topo, SliceTable(topo), Bus())
-    farm.register_controller(Domain(0, frozenset({0, 1})))
+    farm.register_domain(0, {0, 1})
     with pytest.raises(OverlappingDomain):
-        farm.register_controller(Domain(1, frozenset({1, 2})))
+        farm.register_domain(1, {1, 2})
 
 
 def test_register_disconnected_domain_rejected():
@@ -98,7 +97,7 @@ def test_register_disconnected_domain_rejected():
     topo.add_link(0, 1, 1, 1)
     farm = Farm(topo, SliceTable(topo), Bus())
     with pytest.raises(DisconnectedDomain):
-        farm.register_controller(Domain(0, frozenset({0, 2})))
+        farm.register_domain(0, {0, 2})
 
 
 def test_register_duplicate_domain_id_rejected():
@@ -108,10 +107,10 @@ def test_register_duplicate_domain_id_rejected():
     topo.add_link(0, 1, 1, 1)
     topo.add_link(2, 3, 1, 1)
     farm = Farm(topo, SliceTable(topo), Bus())
-    farm.register_controller(Domain(0, frozenset({0, 1})))
+    farm.register_domain(0, {0, 1})
     with pytest.raises(DuplicateId):
-        farm.register_controller(Domain(0, frozenset({2, 3})))
-    assert farm.domains[0].nodes == {0, 1}
+        farm.register_domain(0, {2, 3})
+    assert farm.controllers[0].domain_nodes == {0, 1}
     assert farm.unassigned_nodes() == [2, 3]
 
 
@@ -172,15 +171,15 @@ def test_domain_partition_property_random():
                     if v in unassigned and v not in chunk and len(chunk) < want:
                         chunk.add(v)
                         frontier.append(v)
-            farm.register_controller(Domain(did, frozenset(chunk)))
+            farm.register_domain(did, chunk)
             unassigned -= chunk
             did += 1
         # partition: disjoint and covering
         seen = {}
-        for d in farm.domains.values():
-            for node in d.nodes:
+        for c in farm.controllers.values():
+            for node in c.domain_nodes:
                 assert node not in seen
-                seen[node] = d.id
+                seen[node] = c.id
         assert set(seen) == set(range(n))
         assert farm.unassigned_nodes() == []
 
@@ -269,7 +268,7 @@ def test_federation_transparency_oracle_equivalence():
                 assert len(set(path)) == len(path)
 
 
-# -- westbound protection and ordering --------------------------------------------------
+# -- westbound protection --------------------------------------------------------------
 
 def test_peer_store_read_with_grant():
     w = farm_world({0: [0, 1], 1: [2, 3]}, [(0, 1), (1, 2), (2, 3)])
@@ -297,36 +296,64 @@ def test_peer_store_read_grant_for_other_tenant_denied():
         w.farm.peer_store_read(0, 1, 8, ["missing"])
 
 
-def test_westbound_processing_order():
-    rng = random.Random(31)
-    w = random_partitioned_world(rng)
-    nodes = w.topology.node_ids()
-    for src in nodes[:6]:
-        for dst in nodes[-6:]:
-            if src != dst:
-                try:
-                    w.farm.cross_domain_path(src, dst, 0)
-                except NoPath:
-                    pass
-    w.run(12)
-    log = w.farm.processed_log
-    ticks = [m.tick for m in log]
-    assert ticks == sorted(ticks)
-    per_sender = {}
-    for m in log:
-        per_sender.setdefault(m.sender, []).append(m.seq)
-    for sender, seqs in per_sender.items():
-        assert seqs == sorted(seqs), f"sender {sender} out of order"
-    # every request was answered or nacked
-    requests = {
-        m.correlation for m in w.farm.sent_log
-        if m.kind in ("PathSegmentRequest", "PeerStoreRead")
-    }
-    answered = {
-        m.correlation for m in w.farm.sent_log
-        if m.kind in ("PathSegmentReply", "PeerStoreReply", "Nack")
-    }
-    assert requests <= answered
+# -- westbound message counting -------------------------------------------------------
+# Every call to a peer controller is a request plus its reply or nack.
+
+def test_granted_peer_store_read_counts_request_and_reply():
+    w = farm_world({0: [0, 1], 1: [2, 3]}, [(0, 1), (1, 2), (2, 3)])
+    owner = w.farm.controllers[1]
+    owner.store_put(7, ["secret"], b"s")
+    owner.store.grant(7, 0)
+    before = w.farm.message_count
+    w.farm.peer_store_read(0, 1, 7, ["secret"])
+    assert w.farm.message_count == before + 2
+
+
+def test_refused_peer_store_reads_count_request_and_nack():
+    w = farm_world({0: [0, 1], 1: [2, 3]}, [(0, 1), (1, 2), (2, 3)])
+    w.farm.controllers[1].store_put(7, ["secret"], b"s")
+    before = w.farm.message_count
+    with pytest.raises(AccessDenied):
+        w.farm.peer_store_read(0, 1, 7, ["secret"])
+    assert w.farm.message_count == before + 2
+    with pytest.raises(NotFound):
+        w.farm.peer_store_read(0, 1, 7, ["missing"])
+    assert w.farm.message_count == before + 4
+
+
+def test_owner_store_read_sends_nothing():
+    w = farm_world({0: [0, 1], 1: [2, 3]}, [(0, 1), (1, 2), (2, 3)])
+    owner = w.farm.controllers[1]
+    owner.store_put(7, ["secret"], b"s")
+    owner.store.grant(7, 1)
+    before = w.farm.message_count
+    assert w.farm.peer_store_read(1, 1, 7, ["secret"]) == b"s"
+    assert w.farm.message_count == before
+
+
+def test_digest_broadcast_counts_one_message_per_peer():
+    w = farm_world(
+        {0: [0, 1], 1: [2, 3], 2: [4, 5]},
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
+    )
+    before = w.farm.message_count
+    w.farm.broadcast_health_digest(1)
+    assert w.farm.message_count == before + 2
+
+
+def test_cross_domain_path_counts_peer_tables_on_cache_miss_only():
+    w = farm_world(
+        {0: [0, 1], 1: [2, 3], 2: [4, 5]},
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
+    )
+    before = w.farm.message_count
+    assert w.farm.cross_domain_path(0, 5, 0) == [0, 1, 2, 3, 4, 5]
+    assert w.farm.message_count == before + 2 * 2  # tables of domains 1 and 2
+    w.farm.cross_domain_path(0, 5, 0)
+    assert w.farm.message_count == before + 4
+    w.farm.invalidate_caches()
+    w.farm.cross_domain_path(4, 0, 0)  # orchestrated by domain 2 this time
+    assert w.farm.message_count == before + 8
 
 
 # -- health digests ----------------------------------------------------------------------

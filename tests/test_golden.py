@@ -1,9 +1,10 @@
 """Golden corpus: pinned trace hashes and totals.
 
 Every fixture in tests/fixtures/ and every generated scenario in
-tests/golden/ runs to its horizon at its own seed, as `sdcps run` does. Its
-trace hash and its delivered, dropped, cloned and messages totals must equal
-the values in tests/golden/expected.json. The generated scenarios were made
+tests/golden/ runs to its horizon at its own seed through `sdcps run --out`.
+The sha256 of the bytes it writes (every per-tick metrics record plus the
+summary line), its trace hash and its delivered, dropped, cloned and
+messages totals must equal the values in tests/golden/expected.json. The generated scenarios were made
 once with `perfbench/gen.py` (federated-admission and twin-rehearsal, seed 2,
 instance 0) and are committed as JSON.
 
@@ -13,13 +14,16 @@ and its reason in CHANGES.md:
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from sdcps.scenario import parse_scenario, run_scenario
+from sdcps.cli import main as cli_main
+from sdcps.scenario import parse_scenario
 
 TESTS = Path(__file__).parent
 EXPECTED = TESTS / "golden" / "expected.json"
@@ -32,10 +36,17 @@ TOTALS = ("delivered", "dropped", "cloned", "messages")
 
 
 def observe(name: str) -> dict:
-    scenario = parse_scenario((TESTS / name).read_text(encoding="utf-8"))
-    _world, digest, summary = run_scenario(scenario)
+    path = TESTS / name
+    # an explicit --seed equal to the scenario's own keeps SDCPS_SEED out
+    seed = parse_scenario(path.read_text(encoding="utf-8")).seed
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "metrics.jsonl"
+        assert cli_main(["run", str(path), "--seed", str(seed), "--out", str(out)]) == 0
+        output = out.read_bytes()
+    summary = json.loads(output.splitlines()[-1])["summary"]
     return {
-        "trace_hash": digest,
+        "output_sha256": hashlib.sha256(output).hexdigest(),
+        "trace_hash": summary["trace_hash"],
         "totals": {k: summary["totals"][k] for k in TOTALS},
     }
 

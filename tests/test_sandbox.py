@@ -54,8 +54,7 @@ def congested_diamond_world():
 
 
 def history(w):
-    return (w.log.lines, w.metrics, w.engine.qos_log, w.farm.sent_log,
-            w.farm.processed_log)
+    return (w.log.lines, w.metrics, w.engine.qos_log)
 
 
 # -- spawn_twin --------------------------------------------------------------------
@@ -87,7 +86,7 @@ def test_twin_starts_with_empty_history_and_live_digest():
     w = congested_diamond_world()
     assert all(history(w))
     twin = spawn_twin(w)
-    assert [len(sink) for sink in history(twin.world)] == [0] * 5
+    assert [len(sink) for sink in history(twin.world)] == [0] * 3
     assert twin.world.trace_hash() == w.trace_hash()
     assert twin.world.summary()["totals"] == w.summary()["totals"]
     assert twin.world.summary()["health_events"] == w.summary()["health_events"]
