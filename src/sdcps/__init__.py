@@ -17,7 +17,7 @@ from .controller import (
 from .farm import Farm
 from .flow_engine import CloneCase, CloneDecision, Flow, FlowEngine, FlowState, ReorderBuffer, Unit
 from .composition import CompositionDag, Scheduler, ServiceRegistry, speedup_curve
-from .sandbox import Decision, MetricsDelta, TwinWorld, commit, evaluate, spawn_twin
+from .sandbox import Decision, MetricsDelta, commit, evaluate, spawn_twin
 from .scenario import Scenario, build_world, parse_scenario, run_scenario
 from .world import World, WorldOptions
 from .bus import Bus
@@ -50,7 +50,6 @@ __all__ = [
     "SliceTable",
     "SouthboundReport",
     "TenantSlice",
-    "TwinWorld",
     "Topology",
     "Unit",
     "Verdict",

@@ -1,8 +1,10 @@
 """In-process topic bus standing in for MOM-style northbound/southbound wiring.
 
-Delivery is at-most-once per subscriber and totally ordered by
-(publish tick, publisher id, per-publisher sequence), which makes every
-run of the same scenario replay message-for-message.
+Each subscription names one exact topic; a topic may have several
+subscribers, each of which receives every message on it. Delivery is
+at-most-once per subscriber and totally ordered by (publish tick, publisher
+id, per-publisher sequence), which makes every run of the same scenario
+replay message-for-message.
 """
 
 from __future__ import annotations
@@ -27,13 +29,8 @@ class BusMessage:
 class Subscription:
     """Pull-model inbox: the owner drains `inbox` when it is scheduled."""
 
-    pattern: str
+    topic: str
     inbox: list[BusMessage] = field(default_factory=list)
-
-    def matches(self, topic: str) -> bool:
-        if self.pattern.endswith("/*"):
-            return topic.startswith(self.pattern[:-1])
-        return topic == self.pattern
 
     def drain(self) -> list[BusMessage]:
         out, self.inbox = self.inbox, []
@@ -42,21 +39,18 @@ class Subscription:
 
 class Bus:
     def __init__(self):
-        self.subscriptions: list[Subscription] = []
+        self.subscriptions: dict[str, list[Subscription]] = {}
         self._pending: list[BusMessage] = []
         self._seq: dict[str, int] = {}
         self.dropped_no_subscriber = 0
         self.published_count = 0
 
-    def subscribe(self, pattern: str) -> Subscription:
-        if not pattern:
-            raise ValueError("topic pattern must be non-empty")
-        sub = Subscription(pattern)
-        self.subscriptions.append(sub)
+    def subscribe(self, topic: str) -> Subscription:
+        if not topic:
+            raise ValueError("topic name must be non-empty")
+        sub = Subscription(topic)
+        self.subscriptions.setdefault(topic, []).append(sub)
         return sub
-
-    def has_subscriber(self, topic: str) -> bool:
-        return any(s.matches(topic) for s in self.subscriptions)
 
     def publish(self, topic: str, payload: Any, tick: int, publisher: str) -> BusMessage:
         if not topic:
@@ -78,7 +72,7 @@ class Bus:
         )
         self._pending = [m for m in self._pending if m.tick >= tick]
         for msg in due:
-            takers = [s for s in self.subscriptions if s.matches(msg.topic)]
+            takers = self.subscriptions.get(msg.topic, ())
             if not takers:
                 self.dropped_no_subscriber += 1
             for sub in takers:

@@ -1,8 +1,8 @@
 """Command-line entry points.
 
-Exit codes: 0 on success, 1 on bad input (scenario file, SDCPS_SEED or
-sweep arguments), 2 on a runtime abort. SDCPS_SEED overrides the scenario
-seed; an explicit --seed beats both.
+Exit codes: 0 on success, 1 on bad input (scenario file, SDCPS_SEED, a
+--horizon below 1 or sweep arguments), 2 on a runtime abort. SDCPS_SEED
+overrides the scenario seed; an explicit --seed beats both.
 """
 
 from __future__ import annotations
@@ -51,9 +51,17 @@ def _seed_for(scenario, args) -> int:
         _bad_input(f"SDCPS_SEED must be an integer, not {env!r}")
 
 
+def _horizon_for(scenario, args) -> int:
+    if args.horizon is None:
+        return scenario.horizon
+    if args.horizon < 1:
+        _bad_input(f"--horizon must be >= 1, not {args.horizon}")
+    return args.horizon
+
+
 def cmd_run(args) -> int:
     scenario = _load(args.scenario)
-    scenario.horizon = args.horizon if args.horizon is not None else scenario.horizon
+    scenario.horizon = _horizon_for(scenario, args)
     try:
         world, digest, summary = run_scenario(scenario, seed=_seed_for(scenario, args))
     except SdcpsError as exc:
@@ -80,18 +88,18 @@ def cmd_validate(args) -> int:
 
 def cmd_twin_compare(args) -> int:
     scenario = _load(args.scenario)
-    horizon = args.horizon if args.horizon is not None else scenario.horizon
+    horizon = _horizon_for(scenario, args)
     seed = _seed_for(scenario, args)
     try:
         physical = build_world(scenario, seed=seed)
         twin = spawn_twin(physical)
         physical.run(horizon)
-        twin.world.run(horizon)
+        twin.run(horizon)
     except SdcpsError as exc:
         print(f"runtime abort: {exc}", file=sys.stderr)
         return 2
     p_hash = physical.trace_hash()
-    t_hash = twin.world.trace_hash()
+    t_hash = twin.trace_hash()
     print(f"physical {p_hash}")
     print(f"twin     {t_hash}")
     if p_hash == t_hash:

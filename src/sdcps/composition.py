@@ -274,6 +274,8 @@ def speedup_curve(
     virtual execution spaces, for each m in `instances`."""
     from .topology import Node, NodeKind
 
+    if n_tasks < 1:
+        raise BadParameter(f"task count {n_tasks} must be >= 1")
     dag = CompositionDag([(f"t{i:04d}", "unit") for i in range(n_tasks)])
 
     def makespan(m: int) -> int:
@@ -292,8 +294,7 @@ def speedup_curve(
         span = makespan(m)
         if base_makespan is None:
             base_makespan = makespan(1)
-        speedup = base_makespan / span if span else float(n_tasks)
-        results.append((m, span, speedup))
+        results.append((m, span, base_makespan / span))
     return results
 
 

@@ -205,35 +205,32 @@ class SouthboundReport:
 class HealthEstimate:
     node: NodeId
     verdict: Verdict
-    window: int
 
 
-@dataclass
-class _NodeWindow:
-    loss_streak: int = 0
-    congested_streak: int = 0
-    clean_streak: int = 0
-    verdict: Verdict = Verdict.HEALTHY
+# (run, length, verdict): the verdict the node's latest consecutive
+# observations point to, how many there are, and the node's current verdict
+_FRESH_WINDOW = (Verdict.HEALTHY, 0, Verdict.HEALTHY)
 
 
 class HealthMonitor:
-    """Escalates a verdict after `window` consecutive corroborating
-    observations; a single clean observation resets the counters, and
-    `window` consecutive clean observations clear an existing verdict."""
+    """Sets a node's verdict once `window` consecutive observations point
+    to it: losses to suspect-failed, slow replies to suspect-congested and
+    clean replies to healthy. An observation of another kind starts a new
+    run, so `window` clean observations clear an existing verdict."""
 
     def __init__(self, topology: Topology, window: int = DEFAULT_WINDOW,
                  congestion_threshold: float = DEFAULT_CONGESTION_THRESHOLD):
         self._topology = topology
         self.window = window
         self.congestion_threshold = congestion_threshold
-        self._windows: dict[NodeId, _NodeWindow] = {}
+        self._windows: dict[NodeId, tuple[Verdict, int, Verdict]] = {}
         self._last_tick: dict[NodeId, int] = {}
 
     def estimates(self) -> dict[NodeId, Verdict]:
         return {
-            n: w.verdict
-            for n, w in sorted(self._windows.items())
-            if w.verdict is not Verdict.HEALTHY
+            n: verdict
+            for n, (_run, _length, verdict) in sorted(self._windows.items())
+            if verdict is not Verdict.HEALTHY
         }
 
     def ingest(self, report: SouthboundReport) -> list[HealthEstimate]:
@@ -254,29 +251,18 @@ class HealthMonitor:
         return transitions
 
     def _observe(self, node: NodeId, observation, nominal: int) -> Optional[HealthEstimate]:
-        w = self._windows.setdefault(node, _NodeWindow())
-        before = w.verdict
         if observation == LOSS:
-            w.loss_streak += 1
-            w.congested_streak = 0
-            w.clean_streak = 0
+            points_to = Verdict.SUSPECT_FAILED
         elif observation > self.congestion_threshold * nominal:
-            w.congested_streak += 1
-            w.loss_streak = 0
-            w.clean_streak = 0
+            points_to = Verdict.SUSPECT_CONGESTED
         else:
-            w.loss_streak = 0
-            w.congested_streak = 0
-            w.clean_streak += 1
-        if w.loss_streak >= self.window:
-            w.verdict = Verdict.SUSPECT_FAILED
-        elif w.congested_streak >= self.window:
-            w.verdict = Verdict.SUSPECT_CONGESTED
-        elif w.clean_streak >= self.window:
-            w.verdict = Verdict.HEALTHY
-        if w.verdict is not before:
-            streak = max(w.loss_streak, w.congested_streak, w.clean_streak)
-            return HealthEstimate(node, w.verdict, streak)
+            points_to = Verdict.HEALTHY
+        run, length, before = self._windows.get(node, _FRESH_WINDOW)
+        length = length + 1 if points_to is run else 1
+        verdict = points_to if length >= self.window else before
+        self._windows[node] = (points_to, length, verdict)
+        if verdict is not before:
+            return HealthEstimate(node, verdict)
         return None
 
 

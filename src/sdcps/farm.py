@@ -9,7 +9,8 @@ traffic; it keeps no message log.
 
 from __future__ import annotations
 
-from .controller import Controller, ControllerId, HealthEstimate, SouthboundReport, TenantId
+from .controller import DEFAULT_CONGESTION_THRESHOLD, DEFAULT_WINDOW, Controller, ControllerId
+from .controller import HealthEstimate, SouthboundReport, TenantId
 from .errors import (
     DisconnectedDomain,
     DuplicateId,
@@ -29,14 +30,16 @@ class Farm:
 
     The farm is the single mutation point for registration; controllers it
     creates share only read-only structures. Each controller has two bus
-    inboxes, delivered next tick: southbound reports from its domain's nodes
-    (`south/<domain>/reports`) and health digests from its peers
-    (`west/to/<peer>/<sender>`). Segment tables and store reads are direct
-    calls; `message_count` counts each call to a peer as a request plus its
-    reply or nack, and each digest as one message.
+    inboxes, one exact topic each, delivered next tick: southbound reports
+    from its domain's nodes (`south/<domain>/reports`) and health digests
+    from its peers (`west/to/<receiver>`, each carrying its sender). Segment
+    tables and store reads are direct calls; `message_count` counts each call
+    to a peer as a request plus its reply or nack, and each digest as one
+    message.
     """
 
-    def __init__(self, topology, slice_table, bus, window=3, congestion_threshold=2.0):
+    def __init__(self, topology, slice_table, bus, window=DEFAULT_WINDOW,
+                 congestion_threshold=DEFAULT_CONGESTION_THRESHOLD):
         self._topology: Topology = topology
         self._slices = slice_table
         self._window = window
@@ -77,7 +80,7 @@ class Farm:
             self._owner[n] = domain_id
         self._inboxes[domain_id] = (
             self._bus.subscribe(f"south/{domain_id}/reports"),
-            self._bus.subscribe(f"west/to/{domain_id:06d}/*"),
+            self._bus.subscribe(f"west/to/{domain_id}"),
         )
         self.invalidate_caches()
         return domain_id
@@ -123,7 +126,7 @@ class Farm:
                 continue
             self.message_count += 1
             self._bus.publish(
-                f"west/to/{peer:06d}/{sender:06d}", (sender, estimates), self.now,
+                f"west/to/{peer}", (sender, estimates), self.now,
                 f"controller/{sender:06d}",
             )
         self.invalidate_caches()

@@ -69,22 +69,14 @@ class MetricsDelta:
     snapshot_tick: int
 
 
-@dataclass
-class TwinWorld:
-    world: World
-    mapping: dict[NodeId, NodeId]
-    twin_seed: int
-
-
-def spawn_twin(world: World, twin_seed: Optional[int] = None) -> TwinWorld:
+def spawn_twin(world: World, twin_seed: Optional[int] = None) -> World:
     """Fork the world at a tick boundary into an isolated twin."""
     if world.mid_tick:
         raise MidTickSpawn("twins may only be spawned between ticks")
     twin = world.fork()
     if twin_seed is not None:
         twin.reseed(twin_seed)
-    mapping = {n: n for n in world.topology.node_ids()}
-    return TwinWorld(twin, mapping, twin_seed if twin_seed is not None else world.seed)
+    return twin
 
 
 def apply_decision(world: World, decision: Decision) -> None:
@@ -129,14 +121,14 @@ def apply_decision(world: World, decision: Decision) -> None:
         raise UnresolvableDecision(f"unknown decision kind {decision.kind}")
 
 
-def evaluate(twin: TwinWorld, decision: Decision, horizon: int) -> MetricsDelta:
+def evaluate(twin: World, decision: Decision, horizon: int) -> MetricsDelta:
     """Run baseline and decision branches from identical snapshots and
     return candidate minus baseline metrics over that horizon."""
     if horizon < 1:
         raise UnresolvableDecision("horizon must be >= 1")
-    snapshot_tick = twin.world.now
-    baseline = twin.world.fork()
-    candidate = twin.world.fork()
+    snapshot_tick = twin.now
+    baseline = twin.fork()
+    candidate = twin.fork()
     apply_decision(candidate, decision)  # UnresolvableDecision propagates
     baseline.run(horizon)
     candidate.run(horizon)

@@ -26,6 +26,8 @@ from typing import Optional
 
 from .bus import Bus
 from .controller import (
+    DEFAULT_CONGESTION_THRESHOLD,
+    DEFAULT_WINDOW,
     LOSS,
     Priority,
     SliceTable,
@@ -46,9 +48,9 @@ from .topology import Health, HealthState, Node, NodeId, Topology
 
 @dataclass
 class WorldOptions:
-    window: int = 3
+    window: int = DEFAULT_WINDOW
     digest_period: int = DEFAULT_DIGEST_PERIOD
-    congestion_threshold: float = 2.0
+    congestion_threshold: float = DEFAULT_CONGESTION_THRESHOLD
     materialize_transfers: bool = False
     transfer_tenant: int = 0
 
@@ -128,7 +130,6 @@ class World:
         self.metrics: list[MetricsRecord] = []
         self.rejected_flows: list[tuple[PendingFlow, str]] = []
         self.health_log: list[str] = []
-        self._line_mark = 0
         # optional service-composition workload
         self.registry = None
         self.dag = None
@@ -251,7 +252,6 @@ class World:
         t = self.now
         self.farm.now = t
         self.engine.begin_tick(t)
-        self._line_mark = len(self.log.lines)
 
         # 1. boundary changes
         for fault in sorted(
@@ -301,11 +301,6 @@ class World:
         # 6. movement and telemetry
         self.engine.tick_movement()
         self._telemetry(t)
-
-        # mirror this tick's event lines onto the flow-events topic
-        if self.bus.has_subscriber("events/flows"):
-            for line in self.log.lines[self._line_mark:]:
-                self.bus.publish("events/flows", line, t, "kernel")
 
         # 7. metrics
         rec = MetricsRecord(

@@ -344,15 +344,15 @@ def test_acceptance_6_twin_fidelity():
         fidelity_twin = spawn_twin(w)
         scratch_twin = spawn_twin(w)
         # twin mutations must never touch the physical run
-        scratch_twin.world.apply_health(origin, Health.congested(2.5))
-        scratch_twin.world.run(3)
+        scratch_twin.apply_health(origin, Health.congested(2.5))
+        scratch_twin.run(3)
         reference = spawn_twin(w)  # pristine copy run side by side
         w.run(horizon)
-        fidelity_twin.world.run(horizon)
-        reference.world.run(horizon)
-        if fidelity_twin.world.trace_hash() != w.trace_hash():
+        fidelity_twin.run(horizon)
+        reference.run(horizon)
+        if fidelity_twin.trace_hash() != w.trace_hash():
             failures.append(f"scenario {i}: twin hash diverged")
-        if reference.world.trace_hash() != w.trace_hash():
+        if reference.trace_hash() != w.trace_hash():
             failures.append(f"scenario {i}: physical perturbed by twin activity")
     elapsed = time.monotonic() - started
     _report(

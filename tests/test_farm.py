@@ -121,10 +121,10 @@ def test_world_duplicate_domain_keeps_first_controller_and_subscriptions():
     w.add_link(0, 1, 1, 1)
     w.add_link(2, 3, 1, 1)
     w.register_domain(0, [0, 1])
-    before = list(w.bus.subscriptions)
+    before = {t: list(s) for t, s in w.bus.subscriptions.items()}
     with pytest.raises(DuplicateId):
         w.register_domain(0, [2, 3])
-    assert w.bus.subscriptions == before
+    assert {t: list(s) for t, s in w.bus.subscriptions.items()} == before
     assert w.farm.resolve(0) == 0 and w.farm.unassigned_nodes() == [2, 3]
 
 

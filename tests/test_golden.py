@@ -8,24 +8,42 @@ messages totals must equal the values in tests/golden/expected.json. The generat
 once with `perfbench/gen.py` (federated-admission and twin-rehearsal, seed 2,
 instance 0) and are committed as JSON.
 
+The generated twin-rehearsal scenario also pins `rehearsal_sha256`: it is
+run again on the benchmark's rehearsal schedule (`perfbench/harness.py`), and
+the sha256 covers each rehearsal's `MetricsDelta` and commit result, then
+every metrics record and the summary line.
+
 A change that alters behaviour re-pins explicitly, and records the re-pin
 and its reason in CHANGES.md:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import dataclasses
 import hashlib
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+from sdcps import sandbox
 from sdcps.cli import main as cli_main
 from sdcps.scenario import parse_scenario
 
 TESTS = Path(__file__).parent
+sys.path.insert(0, str(TESTS.parent / "perfbench"))
+
+from harness import (  # noqa: E402
+    FIRST_REHEARSAL,
+    REHEARSAL_EVERY,
+    REHEARSAL_HORIZON,
+    _decision,
+    set_up,
+)
+
 EXPECTED = TESTS / "golden" / "expected.json"
 SCENARIOS = sorted(
     p.relative_to(TESTS).as_posix()
@@ -33,6 +51,30 @@ SCENARIOS = sorted(
     if p != EXPECTED
 )
 TOTALS = ("delivered", "dropped", "cloned", "messages")
+REHEARSED = {"golden/twin-rehearsal-2-0.json"}
+
+
+def _json(obj) -> bytes:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
+def rehearsal_sha256(name: str) -> str:
+    """Run the scenario with a seeded rehearsal every REHEARSAL_EVERY ticks
+    from FIRST_REHEARSAL on, as the benchmark does, and hash what it shows."""
+    scenario, world, _ = set_up((TESTS / name).read_text(encoding="utf-8"))
+    rng = random.Random(f"decisions:{name}")
+    h = hashlib.sha256()
+    for _ in range(scenario.horizon):
+        world.tick()
+        if world.now >= FIRST_REHEARSAL and world.now % REHEARSAL_EVERY == 0:
+            decision = _decision(rng, world)
+            delta = sandbox.evaluate(sandbox.spawn_twin(world), decision, REHEARSAL_HORIZON)
+            h.update(_json(dataclasses.asdict(delta)))
+            h.update(_json(sandbox.commit(world, decision, delta)))
+    for rec in world.metrics:
+        h.update(rec.to_json().encode() + b"\n")
+    h.update(_json({"summary": world.summary()}))
+    return h.hexdigest()
 
 
 def observe(name: str) -> dict:
@@ -44,11 +86,14 @@ def observe(name: str) -> dict:
         assert cli_main(["run", str(path), "--seed", str(seed), "--out", str(out)]) == 0
         output = out.read_bytes()
     summary = json.loads(output.splitlines()[-1])["summary"]
-    return {
+    observed = {
         "output_sha256": hashlib.sha256(output).hexdigest(),
         "trace_hash": summary["trace_hash"],
         "totals": {k: summary["totals"][k] for k in TOTALS},
     }
+    if name in REHEARSED:
+        observed["rehearsal_sha256"] = rehearsal_sha256(name)
+    return observed
 
 
 def test_corpus_is_fully_pinned():

@@ -57,14 +57,26 @@ def test_bus_no_subscriber_drops_and_counts():
     assert bus.dropped_no_subscriber == 1
 
 
-def test_bus_wildcard_subscription():
+def test_bus_delivers_by_exact_topic():
     bus = Bus()
-    sub = bus.subscribe("south/*")
+    prefix = bus.subscribe("south")
+    literal = bus.subscribe("south/*")
     bus.publish("south/0/reports", "a", tick=0, publisher="p")
-    bus.publish("south/1/reports", "b", tick=0, publisher="p")
-    bus.publish("north/0", "c", tick=0, publisher="p")
     bus.deliver_up_to(1)
-    assert [m.payload for m in sub.drain()] == ["a", "b"]
+    assert prefix.drain() == [] and literal.drain() == []
+    assert bus.dropped_no_subscriber == 1
+
+
+def test_bus_fans_out_to_every_subscriber_of_a_topic():
+    bus = Bus()
+    first, second = bus.subscribe("t"), bus.subscribe("t")
+    bus.publish("t", "m1", tick=1, publisher="p")
+    bus.publish("t", "m0", tick=0, publisher="p")
+    bus.deliver_up_to(2)
+    bus.deliver_up_to(3)
+    assert [m.payload for m in first.drain()] == ["m0", "m1"]
+    assert [m.payload for m in second.drain()] == ["m0", "m1"]
+    assert bus.dropped_no_subscriber == 0
 
 
 def test_bus_at_most_once_per_subscriber():
@@ -307,39 +319,6 @@ def test_seed_override_changes_malicious_run():
     assert len(hashes) > 1
 
 
-def test_flow_events_mirrored_on_bus():
-    scenario = load("minimal.json")
-    from sdcps.scenario import build_world
-
-    world = build_world(scenario)
-    sub = world.bus.subscribe("events/flows")
-    world.run(scenario.horizon)
-    lines = [m.payload for m in sub.drain()]
-    assert any("ev=deliver" in l for l in lines)
-
-
-def test_flow_events_not_published_without_subscriber():
-    scenario = load("minimal.json")
-    from sdcps.scenario import build_world
-
-    quiet = build_world(scenario)
-    topics = []
-    publish = quiet.bus.publish
-
-    def recording(topic, *args):
-        topics.append(topic)
-        return publish(topic, *args)
-
-    quiet.bus.publish = recording
-    quiet.run(scenario.horizon)
-    assert topics and "events/flows" not in topics
-    mirrored = build_world(scenario)
-    mirrored.bus.subscribe("events/flows")
-    mirrored.run(scenario.horizon)
-    assert quiet.trace_hash() == mirrored.trace_hash()
-    assert quiet.summary() == mirrored.summary()
-
-
 @pytest.mark.parametrize("name", all_fixture_names())
 def test_fixture_runs_publish_nothing_without_subscriber(name):
     world, _, _ = run_scenario(load(name))
@@ -469,6 +448,11 @@ CLI_CASES = [
     (["sweep", "{good}", "--cost", "0"], None, 1),
     (["sweep", "{good}", "--instances", "1,x"], None, 1),
     (["sweep", "{invalid}"], None, 1),
+    (["run", "{good}", "--horizon", "0"], None, 1),
+    (["twin-compare", "{good}", "--horizon", "0"], None, 1),
+    (["twin-compare", "{good}", "--horizon", "-2"], None, 1),
+    (["sweep", "{good}", "--tasks", "0"], None, 1),
+    (["sweep", "{good}", "--tasks", "-4"], None, 1),
 ]
 
 

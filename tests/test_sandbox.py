@@ -64,32 +64,32 @@ def test_twin_same_seed_same_trace(diamond_world):
     diamond_world.schedule_fault(3, 1, Health.malicious(0.5))
     twin = spawn_twin(diamond_world)
     diamond_world.run(10)
-    twin.world.run(10)
-    assert twin.world.trace_hash() == diamond_world.trace_hash()
+    twin.run(10)
+    assert twin.trace_hash() == diamond_world.trace_hash()
 
 
 def test_twin_mutations_leave_physical_untouched(diamond_world):
     diamond_world.schedule_flow(0, 0, 3, 4, 0)
     twin = spawn_twin(diamond_world)
-    twin.world.apply_health(1, Health.failed())
-    twin.world.run(8)
+    twin.apply_health(1, Health.failed())
+    twin.run(8)
     before = diamond_world.trace_hash()
     diamond_world.run(8)
     solo = build_world(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
     solo.schedule_flow(0, 0, 3, 4, 0)
     solo.run(8)
     assert diamond_world.trace_hash() == solo.trace_hash()
-    assert twin.world.trace_hash() != diamond_world.trace_hash()
+    assert twin.trace_hash() != diamond_world.trace_hash()
 
 
 def test_twin_starts_with_empty_history_and_live_digest():
     w = congested_diamond_world()
     assert all(history(w))
     twin = spawn_twin(w)
-    assert [len(sink) for sink in history(twin.world)] == [0] * 3
-    assert twin.world.trace_hash() == w.trace_hash()
-    assert twin.world.summary()["totals"] == w.summary()["totals"]
-    assert twin.world.summary()["health_events"] == w.summary()["health_events"]
+    assert [len(sink) for sink in history(twin)] == [0] * 3
+    assert twin.trace_hash() == w.trace_hash()
+    assert twin.summary()["totals"] == w.summary()["totals"]
+    assert twin.summary()["health_events"] == w.summary()["health_events"]
 
 
 def test_twin_and_evaluate_leave_physical_history_untouched():
@@ -97,7 +97,7 @@ def test_twin_and_evaluate_leave_physical_history_untouched():
     lengths = [len(sink) for sink in history(w)]
     trace = w.trace_hash()
     twin = spawn_twin(w)
-    twin.world.run(6)
+    twin.run(6)
     evaluate(twin, Decision.inject_repair(1), horizon=6)
     assert [len(sink) for sink in history(w)] == lengths
     assert w.trace_hash() == trace
@@ -108,19 +108,12 @@ def test_twin_metrics_records_track_physical():
     twin = spawn_twin(w)
     snapshot = len(w.metrics)
     w.run(7)
-    twin.world.run(7)
-    assert [m.to_json() for m in twin.world.metrics] == [
+    twin.run(7)
+    assert [m.to_json() for m in twin.metrics] == [
         m.to_json() for m in w.metrics[snapshot:]
     ]
-    assert twin.world.log.lines == w.log.lines[-len(twin.world.log.lines):]
-    assert twin.world.trace_hash() == w.trace_hash()
-
-
-def test_twin_mapping_is_identity_bijection():
-    w = build_world(50, [(i, i + 1) for i in range(49)])
-    twin = spawn_twin(w)
-    assert len(twin.mapping) == 50
-    assert all(k == v for k, v in twin.mapping.items())
+    assert twin.log.lines == w.log.lines[-len(twin.log.lines):]
+    assert twin.trace_hash() == w.trace_hash()
 
 
 def test_mid_tick_spawn_rejected(line_world):
@@ -132,7 +125,7 @@ def test_mid_tick_spawn_rejected(line_world):
 def test_twin_divergent_seed_allowed(diamond_world):
     diamond_world.schedule_flow(0, 0, 3, 4, 0)
     twin = spawn_twin(diamond_world, twin_seed=999)
-    assert twin.twin_seed == 999
+    assert twin.seed == 999
 
 
 # -- evaluate -------------------------------------------------------------------------
@@ -245,9 +238,9 @@ def test_evaluate_leaves_twin_at_snapshot(line_world):
     line_world.schedule_flow(0, 0, 2, 2, 0)
     line_world.run(2)
     twin = spawn_twin(line_world)
-    tick_before = twin.world.now
+    tick_before = twin.now
     evaluate(twin, Decision.inject_repair(1), horizon=5)
-    assert twin.world.now == tick_before
+    assert twin.now == tick_before
 
 
 def test_place_task_decision_changes_makespan():
@@ -299,7 +292,7 @@ def test_worsening_decision_rejected():
 
 def test_rejected_decision_leaves_no_observable_difference():
     w = blocked_line_world()
-    baseline = spawn_twin(w).world
+    baseline = spawn_twin(w)
     twin = spawn_twin(w)
     decision = Decision.inject_repair(1)
     delta = evaluate(twin, decision, horizon=6)
