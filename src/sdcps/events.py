@@ -2,7 +2,8 @@
 
 Every observable simulation event is rendered as one stable text line and
 folded into a 64-bit FNV-1a digest. Equal scenarios with equal seeds yield
-equal digests; the twin fidelity and determinism checks compare these.
+equal digests; the twin fidelity and determinism checks compare these. The
+lines themselves are not kept, so a log's size does not grow with the run.
 """
 
 from __future__ import annotations
@@ -21,14 +22,12 @@ def fnv1a_64(data: bytes, state: int = FNV_OFFSET) -> int:
 
 
 class EventLog:
-    """Append-only event lines plus an incrementally maintained digest."""
+    """The running digest of every emitted event line."""
 
     def __init__(self):
-        self.lines: list[str] = []
         self._digest = FNV_OFFSET
 
     def emit(self, line: str) -> None:
-        self.lines.append(line)
         self._digest = fnv1a_64(line.encode() + b"\n", self._digest)
 
     def trace_hash(self) -> str:

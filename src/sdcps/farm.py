@@ -114,8 +114,9 @@ class Farm:
         tenant: TenantId,
         path,
     ) -> bytes:
-        if owner != requester:
-            self.message_count += 2  # the request, and its reply or nack
+        if owner == requester:  # a controller reads its own store with the tenant's rights
+            return self.controllers[owner].store_get(tenant, path, as_tenant=tenant)
+        self.message_count += 2  # the request, and its reply or nack
         return self.controllers[owner].store_get(tenant, path, as_controller=requester)
 
     def broadcast_health_digest(self, sender: ControllerId) -> None:

@@ -147,7 +147,6 @@ class FlowEngine:
         self.latency_sum = 0  # delivery latencies, as sum and count
         self.latency_count = 0
         self.slice_violations = 0
-        self.qos_log: list[tuple[int, tuple, TenantId, int, int, int]] = []
 
     def begin_tick(self, now: int) -> None:
         self.now = now
@@ -179,12 +178,6 @@ class FlowEngine:
         else:
             self.units.extend(fresh)
         return fid
-
-    def delivered(self, fid: int) -> list[int]:
-        return list(self._flow(fid).delivered_record)
-
-    def arrivals_at_destination(self, fid: int) -> list[int]:
-        return list(self._flow(fid).destination_arrivals)
 
     def _flow(self, fid: int) -> Flow:
         if fid not in self.flows:
@@ -497,10 +490,8 @@ class FlowEngine:
                 continue
             grants = qos_schedule(link.capacity, requests)
             latency = self._topology.effective_latency(here, nxt)
-            for tenant, _prio, share, n_pending in requests:
-                granted = grants.get(tenant, 0)
-                self.qos_log.append((self.now, lid, tenant, n_pending, share, granted))
-                for u in pending[tenant][:granted]:
+            for tenant, *_ in requests:
+                for u in pending[tenant][:grants.get(tenant, 0)]:
                     u.in_transit = True
                     u.position += 1
                     u.remaining = latency

@@ -4,11 +4,10 @@ rehearsal improved things.
 
 A twin is a `World.fork()`: a deep copy of the live state (topology,
 controllers, bus, flows, units, RNG, running trace digest, counters) in
-which the history sinks (event lines, metrics records, QoS log) start
-empty. It runs the same code the physical world runs; with the
-same seed its trace hash and totals continue tick for tick from the
-physical world's, and its history begins at the snapshot. Twin mutations
-can never touch physical state.
+which the metrics records start empty. It runs the same code the physical
+world runs; with the same seed its trace hash and totals continue tick for
+tick from the physical world's, and its metrics history begins at the
+snapshot. Twin mutations can never touch physical state.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """The simulated world and its deterministic tick loop.
 
 One world owns everything mutable (topology, controllers, flows, bus, RNG,
-trace) so `World.fork()` is a faithful twin. Each tick runs fixed phases:
+trace digest) so `World.fork()` is a faithful twin. Its only history is the
+per-tick metrics records: event lines fold into the digest and are not kept.
+Each tick runs fixed phases:
 
   1. boundary changes   scheduled faults, committed decisions
   2. bus delivery       reports and digests published last tick, in
@@ -29,6 +31,7 @@ from .controller import (
     DEFAULT_CONGESTION_THRESHOLD,
     DEFAULT_WINDOW,
     LOSS,
+    ControllerId,
     Priority,
     SliceTable,
     SouthboundReport,
@@ -185,12 +188,10 @@ class World:
 
     def fork(self) -> "World":
         """Deep-copy the live state: topology, slices, controllers, bus,
-        flows, units, buffers, RNG, running digest and counters. The pure
-        history sinks (event lines, metrics records, QoS log) start empty
-        in the copy, so its trace hash, counters and totals continue from
-        here while its history begins here."""
-        sinks = (self.log.lines, self.metrics, self.engine.qos_log)
-        return copy.deepcopy(self, {id(sink): [] for sink in sinks})
+        flows, units, buffers, RNG, running digest and counters. The metrics
+        records start empty in the copy, so its trace hash, counters and
+        totals continue from here while its history begins here."""
+        return copy.deepcopy(self, {id(self.metrics): []})
 
     def reseed(self, seed: int) -> None:
         self.seed = seed
@@ -327,12 +328,15 @@ class World:
                 break
 
     def _clone_decisions(self) -> None:
+        suspects_of: dict[ControllerId, set[NodeId]] = {}  # verdicts are fixed this phase
         for fid in sorted(self.engine.flows):
             flow = self.engine.flows[fid]
             if flow.state is not FlowState.ACTIVE:
                 continue
             owner = self.farm.resolve(flow.origin)
-            suspects = self.farm.controllers[owner].suspect_failed()
+            if owner not in suspects_of:
+                suspects_of[owner] = self.farm.controllers[owner].suspect_failed()
+            suspects = suspects_of[owner]
             for node in flow.path[1:-1]:
                 if node not in suspects or node in flow.handled_bad:
                     continue

@@ -1,8 +1,10 @@
 import heapq
+from collections import defaultdict
 
 import pytest
 
-from sdcps import Node, NodeKind, Priority, Topology, World
+from sdcps import Node, NodeKind, Priority, Topology, World, flow_engine
+from sdcps.events import EventLog
 
 
 def make_node(i, kind=NodeKind.SWITCH, compute=None):
@@ -111,6 +113,43 @@ def reference_high_water(engine, flow):
         else:
             high_water[seq] = positions.get(seq, 0)
     return high_water
+
+
+def record_event_lines(mp):
+    """Wrap `EventLog.emit` through the monkeypatch `mp` so every emitted line
+    is also kept, and return the record: log object -> its lines, in emit
+    order. A twin's log is a new object, so its lines start at the snapshot."""
+    recorded = defaultdict(list)
+    emit = EventLog.emit
+
+    def recording_emit(log, line):
+        recorded[log].append(line)
+        emit(log, line)
+
+    mp.setattr(EventLog, "emit", recording_emit)
+    return recorded
+
+
+@pytest.fixture
+def event_lines(monkeypatch):
+    """`event_lines[world.log]`: the lines that log emitted in this test."""
+    return record_event_lines(monkeypatch)
+
+
+@pytest.fixture
+def qos_grants(monkeypatch):
+    """Every link allocation the flow engine makes in this test, as
+    `(requests, grants)` of its `qos_schedule` call."""
+    calls = []
+    schedule = flow_engine.qos_schedule
+
+    def recording_schedule(capacity, requests):
+        grants = schedule(capacity, requests)
+        calls.append((requests, grants))
+        return grants
+
+    monkeypatch.setattr(flow_engine, "qos_schedule", recording_schedule)
+    return calls
 
 
 def build_world(n_nodes, links, seed=0, share=1, priority=Priority.GOLD,

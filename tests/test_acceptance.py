@@ -127,7 +127,7 @@ def test_acceptance_1_exactly_once_resilience():
         if len(delivered) == units:
             exposed = False
         w.run(250, stop_when_quiescent=True)
-        record = w.engine.delivered(0)
+        record = w.engine.flows[0].delivered_record
         state = w.engine.flows[0].state
         if not exposed:
             vacuous += 1
@@ -266,18 +266,24 @@ def test_acceptance_3_federation_transparency():
 
 # -- 4. tenant isolation ----------------------------------------------------------------------
 
-def test_acceptance_4_tenant_isolation():
+def test_acceptance_4_tenant_isolation(event_lines, qos_grants):
     scenario = parse_scenario((FIXTURES / "qos_contention.json").read_text())
     world, _, summary = run_scenario(scenario)
     slice_a = world.slices.get(0)
     share = slice_a.share
     violations = []
-    for tick, lid, tenant, pending, shr, granted in world.engine.qos_log:
-        if tenant == 0 and granted < min(pending, shr):
-            violations.append((tick, lid, pending, granted))
+    tenant_0_grants = 0
+    for requests, grants in qos_grants:
+        for tenant, _prio, shr, pending in requests:
+            if tenant != 0:
+                continue
+            granted = grants.get(tenant, 0)
+            tenant_0_grants += granted
+            if granted < min(pending, shr):
+                violations.append((pending, shr, granted))
     # every unit tenant 0 sent must ride a slice link
     off_slice = []
-    for line in world.log.lines:
+    for line in event_lines[world.log]:
         if "ev=send flow=0 " in line:
             a, b = line.rsplit("link=", 1)[1].split("-")
             lid = tuple(sorted((int(a), int(b))))
@@ -285,7 +291,8 @@ def test_acceptance_4_tenant_isolation():
                 off_slice.append(line)
     a_flow = summary["flows"][0]
     ok = (
-        not violations
+        tenant_0_grants > 0
+        and not violations
         and not off_slice
         and a_flow["state"] == "delivered"
         and a_flow["delivered"] == list(range(8))
@@ -294,7 +301,8 @@ def test_acceptance_4_tenant_isolation():
     _report(
         "4 tenant isolation",
         ok,
-        f"(guarantee breaches={violations[:3]}, off-slice={len(off_slice)}, share={share})",
+        f"(tenant-0 grants={tenant_0_grants}, guarantee breaches={violations[:3]}, "
+        f"off-slice={len(off_slice)}, share={share})",
     )
 
 

@@ -331,6 +331,18 @@ def test_owner_store_read_sends_nothing():
     assert w.farm.message_count == before
 
 
+def test_owner_store_read_needs_no_grant():
+    w = farm_world({0: [0, 1], 1: [2, 3]}, [(0, 1), (1, 2), (2, 3)])
+    w.farm.controllers[1].store_put(7, ["secret"], b"s")
+    before = w.farm.message_count
+    assert w.farm.peer_store_read(1, 1, 7, ["secret"]) == b"s"
+    with pytest.raises(NotFound):
+        w.farm.peer_store_read(1, 1, 7, ["missing"])
+    assert w.farm.message_count == before
+    with pytest.raises(AccessDenied):
+        w.farm.peer_store_read(0, 1, 7, ["secret"])
+
+
 def test_digest_broadcast_counts_one_message_per_peer():
     w = farm_world(
         {0: [0, 1], 1: [2, 3], 2: [4, 5]},

@@ -33,7 +33,7 @@ def test_open_flow_line(line_world):
 def test_open_flow_zero_units_delivers_immediately(line_world):
     fid = line_world.open_flow(0, 0, 2, 0)
     assert line_world.engine.flows[fid].state is FlowState.DELIVERED
-    assert line_world.engine.delivered(fid) == []
+    assert line_world.engine.flows[fid].delivered_record == []
 
 
 def test_open_flow_no_path_creates_nothing():
@@ -340,7 +340,7 @@ def test_stale_decision_rejected(diamond_world):
         diamond_world.engine.clone_subflow(d)
 
 
-def test_rejoin_buffer_dedupes_original_and_clone():
+def test_rejoin_buffer_dedupes_original_and_clone(event_lines):
     # false positive on node 1: originals pass through it while clones
     # ride the chord, so node 2 sees both copies and must dedupe
     w = build_world(4, [(0, 1), (1, 2), (2, 3), (0, 2, 3)], capacity=1)
@@ -355,7 +355,7 @@ def test_rejoin_buffer_dedupes_original_and_clone():
     assert flow.state is FlowState.DELIVERED
     assert flow.delivered_record == [0, 1, 2]
     arrivals_at_2 = [
-        l for l in w.log.lines if "ev=arrive" in l and l.endswith("node=2")
+        l for l in event_lines[w.log] if "ev=arrive" in l and l.endswith("node=2")
     ]
     seqs = [l.split("seq=")[1].split()[0] for l in arrivals_at_2]
     assert len(seqs) > len(set(seqs))  # a duplicate really reached the buffer
@@ -398,12 +398,12 @@ def test_recompose_skips_preseeded():
 def test_delivered_full_record(line_world):
     line_world.schedule_flow(0, 0, 2, 4, 0)
     line_world.run(10)
-    assert line_world.engine.delivered(0) == [0, 1, 2, 3]
+    assert line_world.engine.flows[0].delivered_record == [0, 1, 2, 3]
 
 
 def test_delivered_unknown_flow(line_world):
     with pytest.raises(UnknownFlow):
-        line_world.engine.delivered(42)
+        line_world.engine.at_risk_seqs(42, 1)
 
 
 def test_failed_flow_record_is_prefix():
@@ -444,7 +444,7 @@ def test_destination_prebuffer_record_keeps_duplicates(diamond_world):
     flow = diamond_world.engine.flows[fid]
     assert flow.state is FlowState.DELIVERED
     assert flow.delivered_record == [0, 1, 2]
-    raw = diamond_world.engine.arrivals_at_destination(fid)
+    raw = flow.destination_arrivals
     assert len(raw) == 6  # every seq arrived twice, pre-buffer
     assert sorted(raw) == [0, 0, 1, 1, 2, 2]
 

@@ -3,8 +3,10 @@
 Every fixture in tests/fixtures/ and every generated scenario in
 tests/golden/ runs to its horizon at its own seed through `sdcps run --out`.
 The sha256 of the bytes it writes (every per-tick metrics record plus the
-summary line), its trace hash and its delivered, dropped, cloned and
-messages totals must equal the values in tests/golden/expected.json. The generated scenarios were made
+summary line), the sha256 of every event line it emits (each followed by a
+newline, recorded by wrapping `EventLog.emit`), its trace hash and its
+delivered, dropped, cloned and messages totals must equal the values in
+tests/golden/expected.json. The generated scenarios were made
 once with `perfbench/gen.py` (federated-admission and twin-rehearsal, seed 2,
 instance 0) and are committed as JSON.
 
@@ -29,9 +31,11 @@ from pathlib import Path
 
 import pytest
 
-from sdcps import sandbox
+from sdcps import events, sandbox
 from sdcps.cli import main as cli_main
-from sdcps.scenario import parse_scenario
+from sdcps.scenario import parse_scenario, run_scenario
+
+from conftest import record_event_lines
 
 TESTS = Path(__file__).parent
 sys.path.insert(0, str(TESTS.parent / "perfbench"))
@@ -81,12 +85,15 @@ def observe(name: str) -> dict:
     path = TESTS / name
     # an explicit --seed equal to the scenario's own keeps SDCPS_SEED out
     seed = parse_scenario(path.read_text(encoding="utf-8")).seed
-    with tempfile.TemporaryDirectory() as tmp:
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        recorded = record_event_lines(mp)
         out = Path(tmp) / "metrics.jsonl"
         assert cli_main(["run", str(path), "--seed", str(seed), "--out", str(out)]) == 0
         output = out.read_bytes()
+    stream = "".join(line + "\n" for lines in recorded.values() for line in lines)
     summary = json.loads(output.splitlines()[-1])["summary"]
     observed = {
+        "events_sha256": hashlib.sha256(stream.encode()).hexdigest(),
         "output_sha256": hashlib.sha256(output).hexdigest(),
         "trace_hash": summary["trace_hash"],
         "totals": {k: summary["totals"][k] for k in TOTALS},
@@ -103,6 +110,16 @@ def test_corpus_is_fully_pinned():
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_golden(name):
     assert observe(name) == json.loads(EXPECTED.read_text())[name]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_recorded_lines_fold_to_trace_hash(name, event_lines):
+    """The recorder sees exactly the stream the trace digest folds."""
+    world, digest, _ = run_scenario(parse_scenario((TESTS / name).read_text(encoding="utf-8")))
+    state = events.FNV_OFFSET
+    for line in event_lines[world.log]:
+        state = events.fnv1a_64(line.encode() + b"\n", state)
+    assert f"{state:016x}" == digest
 
 
 if __name__ == "__main__":

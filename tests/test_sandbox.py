@@ -38,7 +38,7 @@ def blocked_line_world():
 
 def congested_diamond_world():
     """Two-domain diamond whose admitted branch congests at t=3, after two
-    deliveries; by t=5 every history sink holds something."""
+    deliveries; by t=5 both history sinks hold something."""
     w = World(seed=0)
     for i in range(4):
         w.add_node(Node(i, NodeKind.SMART_DEVICE, compute_capacity=1))
@@ -53,8 +53,9 @@ def congested_diamond_world():
     return w
 
 
-def history(w):
-    return (w.log.lines, w.metrics, w.engine.qos_log)
+def history(w, event_lines):
+    """The world's metrics records and the event lines recorded from its log."""
+    return (event_lines[w.log], w.metrics)
 
 
 # -- spawn_twin --------------------------------------------------------------------
@@ -82,28 +83,28 @@ def test_twin_mutations_leave_physical_untouched(diamond_world):
     assert twin.trace_hash() != diamond_world.trace_hash()
 
 
-def test_twin_starts_with_empty_history_and_live_digest():
+def test_twin_starts_with_empty_history_and_live_digest(event_lines):
     w = congested_diamond_world()
-    assert all(history(w))
+    assert all(history(w, event_lines))
     twin = spawn_twin(w)
-    assert [len(sink) for sink in history(twin)] == [0] * 3
+    assert [len(sink) for sink in history(twin, event_lines)] == [0] * 2
     assert twin.trace_hash() == w.trace_hash()
     assert twin.summary()["totals"] == w.summary()["totals"]
     assert twin.summary()["health_events"] == w.summary()["health_events"]
 
 
-def test_twin_and_evaluate_leave_physical_history_untouched():
+def test_twin_and_evaluate_leave_physical_history_untouched(event_lines):
     w = congested_diamond_world()
-    lengths = [len(sink) for sink in history(w)]
+    lengths = [len(sink) for sink in history(w, event_lines)]
     trace = w.trace_hash()
     twin = spawn_twin(w)
     twin.run(6)
     evaluate(twin, Decision.inject_repair(1), horizon=6)
-    assert [len(sink) for sink in history(w)] == lengths
+    assert [len(sink) for sink in history(w, event_lines)] == lengths
     assert w.trace_hash() == trace
 
 
-def test_twin_metrics_records_track_physical():
+def test_twin_metrics_records_track_physical(event_lines):
     w = congested_diamond_world()
     twin = spawn_twin(w)
     snapshot = len(w.metrics)
@@ -112,7 +113,8 @@ def test_twin_metrics_records_track_physical():
     assert [m.to_json() for m in twin.metrics] == [
         m.to_json() for m in w.metrics[snapshot:]
     ]
-    assert twin.log.lines == w.log.lines[-len(twin.log.lines):]
+    twin_lines = event_lines[twin.log]
+    assert twin_lines == event_lines[w.log][-len(twin_lines):]
     assert twin.trace_hash() == w.trace_hash()
 
 
@@ -147,7 +149,7 @@ def test_noop_reroute_is_all_zero(line_world):
     assert (delta.delivered_units, delta.mean_latency, delta.makespan, delta.violations) == (0, 0.0, 0, 0)
 
 
-def test_committed_reroute_rehomes_queued_units_only():
+def test_committed_reroute_rehomes_queued_units_only(event_lines):
     # admitted 0-1-2-4; the reroute moves the flow onto 0-1-3-4 while seq 1
     # queues at node 1, seqs 4-5 queue at the origin and seqs 0, 2 and 3
     # are on the wire
@@ -161,7 +163,7 @@ def test_committed_reroute_rehomes_queued_units_only():
     delta = evaluate(spawn_twin(w), decision, horizon=4)
     assert commit(w, decision, delta, policy=lambda d: True) is True
     w.tick()
-    t3 = [line for line in w.log.lines if line.startswith("t=3 ")]
+    t3 = [line for line in event_lines[w.log] if line.startswith("t=3 ")]
     assert t3[0] == "t=3 ev=reroute flow=0 path=0>1>3>4"
     assert "t=3 ev=send flow=0 seq=1 link=1-3" in t3
     assert flow.path == [0, 1, 3, 4]
