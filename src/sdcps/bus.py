@@ -24,6 +24,9 @@ class BusMessage:
     def order_key(self) -> tuple:
         return (self.tick, self.publisher, self.seq)
 
+    def __deepcopy__(self, memo):
+        return self  # no receiver mutates a payload, so forks share it
+
 
 @dataclass
 class Subscription:

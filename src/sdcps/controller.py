@@ -280,6 +280,14 @@ def merge_verdicts(views: Iterable[dict[NodeId, Verdict]]) -> dict[NodeId, Verdi
 # -- the controller actor -----------------------------------------------------
 
 
+class SegmentTable(dict):
+    """(terminal, terminal) -> (latency, path) through one domain. Never
+    changed once built, so the farm's cache and forks share it."""
+
+    def __deepcopy__(self, memo):
+        return self
+
+
 class Controller:
     """Owns one domain: its store, health windows, and intra-domain routing."""
 
@@ -333,9 +341,7 @@ class Controller:
 
     # -- routing -------------------------------------------------------------
 
-    def segment_table(
-        self, tenant: TenantId, terminals: list[NodeId]
-    ) -> dict[tuple[NodeId, NodeId], tuple[int, list[NodeId]]]:
+    def segment_table(self, tenant: TenantId, terminals: list[NodeId]) -> SegmentTable:
         """All-pairs slice paths between terminals through this domain only.
 
         Served over the westbound surface; peers never see the topology
@@ -348,7 +354,7 @@ class Controller:
         adj = self._topology.adjacency(
             self.domain_nodes, lambda link: sl.covers(link.endpoints)
         )
-        table: dict[tuple[NodeId, NodeId], tuple[int, list[NodeId]]] = {}
+        table = SegmentTable()
         terms = sorted(set(terminals) & self.domain_nodes)
         for i, u in enumerate(terms[:-1]):
             found = multi_target_paths(adj, u, terms[i + 1:], suspects - {u})

@@ -99,10 +99,6 @@ class NoPath(SdcpsError):
     pass
 
 
-class SliceViolation(SdcpsError):
-    pass
-
-
 # -- composition -----------------------------------------------------------
 
 class DuplicateService(SdcpsError):

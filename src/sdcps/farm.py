@@ -10,17 +10,16 @@ traffic; it keeps no message log.
 from __future__ import annotations
 
 from .controller import DEFAULT_CONGESTION_THRESHOLD, DEFAULT_WINDOW, Controller, ControllerId
-from .controller import HealthEstimate, SouthboundReport, TenantId
+from .controller import HealthEstimate, SegmentTable, SouthboundReport, TenantId
 from .errors import (
     DisconnectedDomain,
     DuplicateId,
     NoPath,
     OverlappingDomain,
-    SliceViolation,
     StaleReport,
     UnassignedNode,
 )
-from .topology import Adjacency, LinkId, NodeId, Topology, multi_target_paths
+from .topology import Adjacency, NodeId, Topology, multi_target_paths
 
 DEFAULT_DIGEST_PERIOD = 5
 
@@ -36,6 +35,11 @@ class Farm:
     tables and store reads are direct calls; `message_count` counts each call
     to a peer as a request plus its reply or nack, and each digest as one
     message.
+
+    Segment tables are cached by (controller, slice links, terminals), so
+    tenants whose slices have the same links share them. Only the events
+    that can change a suspect set drop the cache: a delivered digest and a
+    verdict transition at report ingestion.
     """
 
     def __init__(self, topology, slice_table, bus, window=DEFAULT_WINDOW,
@@ -51,7 +55,7 @@ class Farm:
         self.report_count = 0
         self._bus = bus
         self.now = 0  # advanced by the world each tick; plain int so twins deep-copy cleanly
-        self._segment_cache: dict[tuple, dict] = {}
+        self._segment_cache: dict[tuple, SegmentTable] = {}
 
     # -- registration ---------------------------------------------------------
 
@@ -82,7 +86,6 @@ class Farm:
             self._bus.subscribe(f"south/{domain_id}/reports"),
             self._bus.subscribe(f"west/to/{domain_id}"),
         )
-        self.invalidate_caches()
         return domain_id
 
     def resolve(self, n: NodeId) -> ControllerId:
@@ -93,18 +96,10 @@ class Farm:
     def unassigned_nodes(self) -> list[NodeId]:
         return [n for n in self._topology.node_ids() if n not in self._owner]
 
-    def gateway_links(self) -> list[LinkId]:
-        """Links whose endpoints live in different domains."""
-        out = []
-        for lid in sorted(self._topology.links):
-            a, b = lid
-            if a in self._owner and b in self._owner and self._owner[a] != self._owner[b]:
-                out.append(lid)
-        return out
-
     # -- westbound traffic ------------------------------------------------------
 
     def invalidate_caches(self) -> None:
+        """Drop every cached segment table; the only way they go stale."""
         self._segment_cache.clear()
 
     def peer_store_read(
@@ -130,7 +125,6 @@ class Farm:
                 f"west/to/{peer}", (sender, estimates), self.now,
                 f"controller/{sender:06d}",
             )
-        self.invalidate_caches()
 
     def deliver_digest(self, receiver: ControllerId, sender: ControllerId, estimates) -> None:
         self.controllers[receiver].receive_digest(sender, estimates)
@@ -174,13 +168,15 @@ class Farm:
         """
         orchestrator = self.resolve(src)
         self.resolve(dst)
-        if tenant not in self._slices.slices:
-            raise SliceViolation(f"tenant {tenant} has no slice")
-        sl = self._slices.slices[tenant]
+        sl = self._slices.get(tenant)
 
-        gateways = [lid for lid in self.gateway_links() if sl.covers(lid)]
+        owner = self._owner
+        gateways = [
+            (a, b) for a, b in sorted(sl.links)
+            if a in owner and b in owner and owner[a] != owner[b]
+        ]
         terminals: dict[ControllerId, set[NodeId]] = {c: set() for c in self.controllers}
-        terminals[self.resolve(src)].add(src)
+        terminals[orchestrator].add(src)
         terminals[self.resolve(dst)].add(dst)
         for a, b in gateways:
             terminals[self.resolve(a)].add(a)
@@ -191,7 +187,7 @@ class Farm:
             terms = sorted(terminals[cid])
             if len(terms) < 2:
                 continue
-            cache_key = (cid, tenant, tuple(terms))
+            cache_key = (cid, sl.links, tuple(terms))
             table = self._segment_cache.get(cache_key)
             if table is None:
                 table = self.controllers[cid].segment_table(tenant, terms)

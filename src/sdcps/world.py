@@ -13,9 +13,6 @@ Each tick runs fixed phases:
   5. clone decisions    recovery for flows crossing suspected-failed nodes
   6. movement           arrivals, QoS-scheduled transmissions, telemetry
   7. metrics            one record per tick
-
-Phases 3 and 4 stay in this order: a digest broadcast drops the segment
-cache, so admissions run before it.
 """
 
 from __future__ import annotations
@@ -152,11 +149,9 @@ class World:
         return self.farm.register_domain(domain_id, nodes)
 
     def allocate_slice(self, tenant: int, links, share: int, priority: Priority):
-        """Install or replace a tenant slice; cached segment tables were
-        computed over the old slice, so they are dropped."""
-        sl = self.slices.allocate(tenant, links, share, priority)
-        self.farm.invalidate_caches()
-        return sl
+        """Install or replace a tenant slice; admissions route over it from
+        the next call on."""
+        return self.slices.allocate(tenant, links, share, priority)
 
     def schedule_flow(self, tenant, origin, dest, units, start) -> None:
         self.pending_flows.append(PendingFlow(tenant, origin, dest, units, start))
@@ -238,11 +233,10 @@ class World:
     # -- tick loop --------------------------------------------------------------------
 
     def apply_health(self, node: NodeId, health: Health) -> None:
-        """Change node health now, bumping caches and the world version."""
+        """Change node health now, bumping the world version."""
         changed = self.topology.set_health(node, health)
         if changed:
             self.engine.world_version += 1
-            self.farm.invalidate_caches()
             line = f"t={self.now} ev=fault node={node} health={health.label()}"
             self.log.emit(line)
             self.health_log.append(line)

@@ -1,11 +1,13 @@
 import heapq
 import random
+from pathlib import Path
 
 import pytest
 
 from sdcps import (
     Bus,
     Farm,
+    Health,
     Node,
     NodeKind,
     Priority,
@@ -14,6 +16,9 @@ from sdcps import (
     Topology,
     Verdict,
     World,
+    build_world,
+    parse_scenario,
+    spawn_twin,
 )
 from sdcps.controller import LOSS
 from sdcps.errors import (
@@ -211,7 +216,7 @@ def test_no_cross_domain_link_in_slice_is_no_path():
     w.finish_setup()
     with pytest.raises(NoPath):
         w.farm.cross_domain_path(0, 3, 0)
-    assert gateway in w.farm.gateway_links()
+    assert gateway == (1, 2) and w.farm.resolve(1) != w.farm.resolve(2)
 
 
 def random_partitioned_world(rng, max_nodes=20, max_domains=4):
@@ -366,6 +371,93 @@ def test_cross_domain_path_counts_peer_tables_on_cache_miss_only():
     w.farm.invalidate_caches()
     w.farm.cross_domain_path(4, 0, 0)  # orchestrated by domain 2 this time
     assert w.farm.message_count == before + 8
+
+
+LINE3 = ({0: [0, 1], 1: [2, 3], 2: [4, 5]}, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+
+
+def test_node_health_change_keeps_segment_tables():
+    w = farm_world(*LINE3)
+    w.farm.cross_domain_path(0, 5, 0)
+    before = w.farm.message_count
+    w.apply_health(3, Health.congested(3.0))
+    assert w.farm.cross_domain_path(0, 5, 0) == [0, 1, 2, 3, 4, 5]
+    assert w.farm.message_count == before
+
+
+def test_tenant_with_same_slice_links_reuses_tables():
+    w = farm_world(*LINE3)
+    w.farm.cross_domain_path(0, 5, 0)
+    before = w.farm.message_count
+    w.allocate_slice(1, w.slices.get(0).links, 1, Priority.SILVER)
+    assert w.farm.cross_domain_path(0, 5, 1) == [0, 1, 2, 3, 4, 5]
+    assert w.farm.message_count == before
+
+
+def test_slice_change_rerequests_only_that_slices_tables():
+    domains, links = LINE3
+    w = farm_world(domains, [*links, (2, 4)])  # the chord 2-4 is a second gateway
+    w.allocate_slice(1, w.slices.get(0).links, 1, Priority.SILVER)
+    assert w.farm.cross_domain_path(0, 5, 0) == [0, 1, 2, 4, 5]
+    assert w.farm.cross_domain_path(0, 5, 1) == [0, 1, 2, 4, 5]
+    before = w.farm.message_count
+    w.allocate_slice(0, links, 1, Priority.GOLD)
+    assert w.farm.cross_domain_path(0, 5, 0) == [0, 1, 2, 3, 4, 5]
+    assert w.farm.message_count == before + 2 * 2  # tables of domains 1 and 2
+    assert w.farm.cross_domain_path(0, 5, 1) == [0, 1, 2, 4, 5]
+    assert w.farm.message_count == before + 4
+
+
+def test_admission_without_slice_is_rejected_as_no_slice(event_lines):
+    w = farm_world(*LINE3)
+    w.schedule_flow(7, 0, 5, 2, 0)
+    w.run(3)
+    assert w.now == 3 and [p.tenant for p, _ in w.rejected_flows] == [7]
+    assert "cause=NoSlice" in event_lines[w.log][0]
+
+
+def two_domain_world_after_admission():
+    text = (Path(__file__).parent / "fixtures" / "two_domains.json").read_text()
+    w = build_world(parse_scenario(text))
+    w.schedule_fault(6, 4, Health.failed())
+    w.schedule_flow(0, 0, 3, 2, 8)
+    w.run(3)
+    assert w.farm._segment_cache
+    return w
+
+
+def test_twin_shares_segment_tables():
+    w = two_domain_world_after_admission()
+    twin = spawn_twin(w)
+    assert twin.farm._segment_cache.keys() == w.farm._segment_cache.keys()
+    for key, table in w.farm._segment_cache.items():
+        assert twin.farm._segment_cache[key] is table
+
+
+def test_twin_message_series_tracks_physical():
+    w = two_domain_world_after_admission()
+    twin = spawn_twin(w)
+    snapshot = len(w.metrics)
+    w.run(12)
+    twin.run(12)
+    assert [m.controller_messages for m in twin.metrics] == [
+        m.controller_messages for m in w.metrics[snapshot:]
+    ]
+    assert twin.trace_hash() == w.trace_hash()
+
+
+def test_twin_shares_pending_bus_messages():
+    w = farm_world(*LINE3)
+    fail_node(w, 1, 0, 0)
+    w.farm.broadcast_health_digest(0)
+    twin = spawn_twin(w)
+    assert len(twin.bus._pending) == 2
+    assert all(a is b for a, b in zip(twin.bus._pending, w.bus._pending))
+    twin.tick()
+    assert twin.farm.controllers[1].peer_views == {0: {1: Verdict.SUSPECT_FAILED}}
+    assert w.farm.controllers[1].peer_views == {}
+    w.tick()
+    assert w.farm.controllers[1].peer_views == {0: {1: Verdict.SUSPECT_FAILED}}
 
 
 # -- health digests ----------------------------------------------------------------------

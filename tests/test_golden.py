@@ -19,6 +19,9 @@ A change that alters behaviour re-pins explicitly, and records the re-pin
 and its reason in CHANGES.md:
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+Before it writes expected.json, the re-pin prints each pinned value it
+changes as `<scenario> <key>: <old> -> <new>`, so its scope shows.
 """
 
 import dataclasses
@@ -103,6 +106,41 @@ def observe(name: str) -> dict:
     return observed
 
 
+def _flat(entry: dict, prefix: str = "") -> dict:
+    out = {}
+    for key, value in entry.items():
+        if isinstance(value, dict):
+            out.update(_flat(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+def repin_changes(old: dict, new: dict) -> list[str]:
+    """One line per (scenario, key) whose pinned value differs; a missing
+    value shows as None."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        before, after = _flat(old.get(name, {})), _flat(new.get(name, {}))
+        for key in sorted(before.keys() | after.keys()):
+            if before.get(key) != after.get(key):
+                lines.append(f"{name} {key}: {before.get(key)} -> {after.get(key)}")
+    return lines
+
+
+def test_repin_lists_only_changed_keys():
+    old = {"a.json": {"trace_hash": "x", "totals": {"messages": 4, "cloned": 1}}}
+    new = {
+        "a.json": {"trace_hash": "x", "totals": {"messages": 3, "cloned": 1}},
+        "b.json": {"trace_hash": "y"},
+    }
+    assert repin_changes(old, new) == [
+        "a.json totals.messages: 4 -> 3",
+        "b.json trace_hash: None -> y",
+    ]
+    assert repin_changes(new, new) == []
+
+
 def test_corpus_is_fully_pinned():
     assert sorted(json.loads(EXPECTED.read_text())) == SCENARIOS
 
@@ -124,5 +162,8 @@ def test_recorded_lines_fold_to_trace_hash(name, event_lines):
 
 if __name__ == "__main__":
     pinned = {name: observe(name) for name in SCENARIOS}
+    old = json.loads(EXPECTED.read_text()) if EXPECTED.exists() else {}
+    for line in repin_changes(old, pinned):
+        sys.stdout.write(line + "\n")
     EXPECTED.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
     sys.stdout.write(f"pinned {len(pinned)} scenarios in {EXPECTED}\n")
