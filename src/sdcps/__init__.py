@@ -5,7 +5,6 @@ service-composition scheduling, and a digital-twin sandbox."""
 from .topology import Health, HealthState, Link, Node, NodeKind, Topology
 from .controller import (
     Controller,
-    DataStore,
     HealthMonitor,
     Priority,
     SliceTable,
@@ -29,7 +28,6 @@ __all__ = [
     "CloneDecision",
     "CompositionDag",
     "Controller",
-    "DataStore",
     "Decision",
     "Farm",
     "Flow",

@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 on success, 1 on bad input (scenario file, SDCPS_SEED, a
---horizon below 1 or sweep arguments), 2 on a runtime abort. SDCPS_SEED
-overrides the scenario seed; an explicit --seed beats both.
+--horizon below 1, sweep arguments or an unwritable --out), 2 on a runtime
+abort. SDCPS_SEED overrides the scenario seed; an explicit --seed beats both.
 """
 
 from __future__ import annotations
@@ -39,6 +39,18 @@ def _load(path: str):
         raise SystemExit(1)
 
 
+def _write(payload: str, out) -> None:
+    """Write to `out` if given, else to stdout."""
+    if not out:
+        sys.stdout.write(payload)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        _bad_input(f"cannot write --out file: {exc}")
+
+
 def _seed_for(scenario, args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
@@ -70,11 +82,7 @@ def cmd_run(args) -> int:
     lines = [rec.to_json() for rec in world.metrics]
     lines.append(json.dumps({"summary": summary}, sort_keys=True, separators=(",", ":")))
     payload = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write(payload, args.out)
     if args.trace_hash:
         print(f"trace-hash {digest}")
     return 0
@@ -123,11 +131,7 @@ def cmd_sweep(args) -> int:
     for m, makespan, speedup in rows:
         out_lines.append(f"{m},{makespan},{speedup:.6g}")
     payload = "\n".join(out_lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write(payload, args.out)
     return 0
 
 

@@ -94,7 +94,6 @@ class Schedule:
 class ExecutionReport:
     makespan: int
     assignments: dict[str, tuple[NodeId, int, int]]
-    utilization: dict[NodeId, float]
     replaced: list[str] = field(default_factory=list)
 
 
@@ -260,11 +259,7 @@ class Scheduler:
             actual[task] = placed
             busy[placed[0]] = placed[2]
         makespan = max((e for _, _, e in actual.values()), default=0)
-        util = {}
-        for node in sorted({a[0] for a in actual.values()}):
-            busy_ticks = sum(e - s for n, s, e in actual.values() if n == node)
-            util[node] = busy_ticks / makespan if makespan else 0.0
-        return ExecutionReport(makespan, actual, util, replaced)
+        return ExecutionReport(makespan, actual, replaced)
 
 
 def speedup_curve(

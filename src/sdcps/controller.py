@@ -1,5 +1,5 @@
-"""Single-domain controller: tenant slices, protected data store, QoS, and
-health estimation from southbound reports.
+"""Single-domain controller: tenant slices, QoS, health estimation from
+southbound reports, and intra-domain segment tables.
 
 A controller is a logical actor. It only ever reads shared world structures
 (topology, slice table); everything it mutates is its own.
@@ -11,16 +11,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Iterable, Optional
 
-from .errors import (
-    AccessDenied,
-    BadParameter,
-    EmptyPath,
-    NoSlice,
-    NotFound,
-    Oversubscribed,
-    StaleReport,
-    UnknownLink,
-)
+from .errors import BadParameter, NoSlice, Oversubscribed, StaleReport, UnknownLink
 from .topology import LinkId, NodeId, Topology, link_id, multi_target_paths
 
 TenantId = int
@@ -131,49 +122,6 @@ def qos_schedule(
             if not gave:
                 break
     return grant
-
-
-# -- data store --------------------------------------------------------------
-
-
-class DataStore:
-    """Tenant-namespaced key/value store with explicit read grants."""
-
-    def __init__(self):
-        self._entries: dict[tuple[TenantId, tuple[str, ...]], bytes] = {}
-        self._grants: set[tuple[TenantId, ControllerId]] = set()
-
-    def put(self, tenant: TenantId, path: Iterable[str], value: bytes) -> None:
-        path = tuple(path)
-        if not path:
-            raise EmptyPath("store path must be non-empty")
-        self._entries[(tenant, path)] = bytes(value)
-
-    def grant(self, owner: TenantId, reader: ControllerId) -> None:
-        self._grants.add((owner, reader))
-
-    def has_grant(self, owner: TenantId, reader: ControllerId) -> bool:
-        return (owner, reader) in self._grants
-
-    def get(
-        self,
-        owner: TenantId,
-        path: Iterable[str],
-        as_tenant: Optional[TenantId] = None,
-        as_controller: Optional[ControllerId] = None,
-    ) -> bytes:
-        path = tuple(path)
-        key = (owner, path)
-        if key not in self._entries:
-            raise NotFound(f"no entry for tenant {owner} at {'/'.join(path)}")
-        if as_tenant is not None and as_tenant == owner:
-            return self._entries[key]
-        if as_controller is not None and self.has_grant(owner, as_controller):
-            return self._entries[key]
-        raise AccessDenied(
-            f"requester {as_tenant if as_tenant is not None else as_controller} "
-            f"may not read tenant {owner}"
-        )
 
 
 # -- health estimation -------------------------------------------------------
@@ -289,7 +237,7 @@ class SegmentTable(dict):
 
 
 class Controller:
-    """Owns one domain: its store, health windows, and intra-domain routing."""
+    """Owns one domain: its health windows and intra-domain routing."""
 
     def __init__(
         self,
@@ -304,24 +252,9 @@ class Controller:
         self.domain_nodes = domain_nodes
         self._topology = topology
         self._slices = slice_table
-        self.store = DataStore()
         self.monitor = HealthMonitor(topology, window, congestion_threshold)
         # latest digest snapshot per peer controller
         self.peer_views: dict[ControllerId, dict[NodeId, Verdict]] = {}
-
-    # -- tenant surface ------------------------------------------------------
-
-    def store_put(self, tenant: TenantId, path: Iterable[str], value: bytes) -> None:
-        self.store.put(tenant, path, value)
-
-    def store_get(
-        self,
-        owner: TenantId,
-        path: Iterable[str],
-        as_tenant: Optional[TenantId] = None,
-        as_controller: Optional[ControllerId] = None,
-    ) -> bytes:
-        return self.store.get(owner, path, as_tenant=as_tenant, as_controller=as_controller)
 
     # -- health --------------------------------------------------------------
 

@@ -39,18 +39,6 @@ class UnknownLink(SdcpsError):
     pass
 
 
-class EmptyPath(SdcpsError):
-    pass
-
-
-class NotFound(SdcpsError):
-    pass
-
-
-class AccessDenied(SdcpsError):
-    pass
-
-
 class StaleReport(SdcpsError):
     pass
 

@@ -32,9 +32,8 @@ class Farm:
     inboxes, one exact topic each, delivered next tick: southbound reports
     from its domain's nodes (`south/<domain>/reports`) and health digests
     from its peers (`west/to/<receiver>`, each carrying its sender). Segment
-    tables and store reads are direct calls; `message_count` counts each call
-    to a peer as a request plus its reply or nack, and each digest as one
-    message.
+    tables are direct calls; `message_count` counts each table fetched from
+    a peer as a request plus its reply, and each digest as one message.
 
     Segment tables are cached by (controller, slice links, terminals), so
     tenants whose slices have the same links share them. Only the events
@@ -101,18 +100,6 @@ class Farm:
     def invalidate_caches(self) -> None:
         """Drop every cached segment table; the only way they go stale."""
         self._segment_cache.clear()
-
-    def peer_store_read(
-        self,
-        requester: ControllerId,
-        owner: ControllerId,
-        tenant: TenantId,
-        path,
-    ) -> bytes:
-        if owner == requester:  # a controller reads its own store with the tenant's rights
-            return self.controllers[owner].store_get(tenant, path, as_tenant=tenant)
-        self.message_count += 2  # the request, and its reply or nack
-        return self.controllers[owner].store_get(tenant, path, as_controller=requester)
 
     def broadcast_health_digest(self, sender: ControllerId) -> None:
         """Push this controller's estimate set to every peer via the bus."""

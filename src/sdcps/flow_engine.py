@@ -118,7 +118,6 @@ class CloneDecision:
     detour: list[NodeId]  # branch_point .. clone_destination
     cloned_seqs: frozenset[int]
     decided_tick: int
-    world_version: int
 
 
 class FlowEngine:
@@ -138,7 +137,6 @@ class FlowEngine:
         self.decisions: list[CloneDecision] = []
         self._next_flow_id = 0
         self.now = 0
-        self.world_version = 0
         # counters surfaced in metrics
         self.total_delivered = 0
         self.total_dropped = 0
@@ -253,7 +251,6 @@ class FlowEngine:
             detour=detour,
             cloned_seqs=cloned,
             decided_tick=self.now,
-            world_version=self.world_version,
         )
         self.decisions.append(decision)
         self._log.emit(
@@ -314,10 +311,6 @@ class FlowEngine:
         """Inject duplicates of the cloned seqs at the branch point and
         install the recompose buffer at the clone destination."""
         flow = self._flow(decision.flow)
-        if decision.world_version != self.world_version or decision.decided_tick != self.now:
-            raise StaleDecision(
-                f"decision for flow {decision.flow} was made against an older world"
-            )
         subflow_id = flow.clone_count
         flow.clone_count += 1
 

@@ -172,6 +172,10 @@ def parse_scenario(text: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioSyntaxError(exc.lineno, exc.msg) from exc
+    except (RecursionError, ValueError) as exc:
+        # too deeply nested, or an integer literal too long to convert; the
+        # parser gives no position, so the error names the document's line 1
+        raise ScenarioSyntaxError(1, f"unparseable JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioSyntaxError(1, "scenario must be a JSON object")
 

@@ -307,9 +307,6 @@ class Topology:
                     frontier.append(nxt)
         return seen
 
-    def path_latency(self, path: list[NodeId]) -> int:
-        return sum(self.link(a, b).latency for a, b in zip(path, path[1:]))
-
 
 def _ceil(x: float) -> int:
     n = int(x)

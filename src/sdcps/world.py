@@ -233,10 +233,9 @@ class World:
     # -- tick loop --------------------------------------------------------------------
 
     def apply_health(self, node: NodeId, health: Health) -> None:
-        """Change node health now, bumping the world version."""
+        """Change node health now; a change is logged as a fault event."""
         changed = self.topology.set_health(node, health)
         if changed:
-            self.engine.world_version += 1
             line = f"t={self.now} ev=fault node={node} health={health.label()}"
             self.log.emit(line)
             self.health_log.append(line)

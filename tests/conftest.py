@@ -26,6 +26,11 @@ def build_topology(n_nodes, links):
     return topo
 
 
+def path_latency(topo, path):
+    """Sum of nominal link latencies along a node path."""
+    return sum(topo.link(a, b).latency for a, b in zip(path, path[1:]))
+
+
 def reference_shortest_path(topo, src, dst, link_filter=None, exclude_nodes=(),
                             latency_fn=None):
     """Independent pairwise oracle: a lazy Dijkstra over loop-free paths that

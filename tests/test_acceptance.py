@@ -28,6 +28,8 @@ from sdcps import (
 )
 from sdcps.errors import NoPath
 
+from conftest import path_latency
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -250,7 +252,7 @@ def test_acceptance_3_federation_transparency():
             expected = merged_dijkstra(w.topology, src, dst)
             try:
                 path = w.farm.cross_domain_path(src, dst, 0)
-                got = w.topology.path_latency(path)
+                got = path_latency(w.topology, path)
             except NoPath:
                 got = None
             checked += 1

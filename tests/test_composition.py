@@ -324,7 +324,7 @@ def test_execute_utilization():
     dag = CompositionDag([("a", "svc"), ("b", "svc")])
     scheduler = Scheduler(topo, reg)
     report = scheduler.execute(scheduler.schedule(dag), dag)
-    assert report.utilization == {0: 1.0, 1: 1.0}
+    assert report.assignments == {"a": (0, 0, 4), "b": (1, 0, 4)}
 
 
 # -- speedup curve ---------------------------------------------------------------------

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from sdcps import (
     Controller,
-    DataStore,
     HealthMonitor,
     Priority,
     SliceTable,
@@ -16,11 +15,8 @@ from sdcps import (
 )
 from sdcps.controller import LOSS, merge_verdicts
 from sdcps.errors import (
-    AccessDenied,
     BadParameter,
-    EmptyPath,
     NoSlice,
-    NotFound,
     Oversubscribed,
     StaleReport,
     UnknownLink,
@@ -81,82 +77,6 @@ def test_slice_unknown_link():
     table = SliceTable(topo)
     with pytest.raises(UnknownLink):
         table.allocate(0, [(0, 5)], 1, Priority.GOLD)
-
-
-# -- data store ---------------------------------------------------------------------
-
-def test_store_roundtrip():
-    store = DataStore()
-    store.put(0, ["cfg", "policy"], b"allow")
-    assert store.get(0, ["cfg", "policy"], as_tenant=0) == b"allow"
-
-
-def test_store_last_write_wins():
-    store = DataStore()
-    store.put(0, ["k"], b"one")
-    store.put(0, ["k"], b"two")
-    assert store.get(0, ["k"], as_tenant=0) == b"two"
-
-
-def test_store_namespaces_are_independent():
-    store = DataStore()
-    store.put(0, ["shared", "key"], b"mine")
-    store.put(1, ["shared", "key"], b"yours")
-    assert store.get(0, ["shared", "key"], as_tenant=0) == b"mine"
-    assert store.get(1, ["shared", "key"], as_tenant=1) == b"yours"
-
-
-def test_store_empty_path_rejected():
-    store = DataStore()
-    with pytest.raises(EmptyPath):
-        store.put(0, [], b"x")
-
-
-def test_store_cross_tenant_denied_without_grant():
-    store = DataStore()
-    store.put(0, ["k"], b"v")
-    with pytest.raises(AccessDenied):
-        store.get(0, ["k"], as_tenant=1)
-
-
-def test_store_peer_controller_with_grant():
-    store = DataStore()
-    store.put(3, ["k"], b"v")
-    store.grant(3, 9)
-    assert store.get(3, ["k"], as_controller=9) == b"v"
-    with pytest.raises(AccessDenied):
-        store.get(3, ["k"], as_controller=8)
-
-
-def test_store_missing_entry():
-    store = DataStore()
-    with pytest.raises(NotFound):
-        store.get(0, ["missing"], as_tenant=0)
-
-
-@given(
-    grants=st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=12),
-    owner=st.integers(0, 4),
-    reader_tenant=st.integers(0, 4),
-    reader_ctrl=st.integers(0, 4),
-)
-def test_store_grant_table_property(grants, owner, reader_tenant, reader_ctrl):
-    store = DataStore()
-    store.put(owner, ["p"], b"v")
-    for g_owner, g_reader in grants:
-        store.grant(g_owner, g_reader)
-    # tenant access: only the owner itself
-    if reader_tenant == owner:
-        assert store.get(owner, ["p"], as_tenant=reader_tenant) == b"v"
-    else:
-        with pytest.raises(AccessDenied):
-            store.get(owner, ["p"], as_tenant=reader_tenant)
-    # controller access: exactly the granted pairs
-    if (owner, reader_ctrl) in grants:
-        assert store.get(owner, ["p"], as_controller=reader_ctrl) == b"v"
-    else:
-        with pytest.raises(AccessDenied):
-            store.get(owner, ["p"], as_controller=reader_ctrl)
 
 
 # -- health windows --------------------------------------------------------------------

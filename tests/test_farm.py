@@ -22,17 +22,15 @@ from sdcps import (
 )
 from sdcps.controller import LOSS
 from sdcps.errors import (
-    AccessDenied,
     DisconnectedDomain,
     DuplicateId,
     NoPath,
-    NotFound,
     OverlappingDomain,
     SdcpsError,
     UnassignedNode,
 )
 
-from conftest import make_node
+from conftest import make_node, path_latency
 
 
 # -- oracle: plain Dijkstra on the merged graph ---------------------------------
@@ -268,85 +266,14 @@ def test_federation_transparency_oracle_equivalence():
                 except NoPath:
                     assert expected is None
                     continue
-                assert topo.path_latency(path) == expected
+                assert path_latency(topo, path) == expected
                 # returned path is simple and traverses real links
                 assert len(set(path)) == len(path)
 
 
-# -- westbound protection --------------------------------------------------------------
-
-def test_peer_store_read_with_grant():
-    w = farm_world({0: [0, 1], 1: [2, 3]}, [(0, 1), (1, 2), (2, 3)])
-    owner = w.farm.controllers[1]
-    owner.store_put(7, ["secret"], b"s")
-    owner.store.grant(7, 0)
-    assert w.farm.peer_store_read(0, 1, 7, ["secret"]) == b"s"
-
-
-def test_peer_store_read_without_grant_denied():
-    w = farm_world({0: [0, 1], 1: [2, 3]}, [(0, 1), (1, 2), (2, 3)])
-    w.farm.controllers[1].store_put(7, ["secret"], b"s")
-    with pytest.raises(AccessDenied):
-        w.farm.peer_store_read(0, 1, 7, ["secret"])
-
-
-def test_peer_store_read_grant_for_other_tenant_denied():
-    w = farm_world({0: [0, 1], 1: [2, 3]}, [(0, 1), (1, 2), (2, 3)])
-    owner = w.farm.controllers[1]
-    owner.store_put(7, ["secret"], b"s")
-    owner.store.grant(8, 0)  # grant exists, wrong tenant
-    with pytest.raises(AccessDenied):
-        w.farm.peer_store_read(0, 1, 7, ["secret"])
-    with pytest.raises(NotFound):
-        w.farm.peer_store_read(0, 1, 8, ["missing"])
-
-
 # -- westbound message counting -------------------------------------------------------
-# Every call to a peer controller is a request plus its reply or nack.
-
-def test_granted_peer_store_read_counts_request_and_reply():
-    w = farm_world({0: [0, 1], 1: [2, 3]}, [(0, 1), (1, 2), (2, 3)])
-    owner = w.farm.controllers[1]
-    owner.store_put(7, ["secret"], b"s")
-    owner.store.grant(7, 0)
-    before = w.farm.message_count
-    w.farm.peer_store_read(0, 1, 7, ["secret"])
-    assert w.farm.message_count == before + 2
-
-
-def test_refused_peer_store_reads_count_request_and_nack():
-    w = farm_world({0: [0, 1], 1: [2, 3]}, [(0, 1), (1, 2), (2, 3)])
-    w.farm.controllers[1].store_put(7, ["secret"], b"s")
-    before = w.farm.message_count
-    with pytest.raises(AccessDenied):
-        w.farm.peer_store_read(0, 1, 7, ["secret"])
-    assert w.farm.message_count == before + 2
-    with pytest.raises(NotFound):
-        w.farm.peer_store_read(0, 1, 7, ["missing"])
-    assert w.farm.message_count == before + 4
-
-
-def test_owner_store_read_sends_nothing():
-    w = farm_world({0: [0, 1], 1: [2, 3]}, [(0, 1), (1, 2), (2, 3)])
-    owner = w.farm.controllers[1]
-    owner.store_put(7, ["secret"], b"s")
-    owner.store.grant(7, 1)
-    before = w.farm.message_count
-    assert w.farm.peer_store_read(1, 1, 7, ["secret"]) == b"s"
-    assert w.farm.message_count == before
-
-
-def test_owner_store_read_needs_no_grant():
-    w = farm_world({0: [0, 1], 1: [2, 3]}, [(0, 1), (1, 2), (2, 3)])
-    w.farm.controllers[1].store_put(7, ["secret"], b"s")
-    before = w.farm.message_count
-    assert w.farm.peer_store_read(1, 1, 7, ["secret"]) == b"s"
-    with pytest.raises(NotFound):
-        w.farm.peer_store_read(1, 1, 7, ["missing"])
-    assert w.farm.message_count == before
-    with pytest.raises(AccessDenied):
-        w.farm.peer_store_read(0, 1, 7, ["secret"])
-
+# A segment table fetched from a peer controller is a request plus its reply;
+# a digest is one message per peer.
 
 def test_digest_broadcast_counts_one_message_per_peer():
     w = farm_world(

@@ -13,6 +13,7 @@ from sdcps.errors import (
 
 from conftest import (
     build_world,
+    path_latency,
     reference_beyond_buffer_point,
     reference_high_water,
     reference_safely_past,
@@ -162,6 +163,14 @@ def test_on_unhealthy_rejects_endpoints(line_world):
         line_world.engine.on_unhealthy(fid, 9, set())
 
 
+def test_on_unhealthy_rejects_inactive_flow(line_world):
+    fid = line_world.open_flow(0, 0, 2, 2)
+    with pytest.raises(Unrecoverable):
+        line_world.engine.on_unhealthy(fid, 1, set())
+    with pytest.raises(StaleDecision):  # the flow is failed, not active
+        line_world.engine.on_unhealthy(fid, 1, set())
+
+
 def test_rejoin_latency_never_exceeds_destination_detour():
     # redundancy minimization, asserted on several shapes
     shapes = [
@@ -188,7 +197,7 @@ def test_rejoin_latency_never_exceeds_destination_detour():
                 exclude_nodes={bad},
             )
             assert best_dest is not None
-            assert w.topology.path_latency(d.detour) <= best_dest[0]
+            assert path_latency(w.topology, d.detour) <= best_dest[0]
 
 
 def reference_detour(w, flow, bad, suspects):
@@ -330,14 +339,6 @@ def test_clone_with_no_seqs_is_noop_but_installs_buffer(chord_world):
     engine.clone_subflow(d)
     assert len(engine.units) == before
     assert (fid, 2) in engine.buffers
-
-
-def test_stale_decision_rejected(diamond_world):
-    fid = diamond_world.open_flow(0, 0, 3, 2)
-    d = diamond_world.engine.on_unhealthy(fid, 1, set())
-    diamond_world.engine.world_version += 1  # world changed under the decision
-    with pytest.raises(StaleDecision):
-        diamond_world.engine.clone_subflow(d)
 
 
 def test_rejoin_buffer_dedupes_original_and_clone(event_lines):

@@ -453,6 +453,10 @@ CLI_CASES = [
     (["twin-compare", "{good}", "--horizon", "-2"], None, 1),
     (["sweep", "{good}", "--tasks", "0"], None, 1),
     (["sweep", "{good}", "--tasks", "-4"], None, 1),
+    (["validate", "{deep}"], None, 1),
+    (["run", "{bigint}", "--out", "{out}"], None, 1),
+    (["run", "{good}", "--out", "{nodir}"], None, 1),
+    (["sweep", "{good}", "--out", "{nodir}"], None, 1),
 ]
 
 
@@ -462,10 +466,12 @@ CLI_CASES = [
 ])
 def test_cli_exit_codes(argv, env_seed, code, tmp_path, monkeypatch, capsys):
     files = {"good": str(FIXTURES / "minimal.json"), "missing": str(tmp_path / "none.json"),
-             "out": str(tmp_path / "out.txt")}
+             "out": str(tmp_path / "out.txt"), "nodir": str(tmp_path / "none" / "out.txt")}
     for key, text in [("invalid", json.dumps({"nodes": [1]})), ("syntax", "{"),
                       ("abort", json.dumps(RUNTIME_ABORT)),
-                      ("overflow", json.dumps(congestion_overflow()))]:
+                      ("overflow", json.dumps(congestion_overflow())),
+                      ("deep", "[" * 100_000 + "]" * 100_000),
+                      ("bigint", '{"horizon": ' + "9" * 5_000 + "}")]:
         files[key] = str(tmp_path / f"{key}.json")
         Path(files[key]).write_text(text)
     if env_seed is None:

@@ -12,7 +12,7 @@ from sdcps.errors import (
     UnknownNode,
 )
 
-from conftest import build_topology, make_node, reference_shortest_path
+from conftest import build_topology, make_node, path_latency, reference_shortest_path
 
 
 # -- oracle: exhaustive simple-path enumeration -------------------------------
@@ -203,7 +203,7 @@ def test_k_paths_match_enumeration_oracle():
         src, dst = rng.sample(sorted(topo.nodes), 2)
         expected = oracle_ranked_paths(adj, src, dst)
         assert topo.shortest_path(src, dst) == (
-            (topo.path_latency(expected[0]), expected[0]) if expected else None
+            (path_latency(topo, expected[0]), expected[0]) if expected else None
         )
 
 
