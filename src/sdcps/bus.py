@@ -24,11 +24,8 @@ class BusMessage:
     def order_key(self) -> tuple:
         return (self.tick, self.publisher, self.seq)
 
-    def __deepcopy__(self, memo):
-        return self  # no receiver mutates a payload, so forks share it
 
-
-@dataclass
+@dataclass(eq=False)  # by identity, so a farm fork finds its own in the list
 class Subscription:
     """Pull-model inbox: the owner drains `inbox` when it is scheduled."""
 
@@ -47,6 +44,15 @@ class Bus:
         self._seq: dict[str, int] = {}
         self.dropped_no_subscriber = 0
         self.published_count = 0
+
+    def fork(self) -> "Bus":
+        twin = Bus()
+        twin.subscriptions = {topic: [Subscription(topic, list(sub.inbox)) for sub in subs]
+                              for topic, subs in self.subscriptions.items()}
+        twin._pending, twin._seq = list(self._pending), dict(self._seq)  # messages are shared
+        twin.dropped_no_subscriber = self.dropped_no_subscriber
+        twin.published_count = self.published_count
+        return twin
 
     def subscribe(self, topic: str) -> Subscription:
         if not topic:

@@ -1,7 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 on success, 1 on bad input (scenario file, SDCPS_SEED, a
---horizon below 1, sweep arguments or an unwritable --out), 2 on a runtime
+Exit codes: 0 on success, 1 on bad input (usage, scenario file, SDCPS_SEED,
+a --horizon below 1, sweep arguments or an unwritable --out), 2 on a runtime
 abort. SDCPS_SEED overrides the scenario seed; an explicit --seed beats both.
 """
 
@@ -21,6 +21,10 @@ from .scenario import build_world, parse_scenario, run_scenario
 def _bad_input(message: str):
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(1)
+
+
+class _Parser(argparse.ArgumentParser):
+    error = staticmethod(_bad_input)  # a usage error is bad input, not a runtime abort
 
 
 def _load(path: str):
@@ -74,6 +78,7 @@ def _horizon_for(scenario, args) -> int:
 def cmd_run(args) -> int:
     scenario = _load(args.scenario)
     scenario.horizon = _horizon_for(scenario, args)
+    _write("", args.out)  # an unwritable --out fails before the run
     try:
         world, digest, summary = run_scenario(scenario, seed=_seed_for(scenario, args))
     except SdcpsError as exc:
@@ -136,7 +141,7 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sdcps")
+    parser = _Parser(prog="sdcps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario to its horizon")

@@ -33,7 +33,7 @@ class Priority(IntEnum):
         return cls[name.upper()]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TenantSlice:
     tenant: TenantId
     links: frozenset[LinkId]
@@ -53,6 +53,11 @@ class SliceTable:
     def __init__(self, topology: Topology):
         self._topology = topology
         self.slices: dict[TenantId, TenantSlice] = {}
+
+    def fork(self, topology: Topology) -> "SliceTable":
+        twin = SliceTable(topology)
+        twin.slices = dict(self.slices)  # slices are frozen, so shared
+        return twin
 
     def allocate(
         self,
@@ -145,9 +150,6 @@ class SouthboundReport:
     # (neighbor, observed latency in ticks) or (neighbor, LOSS)
     neighbor_observations: tuple[tuple[NodeId, object], ...]
 
-    def __deepcopy__(self, memo):
-        return self  # immutable all the way down, so forks share it
-
 
 @dataclass
 class HealthEstimate:
@@ -173,6 +175,11 @@ class HealthMonitor:
         self.congestion_threshold = congestion_threshold
         self._windows: dict[NodeId, tuple[Verdict, int, Verdict]] = {}
         self._last_tick: dict[NodeId, int] = {}
+
+    def fork(self, topology: Topology) -> "HealthMonitor":
+        twin = HealthMonitor(topology, self.window, self.congestion_threshold)
+        twin._windows, twin._last_tick = dict(self._windows), dict(self._last_tick)
+        return twin
 
     def estimates(self) -> dict[NodeId, Verdict]:
         return {
@@ -232,9 +239,6 @@ class SegmentTable(dict):
     """(terminal, terminal) -> (latency, path) through one domain. Never
     changed once built, so the farm's cache and forks share it."""
 
-    def __deepcopy__(self, memo):
-        return self
-
 
 class Controller:
     """Owns one domain: its health windows and intra-domain routing."""
@@ -255,6 +259,12 @@ class Controller:
         self.monitor = HealthMonitor(topology, window, congestion_threshold)
         # latest digest snapshot per peer controller
         self.peer_views: dict[ControllerId, dict[NodeId, Verdict]] = {}
+
+    def fork(self, topology: Topology, slice_table: SliceTable) -> "Controller":
+        twin = Controller(self.id, self.domain_nodes, topology, slice_table)
+        twin.monitor = self.monitor.fork(topology)
+        twin.peer_views = {peer: dict(view) for peer, view in self.peer_views.items()}
+        return twin
 
     # -- health --------------------------------------------------------------
 

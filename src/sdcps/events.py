@@ -27,6 +27,11 @@ class EventLog:
     def __init__(self):
         self._digest = FNV_OFFSET
 
+    def fork(self) -> "EventLog":
+        twin = EventLog()
+        twin._digest = self._digest
+        return twin
+
     def emit(self, line: str) -> None:
         self._digest = fnv1a_64(line.encode() + b"\n", self._digest)
 

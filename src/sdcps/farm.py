@@ -53,8 +53,20 @@ class Farm:
         self.message_count = 0
         self.report_count = 0
         self._bus = bus
-        self.now = 0  # advanced by the world each tick; plain int so twins deep-copy cleanly
+        self.now = 0  # advanced by the world each tick
         self._segment_cache: dict[tuple, SegmentTable] = {}
+
+    def fork(self, topology, slice_table, bus) -> "Farm":
+        twin = Farm(topology, slice_table, bus, self._window, self._congestion_threshold)
+        twin.controllers = {cid: c.fork(topology, slice_table)
+                            for cid, c in self.controllers.items()}
+        twin._owner, twin._segment_cache = dict(self._owner), dict(self._segment_cache)
+        old, new = self._bus.subscriptions, bus.subscriptions  # bus is a Bus.fork of ours
+        twin._inboxes = {cid: tuple(new[s.topic][old[s.topic].index(s)] for s in subs)
+                         for cid, subs in self._inboxes.items()}
+        twin.message_count, twin.report_count = self.message_count, self.report_count
+        twin.now = self.now
+        return twin
 
     # -- registration ---------------------------------------------------------
 

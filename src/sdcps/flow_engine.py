@@ -14,7 +14,7 @@ otherwise it runs all the way to the destination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 from typing import Optional
 
@@ -45,7 +45,7 @@ class CloneCase(IntEnum):
 class Unit:
     flow: int
     seq: int
-    route: list[NodeId]
+    route: list[NodeId]  # replaced, never changed in place, so forks share it
     position: int  # index into route of current (or arrival) node
     in_transit: bool = False
     remaining: int = 0
@@ -53,6 +53,10 @@ class Unit:
 
     def key(self) -> tuple[int, int]:
         return (self.flow, self.seq)
+
+    def fork(self) -> "Unit":
+        return Unit(self.flow, self.seq, self.route, self.position, self.in_transit,
+                    self.remaining, self.injected_tick)
 
 
 @dataclass
@@ -63,10 +67,14 @@ class ReorderBuffer:
     released here: duplicates of them are absorbed silently.
     """
 
-    onward: list[NodeId]  # remaining path after release; [] delivers
+    onward: list[NodeId]  # remaining path after release; [] delivers; shared by forks
     held: dict[int, Unit] = field(default_factory=dict)
     done: set[int] = field(default_factory=set)
     next_expected: int = 0
+
+    def fork(self) -> "ReorderBuffer":
+        held = {seq: u.fork() for seq, u in self.held.items()}
+        return ReorderBuffer(self.onward, held, set(self.done), self.next_expected)
 
     def absorb(self, unit: Unit) -> list[Unit]:
         """Take one arrival; return the units released by it, in order."""
@@ -93,7 +101,7 @@ class Flow:
     origin: NodeId
     destination: NodeId
     units: int
-    path: list[NodeId]  # current canonical path, rewritten on recovery
+    path: list[NodeId]  # current canonical path, replaced on recovery; shared by forks
     state: FlowState = FlowState.ACTIVE
     start_tick: int = 0
     progress: int = 0  # furthest path index any unit has reached; see _rebase_progress
@@ -101,6 +109,11 @@ class Flow:
     destination_arrivals: list[int] = field(default_factory=list)  # pre-buffer, duplicates included
     clone_count: int = 0
     handled_bad: set[NodeId] = field(default_factory=set)
+
+    def fork(self) -> "Flow":
+        return replace(self, delivered_record=list(self.delivered_record),
+                       destination_arrivals=list(self.destination_arrivals),
+                       handled_bad=set(self.handled_bad))
 
     def path_index(self, node: NodeId) -> Optional[int]:
         try:
@@ -145,6 +158,19 @@ class FlowEngine:
         self.latency_sum = 0  # delivery latencies, as sum and count
         self.latency_count = 0
         self.slice_violations = 0
+
+    def fork(self, topology: Topology, slices: SliceTable, rng, log: EventLog) -> "FlowEngine":
+        twin = FlowEngine(topology, slices, rng, log)
+        twin.flows = {fid: flow.fork() for fid, flow in self.flows.items()}
+        twin.units = [u.fork() for u in self.units]
+        twin.buffers = {key: buf.fork() for key, buf in self.buffers.items()}
+        twin.decisions = list(self.decisions)  # a decision is never changed once made
+        twin.delivered_this_tick = dict(self.delivered_this_tick)
+        twin._next_flow_id, twin.now = self._next_flow_id, self.now
+        twin.total_delivered, twin.total_dropped = self.total_delivered, self.total_dropped
+        twin.total_cloned, twin.slice_violations = self.total_cloned, self.slice_violations
+        twin.latency_sum, twin.latency_count = self.latency_sum, self.latency_count
+        return twin
 
     def begin_tick(self, now: int) -> None:
         self.now = now

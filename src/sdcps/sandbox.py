@@ -2,12 +2,11 @@
 decision over a horizon, and commit it to the physical world only if the
 rehearsal improved things.
 
-A twin is a `World.fork()`: a deep copy of the live state (topology,
-controllers, bus, flows, units, RNG, running trace digest, counters) in
-which the metrics records start empty. It runs the same code the physical
-world runs; with the same seed its trace hash and totals continue tick for
-tick from the physical world's, and its metrics history begins at the
-snapshot. Twin mutations can never touch physical state.
+A twin is a `World.fork()`: a copy of the live state that shares only what
+nothing changes in place, with its metrics records empty. It runs the same
+code the physical world runs; with the same seed its trace hash and totals
+continue tick for tick from the physical world's. Twin mutations can never
+touch physical state.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ class DecisionKind(str, Enum):
     INJECT_REPAIR = "inject_repair"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decision:
     kind: DecisionKind
     flow: Optional[int] = None

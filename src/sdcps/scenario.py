@@ -40,6 +40,7 @@ class Scenario:
     flows: list[dict] = field(default_factory=list)
     faults: list[dict] = field(default_factory=list)
     options: dict = field(default_factory=dict)
+    world: Optional[World] = field(default=None, repr=False, compare=False)
 
 
 # -- shape -------------------------------------------------------------------------
@@ -182,7 +183,7 @@ def parse_scenario(text: str) -> Scenario:
     problems: list[str] = []
     scenario = Scenario(**_check_shape(doc, problems))
     try:
-        build_world(scenario)
+        scenario.world = build_world(scenario)
     except ScenarioValidationError as exc:
         problems += exc.violations
     if problems:
@@ -195,8 +196,11 @@ def build_world(scenario: Scenario, seed: Optional[int] = None) -> World:
 
     Every constructor call is made even after one fails. Each SdcpsError
     becomes one violation, and any violation raises ScenarioValidationError
-    with the full list.
+    with the full list. The first call at the parsed world's seed returns it.
     """
+    if scenario.world and scenario.world.seed == (scenario.seed if seed is None else seed):
+        world, scenario.world = scenario.world, None
+        return world
     problems: list[str] = []
 
     def attempt(where: str, fn, *args, **kwargs):

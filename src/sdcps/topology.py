@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import AbstractSet, Callable, Iterable, Optional
 
@@ -74,9 +74,6 @@ class Health:
     def malicious(cls, drop_prob: float) -> "Health":
         return cls(HealthState.MALICIOUS, drop_prob=drop_prob)
 
-    def __deepcopy__(self, memo):
-        return self  # immutable, so forks share it
-
     def label(self) -> str:
         if self.state is HealthState.CONGESTED:
             return f"congested:{self.slowdown:g}"
@@ -85,7 +82,7 @@ class Health:
         return self.state.value
 
 
-@dataclass
+@dataclass(frozen=True)
 class Node:
     id: NodeId
     kind: NodeKind
@@ -108,9 +105,6 @@ class Link:
     endpoints: LinkId
     latency: int
     capacity: int
-
-    def __deepcopy__(self, memo):
-        return self  # immutable, so forks share it
 
 
 def link_id(a: NodeId, b: NodeId) -> LinkId:
@@ -179,6 +173,12 @@ class Topology:
         self.links: dict[LinkId, Link] = {}
         self._adj: dict[NodeId, dict[NodeId, Link]] = {}
 
+    def fork(self) -> "Topology":
+        twin = Topology()
+        twin.nodes, twin.links = dict(self.nodes), dict(self.links)  # both frozen, so shared
+        twin._adj = {n: dict(nbrs) for n, nbrs in self._adj.items()}
+        return twin
+
     # -- mutation ----------------------------------------------------------
 
     def add_node(self, node: Node) -> NodeId:
@@ -208,11 +208,11 @@ class Topology:
         return lid
 
     def set_health(self, n: NodeId, health: Health) -> bool:
-        """Set node health. Returns True when the health actually changed."""
+        """Replace the frozen node with one of the new health; True if it changed."""
         node = self.node(n)
         if node.health == health:
             return False
-        node.health = health
+        self.nodes[n] = replace(node, health=health)
         return True
 
     # -- queries -----------------------------------------------------------

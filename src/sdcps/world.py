@@ -17,10 +17,9 @@ Each tick runs fixed phases:
 
 from __future__ import annotations
 
-import copy
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .bus import Bus
@@ -63,7 +62,7 @@ class WorldOptions:
             raise BadParameter("congestion_threshold must be > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PendingFlow:
     tenant: int
     origin: NodeId
@@ -72,7 +71,7 @@ class PendingFlow:
     start: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class PendingFault:
     tick: int
     node: NodeId
@@ -182,11 +181,26 @@ class World:
         return self.engine.open_flow(tenant, origin, dest, units, path)
 
     def fork(self) -> "World":
-        """Deep-copy the live state: topology, slices, controllers, bus,
-        flows, units, buffers, RNG, running digest and counters. The metrics
-        records start empty in the copy, so its trace hash, counters and
-        totals continue from here while its history begins here."""
-        return copy.deepcopy(self, {id(self.metrics): []})
+        """Copy the live state, sharing only what nothing changes in place. The
+        copy's metrics records start empty: its trace hash, counters and totals
+        continue from here while its history begins here."""
+        twin = World.__new__(World)
+        twin.seed, twin.options, twin.now = self.seed, replace(self.options), self.now
+        twin.rng = random.Random()
+        twin.rng.setstate(self.rng.getstate())
+        twin.topology, twin.log, twin.bus = self.topology.fork(), self.log.fork(), self.bus.fork()
+        twin.slices = self.slices.fork(twin.topology)
+        twin.farm = self.farm.fork(twin.topology, twin.slices, twin.bus)
+        twin.engine = self.engine.fork(twin.topology, twin.slices, twin.rng, twin.log)
+        twin.mid_tick, twin.metrics = self.mid_tick, []
+        twin.pending_flows, twin.pending_faults, twin.pending_commits = (
+            list(self.pending_flows), list(self.pending_faults), list(self.pending_commits))
+        twin.rejected_flows, twin.health_log = list(self.rejected_flows), list(self.health_log)
+        twin.task_overrides = dict(self.task_overrides)
+        twin.registry, twin.dag = self.registry, self.dag
+        twin.composition_makespan = self.composition_makespan
+        twin.composition_report = self.composition_report
+        return twin
 
     def reseed(self, seed: int) -> None:
         self.seed = seed

@@ -1,0 +1,169 @@
+"""A fork shares no mutable state with the world it was forked from.
+
+`reachable` walks an object graph with `gc.get_referents`. It stops at the
+types a fork shares whole (cached segment tables, the service registry, the
+task graph, the composition report and clone decisions, none of which
+anything changes once made) and skips the fields that are only ever
+replaced, never changed in place (unit routes, flow paths, buffers' onward
+paths, bus message payloads, decision paths and links). Every other object
+reachable from both a world and its fork must be immutable.
+"""
+
+import dataclasses
+import enum
+import gc
+from pathlib import Path
+
+import pytest
+
+from sdcps import CompositionDag, Decision, ServiceRegistry, parse_scenario
+from sdcps.bus import BusMessage
+from sdcps.composition import ExecutionReport
+from sdcps.controller import HealthMonitor, SegmentTable
+from sdcps.flow_engine import CloneDecision, Flow, FlowState, ReorderBuffer, Unit
+from sdcps.sandbox import DecisionKind, apply_decision, spawn_twin
+from sdcps.scenario import build_world
+
+from conftest import reference_shortest_path
+
+TESTS = Path(__file__).parent
+
+SHARED_TYPES = (SegmentTable, ServiceRegistry, CompositionDag, ExecutionReport, CloneDecision)
+SHARED_FIELDS = {
+    Unit: {"route"},
+    Flow: {"path"},
+    ReorderBuffer: {"onward"},
+    BusMessage: {"payload"},
+    Decision: {"new_path", "links"},
+}
+IMMUTABLE = (int, float, str, bool, type(None), tuple, frozenset)
+
+
+def immutable(obj) -> bool:
+    cls = type(obj)
+    return (
+        cls in IMMUTABLE
+        or isinstance(obj, enum.Enum)
+        or (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen)
+    )
+
+
+def reachable(root) -> dict[int, object]:
+    """id -> object for every object reachable from root, classes aside."""
+    seen = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, (SHARED_TYPES, enum.Enum)):
+            continue
+        skip = SHARED_FIELDS.get(type(obj))
+        if skip is None:
+            stack.extend(gc.get_referents(obj))
+        else:
+            stack.extend(v for k, v in vars(obj).items() if k not in skip)
+    return seen
+
+
+def shared_mutables(world, twin) -> list:
+    theirs = reachable(twin)
+    return [
+        obj for i, obj in reachable(world).items()
+        if i in theirs and not immutable(obj) and not isinstance(obj, SHARED_TYPES)
+    ]
+
+
+def malicious_world():
+    """A malicious relay drops units, so at t=5 later seqs wait in the
+    destination's reorder buffer for their clones; units are on the wire,
+    reports wait on the bus and a composition has run."""
+    world = build_world(parse_scenario((TESTS / "fixtures" / "malicious.json").read_text()))
+    registry = ServiceRegistry(world.topology)
+    registry.register_service("svc", 2, [0, 3])
+    world.set_composition(registry, CompositionDag([("a", "svc"), ("b", "svc")], [("a", "b", 1)]))
+    world.run_composition()
+    world.run(5)
+    return world
+
+
+def rehearsal_world():
+    """The generated twin-rehearsal scenario at t=60: three domains with
+    peer digests and cached segment tables, failed nodes, clone decisions,
+    a task graph, and a committed decision waiting for the next tick."""
+    text = (TESTS / "golden" / "twin-rehearsal-2-0.json").read_text()
+    world = build_world(parse_scenario(text))
+    world.run_composition()
+    world.run(60)
+    world.task_overrides["sense0"] = 0
+    world.pending_commits.append(Decision.inject_repair(7))
+    return world
+
+
+@pytest.fixture(params=[malicious_world, rehearsal_world])
+def live_world(request):
+    world = request.param()
+    engine = world.engine
+    assert any(u.in_transit for u in engine.units)
+    assert world.bus._pending
+    assert world.composition_report is not None
+    if request.param is malicious_world:
+        assert any(buf.held for buf in engine.buffers.values())
+    else:
+        assert engine.decisions and world.farm._segment_cache
+        assert any(c.peer_views for c in world.farm.controllers.values())
+    return world
+
+
+def test_fork_shares_no_mutable_state(live_world):
+    assert shared_mutables(live_world, live_world.fork()) == []
+
+
+def test_guard_catches_a_fork_that_shares_a_container(monkeypatch):
+    fork = HealthMonitor.fork
+
+    def leaky(self, topology):
+        twin = fork(self, topology)
+        twin._windows = self._windows
+        return twin
+
+    monkeypatch.setattr(HealthMonitor, "fork", leaky)
+    world = malicious_world()
+    leaked = shared_mutables(world, world.fork())
+    assert any(obj is world.farm.controllers[0].monitor._windows for obj in leaked)
+
+
+def decision_for(kind: DecisionKind, world) -> Decision:
+    """A decision of each kind that resolves against the rehearsal world
+    and changes it."""
+    if kind is DecisionKind.INJECT_REPAIR:
+        return Decision.inject_repair(9)
+    if kind is DecisionKind.PLACE_TASK:
+        task, service = world.dag.tasks[0]
+        placed = world.composition_report.assignments[task][0]
+        return Decision.place_task(task, max(world.registry.lookup(service).providers - {placed}))
+    if kind is DecisionKind.SET_SLICE:
+        sl = world.slices.get(0)
+        return Decision.set_slice(0, sorted(sl.links), 0, sl.priority)
+    flow = next(f for f in world.engine.flows.values() if f.state is FlowState.ACTIVE)
+    sl = world.slices.get(flow.tenant)
+    _, path = reference_shortest_path(
+        world.topology, flow.origin, flow.destination,
+        link_filter=lambda link: sl.covers(link.endpoints), exclude_nodes=[flow.path[1]],
+    )
+    return Decision.reroute(flow.id, path)
+
+
+@pytest.mark.parametrize("kind", list(DecisionKind))
+def test_a_twin_decision_leaves_the_world_as_it_was(kind):
+    world, reference = rehearsal_world(), rehearsal_world()
+    before = (world.trace_hash(), world.summary())
+    twin = spawn_twin(world, twin_seed=99)
+    apply_decision(twin, decision_for(kind, twin))
+    twin.run(10)
+    assert twin.trace_hash() != before[0]
+    assert (world.trace_hash(), world.summary()) == before
+    world.run(10)
+    reference.run(10)
+    assert (world.trace_hash(), world.summary()) == (reference.trace_hash(), reference.summary())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdcps import Bus, parse_scenario, run_scenario
+from sdcps import Bus, build_world, parse_scenario, run_scenario
 from sdcps.cli import main as cli_main
 from sdcps.errors import ScenarioSyntaxError, ScenarioValidationError, SdcpsError
 
@@ -306,6 +306,21 @@ def test_same_scenario_twice_identical_hash_and_metrics():
         assert s1 == s2, name
 
 
+def test_parse_hands_its_world_to_the_first_build_at_its_seed():
+    text = (FIXTURES / "diamond_fault.json").read_text()
+    scenario = parse_scenario(text)
+    held = scenario.world
+    other_seed = build_world(scenario, seed=scenario.seed + 1)
+    assert other_seed is not held and scenario.world is held
+    first, second = build_world(scenario), build_world(scenario)
+    assert first is held and second is not first and scenario.world is None
+    fresh = build_world(parse_scenario(text))
+    for world in (first, second, fresh):
+        world.run(scenario.horizon)
+    assert first.trace_hash() == second.trace_hash() == fresh.trace_hash()
+    assert first.summary() == second.summary() == fresh.summary()
+
+
 def test_run_executes_exactly_horizon_ticks():
     scenario = load("minimal.json")
     world, _, summary = run_scenario(scenario)
@@ -457,6 +472,8 @@ CLI_CASES = [
     (["run", "{bigint}", "--out", "{out}"], None, 1),
     (["run", "{good}", "--out", "{nodir}"], None, 1),
     (["sweep", "{good}", "--out", "{nodir}"], None, 1),
+    (["run", "{good}", "--seed", "abc"], None, 1),
+    (["sweep", "{good}", "--tasks", "x"], None, 1),
 ]
 
 
@@ -482,3 +499,13 @@ def test_cli_exit_codes(argv, env_seed, code, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert (err == "") == (code == 0)
+
+
+def test_unwritable_out_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    def run_scenario(*args, **kwargs):
+        raise AssertionError("the run started before --out was opened")
+
+    monkeypatch.setattr("sdcps.cli.run_scenario", run_scenario)
+    out = tmp_path / "none" / "x.jsonl"
+    assert cli_exit_code(["run", str(FIXTURES / "minimal.json"), "--out", str(out)]) == 1
+    assert "cannot write --out file" in capsys.readouterr().err
