@@ -166,7 +166,16 @@ class HealthMonitor:
     """Sets a node's verdict once `window` consecutive observations point
     to it: losses to suspect-failed, slow replies to suspect-congested and
     clean replies to healthy. An observation of another kind starts a new
-    run, so `window` clean observations clear an existing verdict."""
+    run, so `window` clean observations clear an existing verdict.
+
+    A run's length stops growing at `window`, the only length ever read, so
+    a node's (run, length, verdict) tuple stops changing once a run has
+    set its verdict. The monitor writes a tuple only when it changes and
+    counts the writes. A report that wrote nothing is remembered with the
+    count at that time: the reporter's next report, if its observations are
+    equal and nothing was written since, would write nothing either, so it
+    is skipped. A skipped report still counts as the reporter's latest, so
+    a later report with an earlier tick is still stale."""
 
     def __init__(self, topology: Topology, window: int = DEFAULT_WINDOW,
                  congestion_threshold: float = DEFAULT_CONGESTION_THRESHOLD):
@@ -175,10 +184,14 @@ class HealthMonitor:
         self.congestion_threshold = congestion_threshold
         self._windows: dict[NodeId, tuple[Verdict, int, Verdict]] = {}
         self._last_tick: dict[NodeId, int] = {}
+        self._writes = 0
+        # reporter -> (observations of its last report that wrote nothing, _writes then)
+        self._no_op: dict[NodeId, tuple] = {}
 
     def fork(self, topology: Topology) -> "HealthMonitor":
         twin = HealthMonitor(topology, self.window, self.congestion_threshold)
         twin._windows, twin._last_tick = dict(self._windows), dict(self._last_tick)
+        twin._writes, twin._no_op = self._writes, dict(self._no_op)
         return twin
 
     def estimates(self) -> dict[NodeId, Verdict]:
@@ -196,13 +209,18 @@ class HealthMonitor:
                 f"reporter {report.reporter}: tick {report.tick} <= {last}"
             )
         self._last_tick[report.reporter] = report.tick
+        observations, writes = report.neighbor_observations, self._writes
+        if self._no_op.get(report.reporter) == (observations, writes):
+            return []
         transitions = []
-        for neighbor, observation in report.neighbor_observations:
+        for neighbor, observation in observations:
             self._topology.node(neighbor)
             nominal = self._topology.link(report.reporter, neighbor).latency
             est = self._observe(neighbor, observation, nominal)
             if est is not None:
                 transitions.append(est)
+        if self._writes == writes:
+            self._no_op[report.reporter] = (observations, writes)
         return transitions
 
     def _observe(self, node: NodeId, observation, nominal: int) -> Optional[HealthEstimate]:
@@ -212,10 +230,14 @@ class HealthMonitor:
             points_to = Verdict.SUSPECT_CONGESTED
         else:
             points_to = Verdict.HEALTHY
-        run, length, before = self._windows.get(node, _FRESH_WINDOW)
-        length = length + 1 if points_to is run else 1
+        old = self._windows.get(node, _FRESH_WINDOW)
+        run, length, before = old
+        length = min(length + 1, self.window) if points_to is run else 1
         verdict = points_to if length >= self.window else before
-        self._windows[node] = (points_to, length, verdict)
+        new = (points_to, length, verdict)
+        if new != old:
+            self._windows[node] = new
+            self._writes += 1
         if verdict is not before:
             return HealthEstimate(node, verdict)
         return None

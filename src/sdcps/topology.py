@@ -166,17 +166,28 @@ class Topology:
     """Mutable node/link store with a consistent adjacency index.
 
     Single-writer: callers serialize mutations. Path queries never mutate.
+
+    Two caches read node health: `_effective`, the effective latency per
+    directed link, which `effective_latency` fills, and `probes`, what a
+    node last observed when it probed its neighbours, which the world's
+    telemetry fills. `set_health` drops them when a health change makes
+    them stale: the entries of the changed node's links, and the probes of
+    the node and of its neighbours. `add_link` drops its endpoints' probes,
+    since each gains a neighbour; it makes no latency entry stale.
     """
 
     def __init__(self):
         self.nodes: dict[NodeId, Node] = {}
         self.links: dict[LinkId, Link] = {}
         self._adj: dict[NodeId, dict[NodeId, Link]] = {}
+        self._effective: dict[tuple[NodeId, NodeId], int] = {}
+        self.probes: dict[NodeId, tuple] = {}
 
     def fork(self) -> "Topology":
         twin = Topology()
         twin.nodes, twin.links = dict(self.nodes), dict(self.links)  # both frozen, so shared
         twin._adj = {n: dict(nbrs) for n, nbrs in self._adj.items()}
+        twin._effective, twin.probes = dict(self._effective), dict(self.probes)
         return twin
 
     # -- mutation ----------------------------------------------------------
@@ -205,6 +216,8 @@ class Topology:
         self.links[lid] = link
         self._adj[a][b] = link
         self._adj[b][a] = link
+        self.probes.pop(a, None)  # a new neighbour for each endpoint
+        self.probes.pop(b, None)
         return lid
 
     def set_health(self, n: NodeId, health: Health) -> bool:
@@ -213,6 +226,11 @@ class Topology:
         if node.health == health:
             return False
         self.nodes[n] = replace(node, health=health)
+        self.probes.pop(n, None)
+        for nbr in self._adj[n]:
+            self._effective.pop((n, nbr), None)
+            self._effective.pop((nbr, n), None)
+            self.probes.pop(nbr, None)
         return True
 
     # -- queries -----------------------------------------------------------
@@ -262,11 +280,15 @@ class Topology:
         return h.slowdown if h.state is HealthState.CONGESTED else 1.0
 
     def effective_latency(self, a: NodeId, b: NodeId) -> int:
-        """Traversal latency of link a-b including endpoint congestion."""
-        scaled = self.link(a, b).latency * self.slowdown(a) * self.slowdown(b)
-        if not math.isfinite(scaled):
-            raise BadParameter(f"link {link_id(a, b)}: congested latency overflows")
-        return max(1, _ceil(scaled))
+        """Traversal latency of link a-b including endpoint congestion, kept
+        per direction until a health change; an overflow is never kept."""
+        latency = self._effective.get((a, b))
+        if latency is None:
+            scaled = self.link(a, b).latency * self.slowdown(a) * self.slowdown(b)
+            if not math.isfinite(scaled):
+                raise BadParameter(f"link {link_id(a, b)}: congested latency overflows")
+            latency = self._effective[(a, b)] = max(1, _ceil(scaled))
+        return latency
 
     # -- path computation ----------------------------------------------------
 

@@ -360,30 +360,37 @@ class World:
 
     def _telemetry(self, t: int) -> None:
         """Every live node probes each neighbor; reports ride the bus and
-        reach the reporter's domain controller next tick."""
-        for reporter in self.topology.node_ids():
-            rnode = self.topology.nodes[reporter]
-            if rnode.health.state is HealthState.FAILED:
+        reach the reporter's domain controller next tick.
+
+        A probe sees a failed neighbor as LOSS, a malicious one as LOSS
+        with its drop probability (one RNG draw per probe, in node order),
+        and any other as the link's effective latency. A reporter with no
+        malicious neighbor observes the same until the health of it or of a
+        neighbor changes, so its observation tuple is kept in
+        `Topology.probes`, which drops it on that change."""
+        topo, rng = self.topology, self.rng
+        nodes, probes = topo.nodes, topo.probes
+        for reporter in topo.node_ids():
+            if nodes[reporter].health.state is HealthState.FAILED:
                 continue
-            observations = []
-            for neighbor in self.topology.neighbors(reporter):
-                h = self.topology.nodes[neighbor].health
-                if h.state is HealthState.FAILED:
-                    observations.append((neighbor, LOSS))
-                elif h.state is HealthState.MALICIOUS:
-                    if self.rng.random() < h.drop_prob:
-                        observations.append((neighbor, LOSS))
+            observations = probes.get(reporter)
+            if observations is None:
+                observations, reusable = [], True
+                for neighbor in topo.neighbors(reporter):
+                    h = nodes[neighbor].health
+                    if h.state is HealthState.MALICIOUS:
+                        reusable = False
+                        lost = rng.random() < h.drop_prob
                     else:
-                        observations.append(
-                            (neighbor, self.topology.effective_latency(reporter, neighbor))
-                        )
-                else:
+                        lost = h.state is HealthState.FAILED
                     observations.append(
-                        (neighbor, self.topology.effective_latency(reporter, neighbor))
+                        (neighbor, LOSS if lost else topo.effective_latency(reporter, neighbor))
                     )
-            if not observations:
-                continue
-            self.farm.send_report(SouthboundReport(reporter, t, tuple(observations)))
+                observations = tuple(observations)
+                if reusable:
+                    probes[reporter] = observations
+            if observations:
+                self.farm.send_report(SouthboundReport(reporter, t, observations))
 
     # -- summary ------------------------------------------------------------------------
 

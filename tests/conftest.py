@@ -1,10 +1,23 @@
 import heapq
+import math
 from collections import defaultdict
 
 import pytest
 
 from sdcps import Node, NodeKind, Priority, Topology, World, flow_engine
+from sdcps.controller import (
+    _FRESH_WINDOW,
+    DEFAULT_CONGESTION_THRESHOLD,
+    DEFAULT_WINDOW,
+    LOSS,
+    HealthEstimate,
+    SouthboundReport,
+    Verdict,
+)
+from sdcps.errors import BadParameter, StaleReport
 from sdcps.events import EventLog
+from sdcps.farm import Farm
+from sdcps.topology import HealthState, link_id
 
 
 def make_node(i, kind=NodeKind.SWITCH, compute=None):
@@ -64,6 +77,101 @@ def reference_shortest_path(topo, src, dst, link_filter=None, exclude_nodes=(),
                 best[nxt] = nkey
                 heapq.heappush(heap, nkey)
     return None
+
+
+def reference_effective_latency(topo, a, b):
+    """Latency of link a-b scaled by both endpoints' congestion, computed
+    from the nodes' health on every call."""
+
+    def slowdown(n):
+        h = topo.nodes[n].health
+        return h.slowdown if h.state is HealthState.CONGESTED else 1.0
+
+    scaled = topo.link(a, b).latency * slowdown(a) * slowdown(b)
+    if not math.isfinite(scaled):
+        raise BadParameter(f"link {link_id(a, b)}: congested latency overflows")
+    return max(1, math.ceil(scaled))
+
+
+class ReferenceHealthMonitor:
+    """`HealthMonitor` as it was before run lengths were capped: every
+    observation of every report is applied, and run lengths grow without
+    bound."""
+
+    def __init__(self, topology, window=DEFAULT_WINDOW,
+                 congestion_threshold=DEFAULT_CONGESTION_THRESHOLD):
+        self._topology = topology
+        self.window = window
+        self.congestion_threshold = congestion_threshold
+        self._windows = {}
+        self._last_tick = {}
+
+    def estimates(self):
+        return {
+            n: verdict
+            for n, (_run, _length, verdict) in sorted(self._windows.items())
+            if verdict is not Verdict.HEALTHY
+        }
+
+    def ingest(self, report):
+        self._topology.node(report.reporter)
+        last = self._last_tick.get(report.reporter)
+        if last is not None and report.tick <= last:
+            raise StaleReport(f"reporter {report.reporter}: tick {report.tick} <= {last}")
+        self._last_tick[report.reporter] = report.tick
+        transitions = []
+        for neighbor, observation in report.neighbor_observations:
+            self._topology.node(neighbor)
+            nominal = self._topology.link(report.reporter, neighbor).latency
+            if observation == LOSS:
+                points_to = Verdict.SUSPECT_FAILED
+            elif observation > self.congestion_threshold * nominal:
+                points_to = Verdict.SUSPECT_CONGESTED
+            else:
+                points_to = Verdict.HEALTHY
+            run, length, before = self._windows.get(neighbor, _FRESH_WINDOW)
+            length = length + 1 if points_to is run else 1
+            verdict = points_to if length >= self.window else before
+            self._windows[neighbor] = (points_to, length, verdict)
+            if verdict is not before:
+                transitions.append(HealthEstimate(neighbor, verdict))
+        return transitions
+
+
+def reference_telemetry(world, t):
+    """`World._telemetry` without reuse: every live node probes every
+    neighbour afresh, with one RNG draw per probe of a malicious neighbour."""
+    topo = world.topology
+    for reporter in topo.node_ids():
+        if topo.nodes[reporter].health.state is HealthState.FAILED:
+            continue
+        observations = []
+        for neighbor in topo.neighbors(reporter):
+            h = topo.nodes[neighbor].health
+            if h.state is HealthState.FAILED:
+                observations.append((neighbor, LOSS))
+            elif h.state is HealthState.MALICIOUS and world.rng.random() < h.drop_prob:
+                observations.append((neighbor, LOSS))
+            else:
+                observations.append(
+                    (neighbor, reference_effective_latency(topo, reporter, neighbor))
+                )
+        if observations:
+            world.farm.send_report(SouthboundReport(reporter, t, tuple(observations)))
+
+
+def record_reports(mp):
+    """Wrap `Farm.send_report` through the monkeypatch `mp` and return the
+    record: farm object -> the reports it sent, in send order."""
+    recorded = defaultdict(list)
+    send = Farm.send_report
+
+    def recording_send(farm, report):
+        recorded[farm].append(report)
+        send(farm, report)
+
+    mp.setattr(Farm, "send_report", recording_send)
+    return recorded
 
 
 def reference_safely_past(engine, flow, seq, bad_idx):

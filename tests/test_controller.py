@@ -23,7 +23,7 @@ from sdcps.errors import (
     UnknownNode,
 )
 
-from conftest import build_topology, reference_shortest_path
+from conftest import ReferenceHealthMonitor, build_topology, reference_shortest_path
 
 
 def make_controller(topo, nodes=None, window=3):
@@ -184,6 +184,72 @@ def test_escalation_exactly_at_wth_report():
             assert mon.estimates() == {}
         out = mon.ingest(loss_report(0, w, 1))
         assert [e.verdict for e in out] == [Verdict.SUSPECT_FAILED]
+
+
+# five nodes with nominal latencies 1-3; every reporter shares a neighbour
+# with another
+SHARED_NEIGHBOURS = [(0, 1, 1), (0, 2, 2), (1, 2, 1), (1, 3, 2), (2, 3, 3), (3, 4, 1), (0, 4, 2)]
+# loss, and latencies on both sides of and at threshold x nominal
+OBSERVATIONS = [LOSS, 1, 2, 3, 4, 5, 6, 7, 8]
+
+
+def ingest_or_stale(monitor, report):
+    try:
+        return monitor.ingest(report)
+    except StaleReport:
+        return "stale"
+
+
+REPORT_STEPS = st.lists(
+    st.tuples(
+        st.integers(0, 4),  # reporter
+        st.sampled_from([True, True, False]),  # repeat its last observations verbatim
+        st.integers(-3, 1),  # tick offset: some reports are stale, repeats included
+        st.booleans(),  # replay the report at once, which is always stale
+        st.lists(st.sampled_from(OBSERVATIONS), min_size=3, max_size=3),  # one per neighbour
+    ),
+    max_size=60,
+)
+
+
+@given(st.integers(1, 4), st.sampled_from([1.0, 1.5, 2.0, 2.5]), REPORT_STEPS)
+@settings(max_examples=500, deadline=None)
+def test_capped_skipping_monitor_matches_the_reference(window, threshold, steps):
+    topo = build_topology(5, SHARED_NEIGHBOURS)
+    mon = HealthMonitor(topo, window, threshold)
+    ref = ReferenceHealthMonitor(topo, window, threshold)
+    last = {}
+    for step, (reporter, repeat, offset, replay, values) in enumerate(steps):
+        if not (repeat and reporter in last):
+            last[reporter] = tuple(zip(topo.neighbors(reporter), values))
+        report = SouthboundReport(reporter, step + offset, last[reporter])
+        for _ in range(1 + replay):
+            assert ingest_or_stale(mon, report) == ingest_or_stale(ref, report)
+            assert mon.estimates() == ref.estimates()
+
+
+def test_a_repeated_no_op_report_is_skipped_and_still_checked_for_staleness(monkeypatch):
+    topo = build_topology(3, [(0, 1), (1, 2)])
+    mon = HealthMonitor(topo)
+    report = ((0, LOSS), (2, 1))
+    for t in range(1, 5):
+        mon.ingest(SouthboundReport(1, t, report))
+    assert mon.estimates() == {0: Verdict.SUSPECT_FAILED}
+    observed = []
+    observe = HealthMonitor._observe
+
+    def recording_observe(self, *args):
+        observed.append(args)
+        return observe(self, *args)
+
+    monkeypatch.setattr(HealthMonitor, "_observe", recording_observe)
+    assert mon.ingest(SouthboundReport(1, 5, report)) == []
+    assert observed == []  # the fourth report wrote nothing, so the fifth is skipped
+    with pytest.raises(StaleReport):
+        mon.ingest(SouthboundReport(1, 5, report))
+    mon.ingest(SouthboundReport(0, 5, ((1, 1),)))  # writes node 1's window
+    assert mon.ingest(SouthboundReport(1, 6, report)) == []
+    assert len(observed) == 3  # node 1's write moved the count: applied again
 
 
 def test_merge_verdicts_most_severe_wins():

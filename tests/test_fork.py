@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from sdcps import CompositionDag, Decision, ServiceRegistry, parse_scenario
+from sdcps import CompositionDag, Decision, ServiceRegistry, Topology, parse_scenario
 from sdcps.bus import BusMessage
 from sdcps.composition import ExecutionReport
 from sdcps.controller import HealthMonitor, SegmentTable
@@ -132,6 +132,26 @@ def test_guard_catches_a_fork_that_shares_a_container(monkeypatch):
     world = malicious_world()
     leaked = shared_mutables(world, world.fork())
     assert any(obj is world.farm.controllers[0].monitor._windows for obj in leaked)
+
+
+@pytest.mark.parametrize("cls, field, owner", [
+    (Topology, "_effective", lambda world: world.topology),
+    (Topology, "probes", lambda world: world.topology),
+    (HealthMonitor, "_no_op", lambda world: world.farm.controllers[0].monitor),
+])
+def test_guard_catches_a_fork_that_shares_a_telemetry_cache(monkeypatch, cls, field, owner):
+    fork = cls.fork
+
+    def leaky(self, *args):
+        twin = fork(self, *args)
+        setattr(twin, field, getattr(self, field))
+        return twin
+
+    monkeypatch.setattr(cls, "fork", leaky)
+    world = malicious_world()
+    cache = getattr(owner(world), field)
+    assert cache  # filled by five ticks of telemetry
+    assert any(obj is cache for obj in shared_mutables(world, world.fork()))
 
 
 def decision_for(kind: DecisionKind, world) -> Decision:

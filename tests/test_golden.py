@@ -27,7 +27,9 @@ changes as `<scenario> <key>: <old> -> <new>`, so its scope shows.
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -158,6 +160,30 @@ def test_recorded_lines_fold_to_trace_hash(name, event_lines):
     for line in event_lines[world.log]:
         state = events.fnv1a_64(line.encode() + b"\n", state)
     assert f"{state:016x}" == digest
+
+
+@pytest.mark.parametrize("name", ["fixtures/malicious.json", "golden/federated-admission-2-0.json"])
+def test_output_is_identical_across_processes_and_hash_seeds(name, tmp_path):
+    """`sdcps run` in fresh interpreters with different string-hash seeds
+    writes the same bytes, and they are the pinned ones."""
+    path = TESTS / name
+    seed = parse_scenario(path.read_text(encoding="utf-8")).seed
+    src = str(TESTS.parent / "src")
+    outputs = []
+    for hash_seed in ("0", "4242"):
+        env = {k: v for k, v in os.environ.items() if k != "SDCPS_SEED"}
+        env["PYTHONHASHSEED"] = hash_seed
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"hash-seed-{hash_seed}.jsonl"
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from sdcps.cli import main; sys.exit(main())",
+             "run", str(path), "--seed", str(seed), "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    expected = json.loads(EXPECTED.read_text())[name]["output_sha256"]
+    assert hashlib.sha256(outputs[0]).hexdigest() == expected
 
 
 if __name__ == "__main__":

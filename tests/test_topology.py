@@ -12,7 +12,13 @@ from sdcps.errors import (
     UnknownNode,
 )
 
-from conftest import build_topology, make_node, path_latency, reference_shortest_path
+from conftest import (
+    build_topology,
+    make_node,
+    path_latency,
+    reference_effective_latency,
+    reference_shortest_path,
+)
 
 
 # -- oracle: exhaustive simple-path enumeration -------------------------------
@@ -255,8 +261,39 @@ def test_effective_latency_overflow_names_the_link():
     topo.set_health(0, Health.congested(1e200))
     topo.set_health(1, Health.congested(1e200))
     assert topo.effective_latency(1, 2) > 1
-    with pytest.raises(BadParameter, match=r"\(0, 1\)"):
-        topo.effective_latency(1, 0)
+    for _ in range(2):  # an overflow is never kept, so it raises again
+        with pytest.raises(BadParameter, match=r"\(0, 1\)"):
+            topo.effective_latency(1, 0)
+    topo.set_health(0, Health.healthy())
+    assert topo.effective_latency(1, 0) == reference_effective_latency(topo, 1, 0) > 1
+
+
+def outcome(call):
+    try:
+        return call()
+    except BadParameter as exc:
+        return str(exc)
+
+
+HEALTH_CHANGES = [
+    Health.healthy(), Health.failed(), Health.malicious(0.4), Health.congested(1.0),
+    Health.congested(1.5), Health.congested(2.0), Health.congested(3.7), Health.congested(1e200),
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_effective_latency_table_matches_the_formula_after_health_changes(seed):
+    rng = random.Random(seed)
+    for _ in range(10):
+        topo = random_topology(rng)
+        directed = [(a, b) for lid in sorted(topo.links) for a, b in (lid, lid[::-1])]
+        for _ in range(15):
+            topo.set_health(rng.choice(sorted(topo.nodes)), rng.choice(HEALTH_CHANGES))
+            for _ in range(2):  # the second pass reads what the first one kept
+                for a, b in directed:
+                    assert outcome(lambda: topo.effective_latency(a, b)) == outcome(
+                        lambda: reference_effective_latency(topo, a, b)
+                    )
 
 
 # -- reachable -----------------------------------------------------------------------
