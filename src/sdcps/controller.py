@@ -258,12 +258,21 @@ def merge_verdicts(views: Iterable[dict[NodeId, Verdict]]) -> dict[NodeId, Verdi
 
 
 class SegmentTable(dict):
-    """(terminal, terminal) -> (latency, path) through one domain. Never
-    changed once built, so the farm's cache and forks share it."""
+    """(node, node) -> (latency, path) through one domain: the rows of one
+    source's search, or a table of terminal pairs. Never changed once
+    built, so forks share it."""
 
 
 class Controller:
-    """Owns one domain: its health windows and intra-domain routing."""
+    """Owns one domain: its health windows and intra-domain routing.
+
+    Its caches spare admissions repeated work. The merged view and the
+    suspect sets are kept until one of the two writes that can change them:
+    a digest (`receive_digest`) or a verdict transition (`ingest_report`).
+    `_searches` keeps one full search per (slice links, source), together
+    with the domain's suspects it ran with; a read under other domain
+    suspects runs it again and replaces it, so the memo holds one search
+    per key."""
 
     def __init__(
         self,
@@ -281,49 +290,97 @@ class Controller:
         self.monitor = HealthMonitor(topology, window, congestion_threshold)
         # latest digest snapshot per peer controller
         self.peer_views: dict[ControllerId, dict[NodeId, Verdict]] = {}
+        self._view: Optional[dict[NodeId, Verdict]] = None
+        self._suspects: Optional[frozenset[NodeId]] = None
+        self._domain_suspects: Optional[frozenset[NodeId]] = None
+        # (slice links, source) -> (domain suspects it ran with, its rows)
+        self._searches: dict[tuple, tuple[frozenset[NodeId], SegmentTable]] = {}
 
     def fork(self, topology: Topology, slice_table: SliceTable) -> "Controller":
         twin = Controller(self.id, self.domain_nodes, topology, slice_table)
         twin.monitor = self.monitor.fork(topology)
         twin.peer_views = {peer: dict(view) for peer, view in self.peer_views.items()}
+        twin._view = None if self._view is None else dict(self._view)
+        twin._suspects, twin._domain_suspects = self._suspects, self._domain_suspects
+        twin._searches = dict(self._searches)
         return twin
 
     # -- health --------------------------------------------------------------
 
     def ingest_report(self, report: SouthboundReport) -> list[HealthEstimate]:
-        return self.monitor.ingest(report)
+        transitions = self.monitor.ingest(report)
+        if transitions:
+            self._view = self._suspects = self._domain_suspects = None
+        return transitions
 
     def merged_view(self) -> dict[NodeId, Verdict]:
-        return merge_verdicts([self.monitor.estimates(), *self.peer_views.values()])
+        """Own and peer verdicts merged, most severe first; a copy."""
+        if self._view is None:
+            self._view = merge_verdicts([self.monitor.estimates(), *self.peer_views.values()])
+        return dict(self._view)
 
     def receive_digest(self, peer: ControllerId, estimates: dict[NodeId, Verdict]) -> None:
         self.peer_views[peer] = dict(estimates)
+        self._view = self._suspects = self._domain_suspects = None
 
-    def suspect_failed(self) -> set[NodeId]:
-        return {
-            n for n, v in self.merged_view().items() if v is Verdict.SUSPECT_FAILED
-        }
+    def suspect_failed(self) -> frozenset[NodeId]:
+        if self._suspects is None:
+            self._suspects = frozenset(
+                n for n, v in self.merged_view().items() if v is Verdict.SUSPECT_FAILED
+            )
+        return self._suspects
+
+    def domain_suspects(self) -> frozenset[NodeId]:
+        """The suspects in this domain: all that a search through it reads."""
+        if self._domain_suspects is None:
+            self._domain_suspects = self.suspect_failed() & self.domain_nodes
+        return self._domain_suspects
 
     # -- routing -------------------------------------------------------------
+
+    def search(self, links: frozenset[LinkId], source: NodeId) -> SegmentTable:
+        """(source, node) -> (latency, path) for every node of the domain
+        that source reaches over the slice links. Suspects other than the
+        source may end a path but never relay one."""
+        suspects = self.domain_suspects()
+        memo = self._searches.get((links, source))
+        if memo is None or memo[0] != suspects:
+            adj = self._topology.adjacency(
+                self.domain_nodes, lambda link: link.endpoints in links
+            )
+            found = multi_target_paths(adj, source, self.domain_nodes, suspects - {source})
+            rows = SegmentTable(
+                ((source, v), (dist, list(seq)))
+                for v, (dist, _hops, seq) in found.items() if v != source
+            )
+            memo = self._searches[(links, source)] = (suspects, rows)
+        return memo[1]
+
+    def segment(self, links: frozenset[LinkId], u: NodeId, v: NodeId):
+        """(latency, path) from u to v through this domain, or None: from u's
+        search when u < v, else the reverse of v's, so both directions
+        break ties alike."""
+        if u < v:
+            return self.search(links, u).get((u, v))
+        found = self.search(links, v).get((v, u))
+        return None if found is None else (found[0], found[1][::-1])
 
     def segment_table(self, tenant: TenantId, terminals: list[NodeId]) -> SegmentTable:
         """All-pairs slice paths between terminals through this domain only.
 
         Served over the westbound surface; peers never see the topology
-        itself, just these segments. One single-source search per terminal
-        covers every later terminal; suspects other than the source may end
-        a segment but never relay one.
+        itself, just these segments. Read from the memoized per-source
+        searches: (u, v) with u < v from u's, (v, u) its reverse.
         """
-        sl = self._slices.get(tenant)
-        suspects = self.suspect_failed()
-        adj = self._topology.adjacency(
-            self.domain_nodes, lambda link: sl.covers(link.endpoints)
-        )
+        links = self._slices.get(tenant).links
         table = SegmentTable()
         terms = sorted(set(terminals) & self.domain_nodes)
         for i, u in enumerate(terms[:-1]):
-            found = multi_target_paths(adj, u, terms[i + 1:], suspects - {u})
-            for v, (dist, _hops, seq) in sorted(found.items()):
-                table[(u, v)] = (dist, list(seq))
-                table[(v, u)] = (dist, list(reversed(seq)))
+            rows = self.search(links, u)
+            for v in terms[i + 1:]:
+                found = rows.get((u, v))
+                if found is not None:
+                    dist, path = found
+                    table[(u, v)] = (dist, list(path))
+                    table[(v, u)] = (dist, path[::-1])
         return table

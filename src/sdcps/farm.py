@@ -10,7 +10,7 @@ traffic; it keeps no message log.
 from __future__ import annotations
 
 from .controller import DEFAULT_CONGESTION_THRESHOLD, DEFAULT_WINDOW, Controller, ControllerId
-from .controller import HealthEstimate, SegmentTable, SouthboundReport, TenantId
+from .controller import HealthEstimate, SouthboundReport, TenantId
 from .errors import (
     DisconnectedDomain,
     DuplicateId,
@@ -19,9 +19,34 @@ from .errors import (
     StaleReport,
     UnassignedNode,
 )
-from .topology import Adjacency, NodeId, Topology, multi_target_paths
+from .topology import NodeId, Topology, multi_target_paths
 
 DEFAULT_DIGEST_PERIOD = 5
+
+
+class JoinGraph:
+    """The join graph of one slice's links: each domain's segments between
+    its gateway terminals (endpoints of slice links that cross domains) and
+    the gateway links, as a search adjacency. `suspects` holds, per domain,
+    the domain suspects its segments were read with."""
+
+    def __init__(self, owner: dict[NodeId, ControllerId], gateways):
+        """gateways: (a, b, latency) of each slice link that crosses domains."""
+        terminals: dict[ControllerId, set[NodeId]] = {}
+        self.gateway_edges: dict[NodeId, tuple] = {}  # node -> its gateway-link edges
+        for a, b, latency in gateways:
+            for u, v in ((a, b), (b, a)):
+                terminals.setdefault(owner[u], set()).add(u)
+                self.gateway_edges[u] = self.gateway_edges.get(u, ()) + ((v, latency, 1),)
+        self.terminals = {cid: tuple(sorted(t)) for cid, t in terminals.items()}
+        self.adj: dict[NodeId, tuple] = dict(self.gateway_edges)
+        self.suspects: dict[ControllerId, frozenset[NodeId]] = {}
+
+    def fork(self) -> "JoinGraph":
+        twin = JoinGraph.__new__(JoinGraph)
+        twin.gateway_edges, twin.terminals = dict(self.gateway_edges), dict(self.terminals)
+        twin.adj, twin.suspects = dict(self.adj), dict(self.suspects)
+        return twin
 
 
 class Farm:
@@ -31,14 +56,21 @@ class Farm:
     creates share only read-only structures. Each controller has two bus
     inboxes, one exact topic each, delivered next tick: southbound reports
     from its domain's nodes (`south/<domain>/reports`) and health digests
-    from its peers (`west/to/<receiver>`, each carrying its sender). Segment
-    tables are direct calls; `message_count` counts each table fetched from
-    a peer as a request plus its reply, and each digest as one message.
+    from its peers (`west/to/<receiver>`, each carrying its sender). Segments
+    are direct calls.
 
-    Segment tables are cached by (controller, slice links, terminals), so
-    tenants whose slices have the same links share them. Only the events
-    that can change a suspect set drop the cache: a delivered digest and a
-    verdict transition at report ingestion.
+    Route composition reuses what it has computed. Each controller memoizes
+    one search per (slice links, source) under its domain's suspects, and
+    the farm keeps one `JoinGraph` per slice links, whose part for a domain
+    it rebuilds only when that domain's suspects have changed. A delivered
+    digest or a node health change drops neither: a search reads raw link
+    latencies and the suspects in its own domain, nothing else.
+
+    `message_count` counts each digest as one message, and each segment
+    table a peer would have to send as a request plus its reply: the first
+    time the orchestrator needs that (controller, slice links, terminals)
+    table since the last `invalidate_caches`, which a delivered digest and
+    a verdict transition at report ingestion call.
     """
 
     def __init__(self, topology, slice_table, bus, window=DEFAULT_WINDOW,
@@ -54,13 +86,15 @@ class Farm:
         self.report_count = 0
         self._bus = bus
         self.now = 0  # advanced by the world each tick
-        self._segment_cache: dict[tuple, SegmentTable] = {}
+        self._joins: dict[frozenset, JoinGraph] = {}  # slice links -> its join graph
+        self._fetched: set[tuple] = set()  # (controller, slice links, terminals)
 
     def fork(self, topology, slice_table, bus) -> "Farm":
         twin = Farm(topology, slice_table, bus, self._window, self._congestion_threshold)
         twin.controllers = {cid: c.fork(topology, slice_table)
                             for cid, c in self.controllers.items()}
-        twin._owner, twin._segment_cache = dict(self._owner), dict(self._segment_cache)
+        twin._owner, twin._fetched = dict(self._owner), set(self._fetched)
+        twin._joins = {links: join.fork() for links, join in self._joins.items()}
         old, new = self._bus.subscriptions, bus.subscriptions  # bus is a Bus.fork of ours
         twin._inboxes = {cid: tuple(new[s.topic][old[s.topic].index(s)] for s in subs)
                          for cid, subs in self._inboxes.items()}
@@ -93,6 +127,7 @@ class Farm:
         )
         for n in nodes:
             self._owner[n] = domain_id
+        self._joins.clear()  # gateways may have changed
         self._inboxes[domain_id] = (
             self._bus.subscribe(f"south/{domain_id}/reports"),
             self._bus.subscribe(f"west/to/{domain_id}"),
@@ -110,8 +145,9 @@ class Farm:
     # -- westbound traffic ------------------------------------------------------
 
     def invalidate_caches(self) -> None:
-        """Drop every cached segment table; the only way they go stale."""
-        self._segment_cache.clear()
+        """Forget which segment tables peers have sent, so the next admission
+        that needs one counts its request and reply again."""
+        self._fetched.clear()
 
     def broadcast_health_digest(self, sender: ControllerId) -> None:
         """Push this controller's estimate set to every peer via the bus."""
@@ -161,54 +197,96 @@ class Farm:
     ) -> list[NodeId]:
         """Least-latency tenant-slice route composed from per-domain segments.
 
-        The orchestrating controller (owner of src) asks each involved peer
-        for a terminal-to-terminal segment table, then joins segments over
-        gateway links. Matches the merged-graph shortest path latency.
+        The orchestrating controller (owner of src) joins segments over
+        gateway links. The slice's join graph holds the segments between
+        gateway terminals. The admission adds only the edges from src to
+        its domain's terminals and from dst's domain's terminals to dst,
+        each read from a memoized search, runs one search over that overlay
+        and splices the segments it crossed. The edges it leaves out, into
+        src and out of dst, never change the route to dst, so the route is
+        the one a join of every domain's whole terminal table gives.
+        Matches the merged-graph shortest path latency.
         """
         orchestrator = self.resolve(src)
         self.resolve(dst)
-        sl = self._slices.get(tenant)
+        links = self._slices.get(tenant).links
+        join = self._join_graph(tenant, links)
+        self._count_fetches(join, links, src, dst)
+        if src == dst:
+            return [src]
 
         owner = self._owner
-        gateways = [
-            (a, b) for a, b in sorted(sl.links)
-            if a in owner and b in owner and owner[a] != owner[b]
-        ]
-        terminals: dict[ControllerId, set[NodeId]] = {c: set() for c in self.controllers}
-        terminals[orchestrator].add(src)
-        terminals[self.resolve(dst)].add(dst)
-        for a, b in gateways:
-            terminals[self.resolve(a)].add(a)
-            terminals[self.resolve(b)].add(b)
-
-        segments: dict[tuple[NodeId, NodeId], tuple[int, list[NodeId]]] = {}
-        for cid in sorted(self.controllers):
-            terms = sorted(terminals[cid])
-            if len(terms) < 2:
-                continue
-            cache_key = (cid, sl.links, tuple(terms))
-            table = self._segment_cache.get(cache_key)
-            if table is None:
-                table = self.controllers[cid].segment_table(tenant, terms)
-                if cid != orchestrator:
-                    self.message_count += 2  # the request and its reply
-                self._segment_cache[cache_key] = table
-            segments.update(table)
-
-        # join segments and gateway hops; keys rank by (latency, node hops,
-        # terminal sequence)
-        for a, b in gateways:
-            w = self._topology.links[(a, b)].latency
-            segments[(a, b)] = (w, [a, b])
-            segments[(b, a)] = (w, [b, a])
-        adj: Adjacency = {}
-        for (u, v), (w, path) in segments.items():
-            adj.setdefault(u, []).append((v, w, len(path) - 1))
-        found = multi_target_paths(adj, src, {dst}).get(dst)
+        extra: dict[NodeId, tuple] = {}  # the edges of each node a new edge leaves
+        terms = join.terminals.get(orchestrator, ())
+        if src not in terms:
+            extra[src] = self._edges(links, src, terms)
+        terms = join.terminals.get(owner[dst], ())
+        if dst not in terms:
+            if owner[dst] == orchestrator and src not in terms:
+                terms += (src,)
+            for t in terms:
+                extra[t] = extra.get(t, join.adj.get(t, ())) + self._edges(links, t, (dst,))
+        # shares every other node's edges with the cached graph
+        adj = {**join.adj, **extra} if extra else join.adj
+        found = multi_target_paths(adj, src, (dst,)).get(dst)
         if found is None:
             raise NoPath(f"tenant {tenant}: no slice route {src}->{dst}")
         seq = found[2]
         route = [src]
-        for hop in zip(seq, seq[1:]):
-            route += segments[hop][1][1:]
+        for u, v in zip(seq, seq[1:]):
+            if owner[u] == owner[v]:
+                route += self.controllers[owner[u]].segment(links, u, v)[1][1:]
+            else:  # a gateway link
+                route.append(v)
         return route
+
+    def _edges(self, links, u: NodeId, targets) -> tuple:
+        """Join edges (v, latency, hops) from u to each target it reaches
+        within its domain."""
+        ctrl = self.controllers[self._owner[u]]
+        edges = []
+        for v in targets:
+            found = ctrl.segment(links, u, v)
+            if found is not None:
+                edges.append((v, found[0], len(found[1]) - 1))
+        return tuple(edges)
+
+    def _join_graph(self, tenant: TenantId, links) -> JoinGraph:
+        """The slice's join graph, its segments read under every domain's
+        current suspects."""
+        join = self._joins.get(links)
+        if join is None:
+            owner, topo_links = self._owner, self._topology.links
+            join = self._joins[links] = JoinGraph(owner, [
+                (a, b, topo_links[(a, b)].latency) for a, b in sorted(links)
+                if a in owner and b in owner and owner[a] != owner[b]
+            ])
+        for cid, terms in join.terminals.items():
+            ctrl = self.controllers[cid]
+            suspects = ctrl.domain_suspects()
+            if len(terms) < 2 or join.suspects.get(cid) == suspects:
+                continue
+            join.suspects[cid] = suspects
+            edges: dict[NodeId, list] = {u: [] for u in terms}
+            for (u, v), (w, path) in ctrl.segment_table(tenant, terms).items():
+                edges[u].append((v, w, len(path) - 1))
+            for u in terms:
+                join.adj[u] = (*edges[u], *join.gateway_edges[u])
+        return join
+
+    def _count_fetches(self, join: JoinGraph, links, src: NodeId, dst: NodeId) -> None:
+        """Count a request and its reply for each peer table this admission
+        needs that no admission has needed since the last invalidate_caches."""
+        owner = self._owner
+        for cid in self.controllers:
+            terms = join.terminals.get(cid, ())
+            ends = {n for n in (src, dst) if owner[n] == cid}
+            if ends:
+                terms = tuple(sorted(ends.union(terms)))
+            if len(terms) < 2:
+                continue
+            key = (cid, links, terms)
+            if key not in self._fetched:
+                self._fetched.add(key)
+                if cid != owner[src]:
+                    self.message_count += 2  # the request and its reply

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from .controller import SliceTable, TenantId, qos_schedule
 from .errors import (
@@ -216,7 +216,7 @@ class FlowEngine:
 
     # -- resilience --------------------------------------------------------------
 
-    def on_unhealthy(self, fid: int, bad: NodeId, suspects: set[NodeId]) -> CloneDecision:
+    def on_unhealthy(self, fid: int, bad: NodeId, suspects: AbstractSet[NodeId]) -> CloneDecision:
         """Decide how to recover a flow around a flagged intermediary.
 
         `suspects` is the deciding controller's current set of

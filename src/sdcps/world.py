@@ -27,7 +27,6 @@ from .controller import (
     DEFAULT_CONGESTION_THRESHOLD,
     DEFAULT_WINDOW,
     LOSS,
-    ControllerId,
     Priority,
     SliceTable,
     SouthboundReport,
@@ -335,15 +334,11 @@ class World:
                 break
 
     def _clone_decisions(self) -> None:
-        suspects_of: dict[ControllerId, set[NodeId]] = {}  # verdicts are fixed this phase
         for fid in sorted(self.engine.flows):
             flow = self.engine.flows[fid]
             if flow.state is not FlowState.ACTIVE:
                 continue
-            owner = self.farm.resolve(flow.origin)
-            if owner not in suspects_of:
-                suspects_of[owner] = self.farm.controllers[owner].suspect_failed()
-            suspects = suspects_of[owner]
+            suspects = self.farm.controllers[self.farm.resolve(flow.origin)].suspect_failed()
             for node in flow.path[1:-1]:
                 if node not in suspects or node in flow.handled_bad:
                     continue

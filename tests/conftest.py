@@ -1,6 +1,7 @@
 import heapq
 import math
 from collections import defaultdict
+from typing import NamedTuple
 
 import pytest
 
@@ -13,11 +14,12 @@ from sdcps.controller import (
     HealthEstimate,
     SouthboundReport,
     Verdict,
+    merge_verdicts,
 )
 from sdcps.errors import BadParameter, StaleReport
 from sdcps.events import EventLog
 from sdcps.farm import Farm
-from sdcps.topology import HealthState, link_id
+from sdcps.topology import HealthState, link_id, multi_target_paths
 
 
 def make_node(i, kind=NodeKind.SWITCH, compute=None):
@@ -172,6 +174,118 @@ def record_reports(mp):
 
     mp.setattr(Farm, "send_report", recording_send)
     return recorded
+
+
+def reference_segment_table(ctrl, tenant, terminals):
+    """`Controller.segment_table` before searches were memoized: one search
+    per terminal over an adjacency built for the table, with the suspects
+    merged afresh from the monitor and the peer views."""
+    sl = ctrl._slices.get(tenant)
+    merged = merge_verdicts([ctrl.monitor.estimates(), *ctrl.peer_views.values()])
+    suspects = {n for n, v in merged.items() if v is Verdict.SUSPECT_FAILED}
+    adj = ctrl._topology.adjacency(ctrl.domain_nodes, lambda link: sl.covers(link.endpoints))
+    table = {}
+    terms = sorted(set(terminals) & ctrl.domain_nodes)
+    for i, u in enumerate(terms[:-1]):
+        found = multi_target_paths(adj, u, terms[i + 1:], suspects - {u})
+        for v, (dist, _hops, seq) in sorted(found.items()):
+            table[(u, v)] = (dist, list(seq))
+            table[(v, u)] = (dist, list(reversed(seq)))
+    return table
+
+
+def reference_cross_domain_path(farm, cache, src, dst, tenant):
+    """`Farm.cross_domain_path` as a table join: the orchestrator gathers
+    each domain's segment table of its terminals (src, dst and the
+    endpoints of slice links that cross domains) from `cache`, keyed by
+    (controller, slice links, terminals), and joins the tables and the
+    gateway links in one search. Return the route, or None where there is
+    no slice route, and the messages counted: a request and its reply per
+    peer table missing from `cache`. The caller empties `cache` whenever
+    the farm's `invalidate_caches` runs."""
+    messages = 0
+    orchestrator = farm.resolve(src)
+    farm.resolve(dst)
+    sl = farm._slices.get(tenant)
+
+    owner = farm._owner
+    gateways = [
+        (a, b) for a, b in sorted(sl.links)
+        if a in owner and b in owner and owner[a] != owner[b]
+    ]
+    terminals = {c: set() for c in farm.controllers}
+    terminals[orchestrator].add(src)
+    terminals[farm.resolve(dst)].add(dst)
+    for a, b in gateways:
+        terminals[farm.resolve(a)].add(a)
+        terminals[farm.resolve(b)].add(b)
+
+    segments = {}
+    for cid in sorted(farm.controllers):
+        terms = sorted(terminals[cid])
+        if len(terms) < 2:
+            continue
+        cache_key = (cid, sl.links, tuple(terms))
+        table = cache.get(cache_key)
+        if table is None:
+            table = reference_segment_table(farm.controllers[cid], tenant, terms)
+            if cid != orchestrator:
+                messages += 2  # the request and its reply
+            cache[cache_key] = table
+        segments.update(table)
+
+    for a, b in gateways:
+        w = farm._topology.links[(a, b)].latency
+        segments[(a, b)] = (w, [a, b])
+        segments[(b, a)] = (w, [b, a])
+    adj = {}
+    for (u, v), (w, path) in segments.items():
+        adj.setdefault(u, []).append((v, w, len(path) - 1))
+    found = multi_target_paths(adj, src, {dst}).get(dst)
+    if found is None:
+        return None, messages
+    seq = found[2]
+    route = [src]
+    for hop in zip(seq, seq[1:]):
+        route += segments[hop][1][1:]
+    return route, messages
+
+
+class Admission(NamedTuple):
+    request: tuple  # (src, dst, tenant)
+    route: object  # None where NoPath was raised
+    messages: int
+    expected_route: object
+    expected_messages: int
+
+
+def record_admissions(mp):
+    """Wrap `Farm.cross_domain_path` and `Farm.invalidate_caches` through the
+    monkeypatch `mp` so every admission also runs
+    `reference_cross_domain_path`, with one reference cache per farm that
+    each invalidation empties. Return the list of `Admission`s made."""
+    caches = defaultdict(dict)
+    admissions = []
+    invalidate, compose = Farm.invalidate_caches, Farm.cross_domain_path
+
+    def invalidating(farm):
+        caches[farm].clear()
+        invalidate(farm)
+
+    def composing(farm, src, dst, tenant):
+        expected = reference_cross_domain_path(farm, caches[farm], src, dst, tenant)
+        before, route = farm.message_count, None
+        try:
+            route = compose(farm, src, dst, tenant)
+            return route
+        finally:
+            admissions.append(
+                Admission((src, dst, tenant), route, farm.message_count - before, *expected)
+            )
+
+    mp.setattr(Farm, "invalidate_caches", invalidating)
+    mp.setattr(Farm, "cross_domain_path", composing)
+    return admissions
 
 
 def reference_safely_past(engine, flow, seq, bad_idx):

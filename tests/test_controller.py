@@ -345,6 +345,29 @@ def test_admit_flow_routes_around_suspect():
     assert ctrl.segment_table(0, [0, 3])[(0, 3)] == (2, [0, 2, 3])
 
 
+def test_merged_view_and_suspects_are_kept_until_a_digest_or_a_transition():
+    topo = build_topology(4, [(0, 1), (1, 2), (2, 3)])
+    ctrl, _ = make_controller(topo)
+    view, suspects = ctrl.merged_view(), ctrl.suspect_failed()
+    assert view == {} and suspects == frozenset()
+    view[1] = Verdict.SUSPECT_FAILED  # a copy: the caller's to change
+    assert ctrl.merged_view() == {} and ctrl.suspect_failed() is suspects
+    ctrl.ingest_report(clean_report(0, 1, 1))  # no transition keeps both
+    assert ctrl.suspect_failed() is suspects
+    for t in range(2, 5):
+        ctrl.ingest_report(loss_report(0, t, 1))
+    assert ctrl.suspect_failed() == {1} and ctrl.merged_view() == {1: Verdict.SUSPECT_FAILED}
+    ctrl.receive_digest(7, {3: Verdict.SUSPECT_FAILED, 2: Verdict.SUSPECT_CONGESTED})
+    assert ctrl.suspect_failed() == {1, 3} and ctrl.domain_suspects() == {1, 3}
+    assert ctrl.merged_view() == {
+        1: Verdict.SUSPECT_FAILED, 2: Verdict.SUSPECT_CONGESTED, 3: Verdict.SUSPECT_FAILED}
+    for t in range(5, 8):
+        ctrl.ingest_report(clean_report(0, t, 1))
+    assert ctrl.suspect_failed() == {3}
+    ctrl.receive_digest(7, {})
+    assert ctrl.merged_view() == {} and ctrl.suspect_failed() == frozenset()
+
+
 # -- qos discipline --------------------------------------------------------------------
 
 def test_qos_single_tenant_clamped_to_share():

@@ -1,5 +1,6 @@
 import heapq
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,11 @@ from sdcps.errors import (
     UnassignedNode,
 )
 
-from conftest import make_node, path_latency
+from conftest import make_node, path_latency, record_admissions
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from gen import generate  # noqa: E402
 
 
 # -- oracle: plain Dijkstra on the merged graph ---------------------------------
@@ -217,15 +222,15 @@ def test_no_cross_domain_link_in_slice_is_no_path():
     assert gateway == (1, 2) and w.farm.resolve(1) != w.farm.resolve(2)
 
 
-def random_partitioned_world(rng, max_nodes=20, max_domains=4):
+def random_partitioned_world(rng, max_nodes=20, max_domains=4, max_latency=4):
     n = rng.randint(6, max_nodes)
     links = set()
     for i in range(1, n):
-        links.add((rng.randrange(i), i, rng.randint(1, 4)))
+        links.add((rng.randrange(i), i, rng.randint(1, max_latency)))
     for _ in range(rng.randint(1, n)):
         a, b = rng.randrange(n), rng.randrange(n)
         if a != b and not any(l[:2] in ((a, b), (b, a)) for l in links):
-            links.add((min(a, b), max(a, b), rng.randint(1, 4)))
+            links.add((min(a, b), max(a, b), rng.randint(1, max_latency)))
     adjacency = {i: set() for i in range(n)}
     for a, b, _ in links:
         adjacency[a].add(b)
@@ -269,6 +274,102 @@ def test_federation_transparency_oracle_equivalence():
                 assert path_latency(topo, path) == expected
                 # returned path is simple and traverses real links
                 assert len(set(path)) == len(path)
+
+
+# -- admissions against the table-join reference ---------------------------------------
+# `record_admissions` runs `conftest.reference_cross_domain_path` beside every
+# admission; the route and the messages it counts must be the reference's.
+
+def random_digest(rng, farm, pool):
+    """A digest from a random sender to a random receiver that marks up to
+    three nodes of pool suspect, or clears the sender's view."""
+    cids = sorted(farm.controllers)
+    receiver = rng.choice(cids)
+    sender = rng.choice([c for c in cids if c != receiver] or [max(cids) + 1])
+    marked = rng.sample(pool, rng.randint(0, min(3, len(pool))))
+    verdicts = (Verdict.SUSPECT_FAILED, Verdict.SUSPECT_CONGESTED)
+    farm.deliver_digest(receiver, sender, {n: rng.choice(verdicts) for n in marked})
+
+
+def test_admissions_match_the_table_join_reference(monkeypatch):
+    admissions = record_admissions(monkeypatch)
+    rng = random.Random(14)
+    seen = set()
+    for k in range(12):
+        w = random_partitioned_world(rng, max_latency=1 + k % 3)  # low latencies tie often
+        farm, nodes = w.farm, w.topology.node_ids()
+        links = sorted(w.topology.links)
+        w.allocate_slice(1, rng.sample(links, rng.randint(1, len(links))), 1, Priority.SILVER)
+        w.allocate_slice(2, w.slices.get(1).links, 1, Priority.BRONZE)  # tenant 1's links
+        gateways = sorted({n for a, b in links if farm.resolve(a) != farm.resolve(b)
+                           for n in (a, b)})
+        for _ in range(120):
+            roll = rng.random()
+            if roll < 0.15:
+                random_digest(rng, farm, gateways if gateways and rng.random() < 0.5 else nodes)
+                continue
+            if roll < 0.2:
+                farm.invalidate_caches()
+                continue
+            src = rng.choice(gateways if gateways and rng.random() < 0.3 else nodes)
+            dst = src if roll > 0.95 else rng.choice(
+                gateways if gateways and rng.random() < 0.3 else nodes)
+            try:
+                farm.cross_domain_path(src, dst, rng.randrange(3))
+            except NoPath:
+                pass
+            seen.add((src == dst, farm.resolve(src) == farm.resolve(dst),
+                      src in gateways or dst in gateways, admissions[-1].route is None))
+    for a in admissions:
+        assert (a.route, a.messages) == (a.expected_route, a.expected_messages), a.request
+    assert {same for same, *_ in seen} == {True, False}  # origin == dest
+    assert {same for _, same, _, _ in seen} == {True, False}  # same-domain pairs
+    assert {gate for *_, gate, _ in seen} == {True, False}  # a gateway end
+    assert {none for *_, none in seen} == {True, False}  # NoPath
+    assert any(a.messages for a in admissions)
+
+
+@pytest.mark.parametrize("seed", range(2, 7))
+def test_federated_admission_routes_match_the_reference(monkeypatch, seed):
+    admissions = record_admissions(monkeypatch)
+    scenario = parse_scenario(generate("federated-admission", seed, 0))
+    w = build_world(scenario)
+    w.run(scenario.horizon)
+    assert len(admissions) == len(scenario.flows)
+    for a in admissions:
+        assert (a.route, a.messages) == (a.expected_route, a.expected_messages), a.request
+
+
+def test_memo_holds_one_search_per_source_and_one_join_graph_per_slice():
+    rng = random.Random(7)
+    w = farm_world(
+        {0: [0, 1, 2], 1: [3, 4, 5], 2: [6, 7, 8]},
+        [(0, 1), (1, 2), (0, 2, 3), (2, 3), (3, 4), (4, 5), (3, 5, 3), (5, 6), (6, 7),
+         (7, 8), (6, 8, 3), (1, 4), (4, 7)],
+    )
+    w.allocate_slice(1, w.slices.get(0).links, 1, Priority.SILVER)
+    farm, nodes = w.farm, w.topology.node_ids()
+    sizes, changes = [], 0
+    for k in range(30):  # a digest from a peer marks up to two of a domain's nodes
+        ctrl = farm.controllers[k % 3]
+        before = ctrl.domain_suspects()
+        marked = rng.sample(sorted(ctrl.domain_nodes), rng.randint(0, 2))
+        farm.deliver_digest(ctrl.id, (k + 1) % 3, dict.fromkeys(marked, Verdict.SUSPECT_FAILED))
+        changes += ctrl.domain_suspects() != before
+        for src in nodes:
+            for dst in nodes:
+                try:
+                    farm.cross_domain_path(src, dst, rng.randrange(2))
+                except NoPath:
+                    pass
+        sizes.append([len(c._searches) for c in farm.controllers.values()])
+        assert len(farm._joins) == 1  # both tenants have the same links
+        for ctrl in farm.controllers.values():
+            for (_links, source), (suspects, _rows) in ctrl._searches.items():
+                assert source in ctrl.domain_nodes and suspects == ctrl.domain_suspects()
+    assert changes >= 20
+    # a domain's largest node has no search: its segments are others' reversed
+    assert sizes[-1] == sizes[0] == [2, 2, 2]
 
 
 # -- westbound message counting -------------------------------------------------------
@@ -349,16 +450,18 @@ def two_domain_world_after_admission():
     w.schedule_fault(6, 4, Health.failed())
     w.schedule_flow(0, 0, 3, 2, 8)
     w.run(3)
-    assert w.farm._segment_cache
+    assert any(c._searches for c in w.farm.controllers.values())
     return w
 
 
 def test_twin_shares_segment_tables():
     w = two_domain_world_after_admission()
     twin = spawn_twin(w)
-    assert twin.farm._segment_cache.keys() == w.farm._segment_cache.keys()
-    for key, table in w.farm._segment_cache.items():
-        assert twin.farm._segment_cache[key] is table
+    for cid, ctrl in w.farm.controllers.items():
+        memo = twin.farm.controllers[cid]._searches
+        assert memo.keys() == ctrl._searches.keys()
+        for key, (_suspects, rows) in ctrl._searches.items():
+            assert memo[key][1] is rows
 
 
 def test_twin_message_series_tracks_physical():

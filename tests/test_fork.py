@@ -1,7 +1,7 @@
 """A fork shares no mutable state with the world it was forked from.
 
 `reachable` walks an object graph with `gc.get_referents`. It stops at the
-types a fork shares whole (cached segment tables, the service registry, the
+types a fork shares whole (memoized searches, the service registry, the
 task graph, the composition report and clone decisions, none of which
 anything changes once made) and skips the fields that are only ever
 replaced, never changed in place (unit routes, flow paths, buffers' onward
@@ -19,7 +19,8 @@ import pytest
 from sdcps import CompositionDag, Decision, ServiceRegistry, Topology, parse_scenario
 from sdcps.bus import BusMessage
 from sdcps.composition import ExecutionReport
-from sdcps.controller import HealthMonitor, SegmentTable
+from sdcps.controller import Controller, HealthMonitor, SegmentTable
+from sdcps.farm import Farm, JoinGraph
 from sdcps.flow_engine import CloneDecision, Flow, FlowState, ReorderBuffer, Unit
 from sdcps.sandbox import DecisionKind, apply_decision, spawn_twin
 from sdcps.scenario import build_world
@@ -108,10 +109,12 @@ def live_world(request):
     assert any(u.in_transit for u in engine.units)
     assert world.bus._pending
     assert world.composition_report is not None
+    farm = world.farm
+    assert farm._joins and all(c._searches and c._view for c in farm.controllers.values())
     if request.param is malicious_world:
         assert any(buf.held for buf in engine.buffers.values())
     else:
-        assert engine.decisions and world.farm._segment_cache
+        assert engine.decisions and farm._fetched
         assert any(c.peer_views for c in world.farm.controllers.values())
     return world
 
@@ -134,12 +137,9 @@ def test_guard_catches_a_fork_that_shares_a_container(monkeypatch):
     assert any(obj is world.farm.controllers[0].monitor._windows for obj in leaked)
 
 
-@pytest.mark.parametrize("cls, field, owner", [
-    (Topology, "_effective", lambda world: world.topology),
-    (Topology, "probes", lambda world: world.topology),
-    (HealthMonitor, "_no_op", lambda world: world.farm.controllers[0].monitor),
-])
-def test_guard_catches_a_fork_that_shares_a_telemetry_cache(monkeypatch, cls, field, owner):
+def assert_guard_catches_a_shared_cache(monkeypatch, cls, field, owner, make_world):
+    """Make `cls.fork` hand its twin the original's `field`; the guard must
+    find that cache, filled by the world's ticks, shared by the fork."""
     fork = cls.fork
 
     def leaky(self, *args):
@@ -148,10 +148,30 @@ def test_guard_catches_a_fork_that_shares_a_telemetry_cache(monkeypatch, cls, fi
         return twin
 
     monkeypatch.setattr(cls, "fork", leaky)
-    world = malicious_world()
+    world = make_world()
     cache = getattr(owner(world), field)
-    assert cache  # filled by five ticks of telemetry
+    assert cache
     assert any(obj is cache for obj in shared_mutables(world, world.fork()))
+
+
+@pytest.mark.parametrize("cls, field, owner", [
+    (Topology, "_effective", lambda world: world.topology),
+    (Topology, "probes", lambda world: world.topology),
+    (HealthMonitor, "_no_op", lambda world: world.farm.controllers[0].monitor),
+])
+def test_guard_catches_a_fork_that_shares_a_telemetry_cache(monkeypatch, cls, field, owner):
+    assert_guard_catches_a_shared_cache(monkeypatch, cls, field, owner, malicious_world)
+
+
+@pytest.mark.parametrize("cls, field, owner", [
+    (Controller, "_searches", lambda world: world.farm.controllers[0]),
+    (Controller, "_view", lambda world: world.farm.controllers[0]),
+    (Farm, "_joins", lambda world: world.farm),
+    (Farm, "_fetched", lambda world: world.farm),
+    (JoinGraph, "adj", lambda world: next(iter(world.farm._joins.values()))),
+])
+def test_guard_catches_a_fork_that_shares_an_admission_cache(monkeypatch, cls, field, owner):
+    assert_guard_catches_a_shared_cache(monkeypatch, cls, field, owner, rehearsal_world)
 
 
 def decision_for(kind: DecisionKind, world) -> Decision:
