@@ -1,8 +1,10 @@
 """Service registry, task-graph composition, and load-aware list scheduling.
 
-Placement is earliest-estimated-finish: tasks are visited in topological
-order (ties by ascending task id) and each goes to the provider minimizing
-max(latest input arrival, provider busy-until) + ceil(cost / capacity),
+A `CompositionDag` is checked and ordered when it is built. Placement is
+earliest-estimated-finish, in one loop that both planning (`schedule`) and
+execution (`execute`) run: tasks are visited in the graph's topological
+order (ties by ascending task id) and each goes to the candidate minimizing
+max(latest input arrival, candidate busy-until) + ceil(cost / capacity),
 with input arrival = producer end + transfer_size * path latency over the
 current health-aware topology: congestion stretches link latency and failed
 nodes relay nothing. Each call searches once per producer node over that
@@ -12,8 +14,10 @@ equal schedules.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     BadParameter,
@@ -21,10 +25,11 @@ from .errors import (
     DuplicateService,
     NoFeasibleProvider,
     NoProviders,
+    SdcpsError,
     UnknownService,
     UnreachableProvider,
 )
-from .topology import HealthState, NodeId, PathKey, Topology, multi_target_paths
+from .topology import HealthState, Node, NodeId, NodeKind, PathKey, Topology, multi_target_paths
 
 
 @dataclass
@@ -34,67 +39,51 @@ class ServiceDef:
     providers: frozenset[NodeId]
 
 
-@dataclass
 class CompositionDag:
-    # (task id, service name) in declaration order
-    tasks: list[tuple[str, str]]
-    # (producer task, consumer task, transfer units)
-    edges: list[tuple[str, str, int]] = field(default_factory=list)
+    """A task graph, checked and indexed once, when it is built.
 
-    def task_ids(self) -> list[str]:
-        return [t for t, _ in self.tasks]
+    `tasks` holds (task id, service name) pairs in declaration order and
+    `edges` (producer, consumer, transfer units) triples. `order` is Kahn's
+    order with ready tasks taken in ascending id, and `inputs` maps each
+    task to its (producer, size) edges in edge order.
+    """
 
-    def validate(self) -> None:
-        ids = self.task_ids()
-        if len(ids) != len(set(ids)):
+    def __init__(self, tasks, edges=()):
+        self.tasks = tuple(map(tuple, tasks))
+        self.edges = tuple(map(tuple, edges))
+        inputs: dict[str, list[tuple[str, int]]] = {t: [] for t, _ in self.tasks}
+        if len(inputs) != len(self.tasks):
             raise BadParameter("task ids must be unique")
-        known = set(ids)
+        outs: dict[str, list[str]] = {t: [] for t in inputs}
         for a, b, size in self.edges:
-            if a not in known or b not in known:
+            if a not in inputs or b not in inputs:
                 raise BadParameter(f"edge ({a},{b}) references an unknown task")
             if size < 0:
                 raise BadParameter(f"edge ({a},{b}) has negative transfer size")
-        self.topo_order()
-
-    def topo_order(self) -> list[str]:
-        """Kahn's algorithm; ready tasks are taken in ascending task id."""
-        indeg = {t: 0 for t in self.task_ids()}
-        outs: dict[str, list[str]] = {t: [] for t in indeg}
-        for a, b, _ in self.edges:
-            indeg[b] += 1
+            inputs[b].append((a, size))
             outs[a].append(b)
-        ready = sorted(t for t, d in indeg.items() if d == 0)
+        indeg = {t: len(ins) for t, ins in inputs.items()}
+        ready = [t for t, d in indeg.items() if d == 0]
+        heapq.heapify(ready)
         order = []
         while ready:
-            t = ready.pop(0)
+            t = heapq.heappop(ready)
             order.append(t)
-            changed = False
             for b in outs[t]:
                 indeg[b] -= 1
                 if indeg[b] == 0:
-                    ready.append(b)
-                    changed = True
-            if changed:
-                ready.sort()
+                    heapq.heappush(ready, b)
         if len(order) != len(indeg):
             raise CyclicDag("composition graph contains a cycle")
-        return order
-
-    def producers(self, task: str) -> list[tuple[str, int]]:
-        return [(a, size) for a, b, size in self.edges if b == task]
+        self.order = tuple(order)
+        self.inputs = {t: tuple(ins) for t, ins in inputs.items()}
 
 
 @dataclass
 class Schedule:
     assignments: dict[str, tuple[NodeId, int, int]]  # task -> (node, start, end)
     makespan: int
-
-
-@dataclass
-class ExecutionReport:
-    makespan: int
-    assignments: dict[str, tuple[NodeId, int, int]]
-    replaced: list[str] = field(default_factory=list)
+    replaced: list[str] = field(default_factory=list)  # re-placed by `execute`
 
 
 class ServiceRegistry:
@@ -163,103 +152,91 @@ class Scheduler:
             if node.health.state is HealthState.FAILED
         }
 
-    def _duration(self, cost: int, node: NodeId, congestion: bool = False) -> int:
+    def _duration(self, cost: int, node: NodeId, congestion: bool) -> int:
         cap = self._topology.node(node).compute_capacity
         if congestion:
-            cost = _ceil_div(int(round(cost * self._topology.slowdown(node) * 1000)), 1000)
+            scaled = cost * self._topology.slowdown(node) * 1000
+            if not math.isfinite(scaled):
+                raise BadParameter(f"node {node}: congested task duration overflows")
+            cost = _ceil_div(int(round(scaled)), 1000)
         return _ceil_div(cost, cap)
 
     def schedule(self, dag: CompositionDag, overrides: Optional[dict[str, NodeId]] = None) -> Schedule:
-        dag.validate()
+        """Plan against current health; an override pins its task to that
+        node, and a node that does not provide the task's service leaves
+        it no candidate."""
         overrides = overrides or {}
-        services = {t: self._registry.lookup(s) for t, s in dag.tasks}
-        transfers = _Transfers(self._topology, self._failed_nodes())
-        assignments: dict[str, tuple[NodeId, int, int]] = {}
-        busy: dict[NodeId, int] = {}
-        for task in dag.topo_order():
-            sdef = services[task]
-            exclude = frozenset()
-            if task in overrides:
-                exclude = sdef.providers - {overrides[task]}
-            placed = self._place(task, sdef, dag, transfers, assignments, busy,
-                                 exclude=exclude)
-            if placed is None:
-                raise UnreachableProvider(
-                    f"task {task}: no provider of {sdef.name!r} is reachable "
-                    f"from its input locations"
-                )
-            node, start, end = placed
-            assignments[task] = (node, start, end)
-            busy[node] = end
-        makespan = max((e for _, _, e in assignments.values()), default=0)
-        return Schedule(assignments, makespan)
 
-    def _place(
-        self,
-        task: str,
-        sdef: ServiceDef,
-        dag: CompositionDag,
-        transfers: _Transfers,
-        assignments: dict[str, tuple[NodeId, int, int]],
-        busy: dict[NodeId, int],
-        exclude: frozenset[NodeId] = frozenset(),
-        congestion_aware: bool = False,
-    ) -> Optional[tuple[NodeId, int, int]]:
-        best = None
-        for node in sorted(sdef.providers - exclude):
-            ready = 0
-            feasible = True
-            for producer, size in dag.producers(task):
-                pnode, _, pend = assignments[producer]
-                lat = transfers.latency(pnode, node, size)
-                if lat is None:
-                    feasible = False
-                    break
-                ready = max(ready, pend + lat)
-            if not feasible:
-                continue
-            start = max(ready, busy.get(node, 0))
-            end = start + self._duration(sdef.cost, node, congestion=congestion_aware)
-            if best is None or (end, node) < (best[2], best[0]):
-                best = (node, start, end)
-        return best
+        def candidates(task: str, providers: frozenset[NodeId]) -> frozenset[NodeId]:
+            return providers & {overrides[task]} if task in overrides else providers
 
-    def execute(self, schedule: Schedule, dag: CompositionDag) -> ExecutionReport:
+        return self._assign(
+            dag, self._failed_nodes(), candidates, congestion=False,
+            unplaced=lambda task, service: UnreachableProvider(
+                f"task {task}: no provider of {service!r} is reachable "
+                f"from its input locations"
+            ),
+        )
+
+    def execute(self, schedule: Schedule, dag: CompositionDag) -> Schedule:
         """Simulate the planned schedule against current node health.
 
         A provider that is failed at a task's start gets that one task
-        re-placed; congestion stretches effective cost.
+        re-placed on the live providers; congestion stretches effective
+        cost.
         """
-        services = {t: self._registry.lookup(s) for t, s in dag.tasks}
         failed = self._failed_nodes()
-        transfers = _Transfers(self._topology, failed)
-        actual: dict[str, tuple[NodeId, int, int]] = {}
-        busy: dict[NodeId, int] = {}
-        replaced = []
-        for task in dag.topo_order():
-            sdef = services[task]
+
+        def candidates(task: str, providers: frozenset[NodeId]) -> frozenset[NodeId]:
             node = schedule.assignments[task][0]
-            if node in failed:
-                replaced.append(task)
-                placed = self._place(
-                    task, sdef, dag, transfers, actual, busy,
-                    exclude=frozenset(failed), congestion_aware=True,
-                )
-            else:
-                # pin the planned provider; only its timing is re-derived
-                placed = self._place(
-                    task, sdef, dag, transfers, actual, busy,
-                    exclude=frozenset(failed) | (sdef.providers - {node}),
-                    congestion_aware=True,
-                )
-            if placed is None:
-                raise NoFeasibleProvider(
-                    f"task {task}: every provider of {sdef.name!r} is failed"
-                )
-            actual[task] = placed
-            busy[placed[0]] = placed[2]
-        makespan = max((e for _, _, e in actual.values()), default=0)
-        return ExecutionReport(makespan, actual, replaced)
+            return providers - failed if node in failed else providers & {node}
+
+        return self._assign(
+            dag, failed, candidates, congestion=True,
+            unplaced=lambda task, service: NoFeasibleProvider(
+                f"task {task}: every provider of {service!r} is failed"
+            ),
+            replaced=[t for t in dag.order if schedule.assignments[t][0] in failed],
+        )
+
+    def _assign(
+        self,
+        dag: CompositionDag,
+        failed: set[NodeId],
+        candidates: Callable[[str, frozenset[NodeId]], frozenset[NodeId]],
+        congestion: bool,
+        unplaced: Callable[[str, str], SdcpsError],
+        replaced: Iterable[str] = (),
+    ) -> Schedule:
+        """Walk `dag.order` and put each task on the candidate that finishes
+        it first, ties broken by ascending node id. A task with no
+        candidate reachable from its inputs raises `unplaced(task, service)`."""
+        services = {t: self._registry.lookup(s) for t, s in dag.tasks}
+        transfers = _Transfers(self._topology, failed)
+        assignments: dict[str, tuple[NodeId, int, int]] = {}
+        busy: dict[NodeId, int] = {}
+        for task in dag.order:
+            sdef = services[task]
+            inputs = [(assignments[p], size) for p, size in dag.inputs[task]]
+            best = None
+            for node in sorted(candidates(task, sdef.providers)):
+                ready = 0
+                for (pnode, _, pend), size in inputs:
+                    lat = transfers.latency(pnode, node, size)
+                    if lat is None:
+                        break
+                    ready = max(ready, pend + lat)
+                else:
+                    start = max(ready, busy.get(node, 0))
+                    end = start + self._duration(sdef.cost, node, congestion)
+                    if best is None or (end, node) < (best[2], best[0]):
+                        best = (node, start, end)
+            if best is None:
+                raise unplaced(task, sdef.name)
+            assignments[task] = best
+            busy[best[0]] = best[2]
+        makespan = max((e for _, _, e in assignments.values()), default=0)
+        return Schedule(assignments, makespan, list(replaced))
 
 
 def speedup_curve(
@@ -267,8 +244,6 @@ def speedup_curve(
 ) -> list[tuple[int, int, float]]:
     """Makespan and speedup of n independent equal tasks over m identical
     virtual execution spaces, for each m in `instances`."""
-    from .topology import Node, NodeKind
-
     if n_tasks < 1:
         raise BadParameter(f"task count {n_tasks} must be >= 1")
     dag = CompositionDag([(f"t{i:04d}", "unit") for i in range(n_tasks)])
@@ -283,12 +258,10 @@ def speedup_curve(
         registry.register_service("unit", cost, range(m))
         return Scheduler(topo, registry).schedule(dag).makespan
 
+    base_makespan = makespan(1)
     results = []
-    base_makespan = None
     for m in instances:
         span = makespan(m)
-        if base_makespan is None:
-            base_makespan = makespan(1)
         results.append((m, span, base_makespan / span))
     return results
 

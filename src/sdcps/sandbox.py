@@ -107,7 +107,7 @@ def apply_decision(world: World, decision: Decision) -> None:
     elif decision.kind is DecisionKind.PLACE_TASK:
         if decision.node not in world.topology.nodes:
             raise UnresolvableDecision(f"node {decision.node} does not exist")
-        if world.dag is None or decision.task not in world.dag.task_ids():
+        if world.dag is None or decision.task not in world.dag.inputs:
             raise UnresolvableDecision(f"task {decision.task!r} is not in the workload")
         service = dict(world.dag.tasks)[decision.task]
         if decision.node not in world.registry.lookup(service).providers:

@@ -243,11 +243,10 @@ def build_world(scenario: Scenario, seed: Optional[int] = None) -> World:
             attempt(f"services[{i}]", world.registry.register_service,
                     svc["name"], svc.get("cost", 1), svc.get("providers", []))
         if scenario.dag is not None:
-            dag = CompositionDag(
-                [tuple(t) for t in scenario.dag.get("tasks", [])],
-                [tuple(e) for e in scenario.dag.get("edges", [])],
-            )
-            attempt("dag", world.set_composition, world.registry, dag)
+            dag = attempt("dag", CompositionDag, scenario.dag.get("tasks", []),
+                          scenario.dag.get("edges", []))
+            if dag is not None:
+                attempt("dag", world.set_composition, world.registry, dag)
     reach: dict[tuple[int, NodeId], set[NodeId]] = {}  # slice-connected groups
     for i, f in enumerate(scenario.flows):
         where, tenant, origin, dest = f"flows[{i}]", f["tenant"], f["origin"], f["dest"]

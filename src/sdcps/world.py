@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .bus import Bus
+from .composition import Scheduler
 from .controller import (
     DEFAULT_CONGESTION_THRESHOLD,
     DEFAULT_WINDOW,
@@ -210,7 +211,6 @@ class World:
 
     def set_composition(self, registry, dag) -> None:
         """Install a task graph whose every task uses a registered service."""
-        dag.validate()
         for _, service in dag.tasks:
             registry.lookup(service)
         self.registry = registry
@@ -221,8 +221,6 @@ class World:
         health, honoring any committed placement overrides."""
         if self.registry is None or self.dag is None:
             return None
-        from .composition import Scheduler
-
         scheduler = Scheduler(self.topology, self.registry)
         schedule = scheduler.schedule(self.dag, overrides=self.task_overrides)
         report = scheduler.execute(schedule, self.dag)

@@ -6,6 +6,7 @@ from typing import NamedTuple
 import pytest
 
 from sdcps import Node, NodeKind, Priority, Topology, World, flow_engine
+from sdcps.composition import Schedule, _Transfers
 from sdcps.controller import (
     _FRESH_WINDOW,
     DEFAULT_CONGESTION_THRESHOLD,
@@ -16,7 +17,13 @@ from sdcps.controller import (
     Verdict,
     merge_verdicts,
 )
-from sdcps.errors import BadParameter, StaleReport
+from sdcps.errors import (
+    BadParameter,
+    CyclicDag,
+    NoFeasibleProvider,
+    StaleReport,
+    UnreachableProvider,
+)
 from sdcps.events import EventLog
 from sdcps.farm import Farm
 from sdcps.topology import HealthState, link_id, multi_target_paths
@@ -286,6 +293,128 @@ def record_admissions(mp):
     mp.setattr(Farm, "invalidate_caches", invalidating)
     mp.setattr(Farm, "cross_domain_path", composing)
     return admissions
+
+
+def reference_topo_order(dag):
+    """Kahn's algorithm over a sorted ready list; ready tasks are taken in
+    ascending task id."""
+    indeg = {t: 0 for t, _ in dag.tasks}
+    outs = {t: [] for t in indeg}
+    for a, b, _ in dag.edges:
+        indeg[b] += 1
+        outs[a].append(b)
+    ready = sorted(t for t, d in indeg.items() if d == 0)
+    order = []
+    while ready:
+        t = ready.pop(0)
+        order.append(t)
+        changed = False
+        for b in outs[t]:
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                ready.append(b)
+                changed = True
+        if changed:
+            ready.sort()
+    if len(order) != len(indeg):
+        raise CyclicDag("composition graph contains a cycle")
+    return order
+
+
+def _reference_duration(topology, cost, node, congestion=False):
+    cap = topology.node(node).compute_capacity
+    if congestion:
+        cost = -(-int(round(cost * topology.slowdown(node) * 1000)) // 1000)
+    return -(-cost // cap)
+
+
+def _reference_place(topology, task, sdef, dag, transfers, assignments, busy,
+                     exclude=frozenset(), congestion_aware=False):
+    best = None
+    for node in sorted(sdef.providers - exclude):
+        ready = 0
+        feasible = True
+        for producer, size in [(a, size) for a, b, size in dag.edges if b == task]:
+            pnode, _, pend = assignments[producer]
+            lat = transfers.latency(pnode, node, size)
+            if lat is None:
+                feasible = False
+                break
+            ready = max(ready, pend + lat)
+        if not feasible:
+            continue
+        start = max(ready, busy.get(node, 0))
+        end = start + _reference_duration(topology, sdef.cost, node, congestion=congestion_aware)
+        if best is None or (end, node) < (best[2], best[0]):
+            best = (node, start, end)
+    return best
+
+
+def _failed_nodes(topology):
+    return {n for n, node in topology.nodes.items() if node.health.state is HealthState.FAILED}
+
+
+def reference_schedule(topology, registry, dag, overrides=None):
+    """`Scheduler.schedule` as a loop of its own: each task goes to the
+    provider that finishes it first, or only to its override, where the
+    override provides the task's service."""
+    overrides = overrides or {}
+    services = {t: registry.lookup(s) for t, s in dag.tasks}
+    transfers = _Transfers(topology, _failed_nodes(topology))
+    assignments = {}
+    busy = {}
+    for task in reference_topo_order(dag):
+        sdef = services[task]
+        exclude = frozenset()
+        if task in overrides:
+            exclude = sdef.providers - {overrides[task]}
+        placed = _reference_place(topology, task, sdef, dag, transfers, assignments, busy,
+                                  exclude=exclude)
+        if placed is None:
+            raise UnreachableProvider(
+                f"task {task}: no provider of {sdef.name!r} is reachable "
+                f"from its input locations"
+            )
+        node, start, end = placed
+        assignments[task] = (node, start, end)
+        busy[node] = end
+    makespan = max((e for _, _, e in assignments.values()), default=0)
+    return Schedule(assignments, makespan)
+
+
+def reference_execute(topology, registry, schedule, dag):
+    """`Scheduler.execute` as a loop of its own: each task keeps its planned
+    node unless that node has failed, when it goes to the live provider that
+    finishes it first; congestion stretches every task's cost."""
+    services = {t: registry.lookup(s) for t, s in dag.tasks}
+    failed = _failed_nodes(topology)
+    transfers = _Transfers(topology, failed)
+    actual = {}
+    busy = {}
+    replaced = []
+    for task in reference_topo_order(dag):
+        sdef = services[task]
+        node = schedule.assignments[task][0]
+        if node in failed:
+            replaced.append(task)
+            placed = _reference_place(
+                topology, task, sdef, dag, transfers, actual, busy,
+                exclude=frozenset(failed), congestion_aware=True,
+            )
+        else:
+            placed = _reference_place(
+                topology, task, sdef, dag, transfers, actual, busy,
+                exclude=frozenset(failed) | (sdef.providers - {node}),
+                congestion_aware=True,
+            )
+        if placed is None:
+            raise NoFeasibleProvider(
+                f"task {task}: every provider of {sdef.name!r} is failed"
+            )
+        actual[task] = placed
+        busy[placed[0]] = placed[2]
+    makespan = max((e for _, _, e in actual.values()), default=0)
+    return Schedule(actual, makespan, replaced)
 
 
 def reference_safely_past(engine, flow, seq, bad_idx):

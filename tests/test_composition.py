@@ -1,10 +1,24 @@
 import itertools
+import json
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from sdcps import CompositionDag, Health, Node, NodeKind, Scheduler, ServiceRegistry, Topology, speedup_curve
-from sdcps.composition import _Transfers
+from sdcps import (
+    CompositionDag,
+    Health,
+    Node,
+    NodeKind,
+    Scheduler,
+    ServiceRegistry,
+    Topology,
+    build_world,
+    parse_scenario,
+    speedup_curve,
+)
+from sdcps.composition import Schedule, _Transfers
 from sdcps.topology import HealthState
 from sdcps.errors import (
     BadParameter,
@@ -12,10 +26,20 @@ from sdcps.errors import (
     DuplicateService,
     NoFeasibleProvider,
     NoProviders,
+    SdcpsError,
     UnknownService,
+    UnreachableProvider,
 )
 
-from conftest import make_node, reference_shortest_path
+from conftest import (
+    make_node,
+    reference_execute,
+    reference_schedule,
+    reference_shortest_path,
+    reference_topo_order,
+)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def compute_node(i, capacity=1):
@@ -122,22 +146,13 @@ def test_transfer_scales_with_size():
 
 
 def test_cyclic_dag_rejected():
-    topo = providers_topology(1)
-    reg = ServiceRegistry(topo)
-    reg.register_service("svc", 1, [0])
-    dag = CompositionDag(
-        [("a", "svc"), ("b", "svc")], [("a", "b", 0), ("b", "a", 0)]
-    )
     with pytest.raises(CyclicDag):
-        Scheduler(topo, reg).schedule(dag)
+        CompositionDag([("a", "svc"), ("b", "svc")], [("a", "b", 0), ("b", "a", 0)])
 
 
 def test_duplicate_task_ids_rejected():
-    topo = providers_topology(1)
-    reg = ServiceRegistry(topo)
-    reg.register_service("svc", 1, [0])
     with pytest.raises(BadParameter):
-        Scheduler(topo, reg).schedule(CompositionDag([("a", "svc"), ("a", "svc")]))
+        CompositionDag([("a", "svc"), ("a", "svc")])
 
 
 def random_dag(rng, max_tasks=12):
@@ -292,6 +307,16 @@ def test_congestion_overflow_aborts_scheduling():
         Scheduler(topo, reg).schedule(dag)
 
 
+def test_congested_task_duration_overflow_aborts_execution():
+    doc = json.loads((FIXTURES / "composition.json").read_text())
+    huge = {"kind": "congested", "slowdown": 1e306}
+    doc["faults"] = [{"tick": 1, "node": n, "health": huge} for n in (2, 3)]
+    world = build_world(parse_scenario(json.dumps(doc)))
+    world.run(3)
+    with pytest.raises(BadParameter, match=r"^node 2: congested task duration overflows$"):
+        world.run_composition()
+
+
 def test_execute_all_providers_failed():
     topo = providers_topology(2, link_latency=1)
     reg = ServiceRegistry(topo)
@@ -325,6 +350,91 @@ def test_execute_utilization():
     scheduler = Scheduler(topo, reg)
     report = scheduler.execute(scheduler.schedule(dag), dag)
     assert report.assignments == {"a": (0, 0, 4), "b": (1, 0, 4)}
+
+
+# -- one placement loop ---------------------------------------------------------------
+
+def random_composition(rng):
+    """Up to 8 nodes, switches among them, joined by links of latency 1 or 2
+    so that ties are common; 1-3 services over random provider sets; and a
+    random task graph over those services."""
+    n = rng.randint(2, 8)
+    topo = Topology()
+    for i in range(n):
+        if i and rng.random() < 0.25:
+            topo.add_node(make_node(i))  # a switch relays but computes nothing
+        else:
+            topo.add_node(compute_node(i, rng.randint(1, 2)))
+    for i in range(1, n):
+        topo.add_link(i, rng.randrange(i), rng.choice([1, 1, 2]), 4)
+    for _ in range(rng.randint(0, n)):
+        a, b = rng.sample(range(n), 2)
+        if not topo.has_link(a, b):
+            topo.add_link(a, b, rng.choice([1, 1, 2]), 4)
+    compute = [i for i in range(n) if topo.node(i).compute_capacity > 0]
+    reg = ServiceRegistry(topo)
+    services = [f"s{k}" for k in range(rng.randint(1, 3))]
+    for name in services:
+        reg.register_service(name, rng.randint(1, 4),
+                             rng.sample(compute, rng.randint(1, len(compute))))
+    n_tasks = rng.randint(1, 10)
+    tasks = [(f"t{i:02d}", rng.choice(services)) for i in range(n_tasks)]
+    edges = [
+        (f"t{i:02d}", f"t{j:02d}", rng.randint(0, 3))
+        for j in range(n_tasks) for i in range(j) if rng.random() < 0.3
+    ]
+    rng.shuffle(tasks)
+    return topo, reg, CompositionDag(tasks, edges)
+
+
+def shake(rng, topo):
+    """Give every node a random health: failed, congested or healthy."""
+    for v in topo.nodes:
+        r = rng.random()
+        if r < 0.15:
+            topo.set_health(v, Health.failed())
+        elif r < 0.4:
+            topo.set_health(v, Health.congested(rng.choice([1.5, 2.0, 3.5])))
+        else:
+            topo.set_health(v, Health.healthy())
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except SdcpsError as exc:
+        return type(exc), str(exc)
+
+
+def test_placement_matches_the_two_loop_reference():
+    """`schedule` and `execute` place exactly as the two loops they replace,
+    over failed and congested providers and relays and over overrides,
+    including ones that name no provider of the task's service."""
+    rng = random.Random(15)
+    seen = Counter()
+    for _ in range(300):
+        topo, reg, dag = random_composition(rng)
+        assert dag.order == tuple(reference_topo_order(dag))
+        overrides = {t: rng.randrange(len(topo.nodes)) for t, _ in dag.tasks
+                     if rng.random() < 0.2}
+        shake(rng, topo)
+        scheduler = Scheduler(topo, reg)
+        plan = outcome(scheduler.schedule, dag, overrides)
+        assert plan == outcome(reference_schedule, topo, reg, dag, overrides)
+        if not isinstance(plan, Schedule):
+            seen[plan[0]] += 1
+            continue
+        seen["planned"] += 1
+        shake(rng, topo)
+        report = outcome(scheduler.execute, plan, dag)
+        assert report == outcome(reference_execute, topo, reg, plan, dag)
+        if isinstance(report, Schedule):
+            seen["replaced" if report.replaced else "executed"] += 1
+        else:
+            seen[report[0]] += 1
+    assert min(seen[k] for k in ("planned", "replaced", "executed",
+                                 UnreachableProvider, NoFeasibleProvider)) >= 10, seen
 
 
 # -- speedup curve ---------------------------------------------------------------------

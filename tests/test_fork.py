@@ -18,7 +18,7 @@ import pytest
 
 from sdcps import CompositionDag, Decision, ServiceRegistry, Topology, parse_scenario
 from sdcps.bus import BusMessage
-from sdcps.composition import ExecutionReport
+from sdcps.composition import Schedule
 from sdcps.controller import Controller, HealthMonitor, SegmentTable
 from sdcps.farm import Farm, JoinGraph
 from sdcps.flow_engine import CloneDecision, Flow, FlowState, ReorderBuffer, Unit
@@ -29,7 +29,7 @@ from conftest import reference_shortest_path
 
 TESTS = Path(__file__).parent
 
-SHARED_TYPES = (SegmentTable, ServiceRegistry, CompositionDag, ExecutionReport, CloneDecision)
+SHARED_TYPES = (SegmentTable, ServiceRegistry, CompositionDag, Schedule, CloneDecision)
 SHARED_FIELDS = {
     Unit: {"route"},
     Flow: {"path"},

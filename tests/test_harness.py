@@ -159,8 +159,14 @@ def test_flow_outside_slice_rejected_statically():
     assert any("does not connect" in v for v in err.value.violations)
 
 
-def fuzz_scenario(rng):
-    """Random small scenario, sometimes deliberately broken."""
+BREAKAGES = [None, "dup_node", "orphan", "self_loop", "oversub", "bad_tenant", "dup_domain",
+             "neg_share", "unknown_service", "dag_cycle", "dag_dup_task", "dag_unknown_task",
+             "dag_neg_size", "fault_node", "fault_tick", "w_zero"]
+
+
+def fuzz_scenario(rng, breakage="random"):
+    """Random small scenario, sometimes deliberately broken: by `breakage`,
+    one of BREAKAGES, or by one drawn at random."""
     n = rng.randint(2, 7)
     nodes = [{"id": i, "kind": "smart_device", "compute": 1} for i in range(n)]
     links = []
@@ -181,9 +187,8 @@ def fuzz_scenario(rng):
                    "units": rng.randint(0, 4), "start": rng.randint(0, 3)}],
         "faults": [],
     }
-    breakage = rng.choice([None, "dup_node", "orphan", "self_loop", "oversub", "bad_tenant",
-                           "dup_domain", "neg_share", "unknown_service", "dag_cycle",
-                           "fault_node", "fault_tick", "w_zero"])
+    if breakage == "random":
+        breakage = rng.choice(BREAKAGES)
     if breakage == "dup_node":
         doc["nodes"].append({"id": 0, "kind": "switch"})
     elif breakage == "orphan":
@@ -203,6 +208,12 @@ def fuzz_scenario(rng):
         doc["dag"]["tasks"].append(["t2", "nope"])
     elif breakage == "dag_cycle":
         doc["dag"]["edges"].append(["t1", "t0", 1])
+    elif breakage == "dag_dup_task":
+        doc["dag"]["tasks"].append(["t0", "svc"])
+    elif breakage == "dag_unknown_task":
+        doc["dag"]["edges"].append(["t1", "t9", 1])
+    elif breakage == "dag_neg_size":
+        doc["dag"]["edges"][0][2] = -1
     elif breakage == "fault_node":
         doc["faults"].append({"tick": 1, "node": n, "health": "failed"})
     elif breakage == "fault_tick":
@@ -223,6 +234,19 @@ def test_validation_completeness_fuzz():
             assert breakage is not None
             continue
         run_scenario(scenario)  # must not raise
+
+
+@pytest.mark.parametrize("breakage, violation", [
+    ("dag_cycle", "dag: composition graph contains a cycle"),
+    ("dag_dup_task", "dag: task ids must be unique"),
+    ("dag_unknown_task", "dag: edge (t1,t9) references an unknown task"),
+    ("dag_neg_size", "dag: edge (t0,t1) has negative transfer size"),
+])
+def test_a_bad_task_graph_is_one_dag_violation(breakage, violation):
+    doc, _ = fuzz_scenario(random.Random(5), breakage)
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(json.dumps(doc))
+    assert err.value.violations == [violation]
 
 
 def json_paths(value, prefix=()):
