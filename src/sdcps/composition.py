@@ -7,9 +7,10 @@ order (ties by ascending task id) and each goes to the candidate minimizing
 max(latest input arrival, candidate busy-until) + ceil(cost / capacity),
 with input arrival = producer end + transfer_size * path latency over the
 current health-aware topology: congestion stretches link latency and failed
-nodes relay nothing. Each call searches once per producer node over that
-topology. Ties break by ascending node id, so equal worlds always produce
-equal schedules.
+nodes relay nothing. Transfer paths and the failed set come from
+`Topology.paths_from` and `Topology.failed_nodes`, kept until the next health
+change, so an `execute` after a `schedule` repeats no search. Ties break by
+ascending node id, so equal worlds always produce equal schedules.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     UnknownService,
     UnreachableProvider,
 )
-from .topology import HealthState, Node, NodeId, NodeKind, PathKey, Topology, multi_target_paths
+from .topology import Node, NodeId, NodeKind, Topology
 
 
 @dataclass
@@ -112,45 +113,12 @@ class ServiceRegistry:
         return self._services[name]
 
 
-class _Transfers:
-    """Health-aware transfer latencies for one `schedule` or `execute` call.
-
-    Health is read once, when the call starts: one adjacency over every node,
-    weighted by `effective_latency`, and one search per source node, memoized
-    until the call returns, so a health change between calls is seen. Failed
-    nodes other than the source may end a transfer but never relay one.
-    """
-
-    def __init__(self, topology: Topology, failed: set[NodeId]):
-        self._adj = topology.adjacency(
-            topology.nodes.keys(), latency_fn=topology.effective_latency
-        )
-        self._failed = failed
-        self._from: dict[NodeId, dict[NodeId, PathKey]] = {}
-
-    def latency(self, src: NodeId, dst: NodeId, size: int) -> Optional[int]:
-        if size == 0 or src == dst:
-            return 0
-        if src not in self._from:
-            self._from[src] = multi_target_paths(
-                self._adj, src, self._adj.keys(), self._failed - {src}
-            )
-        found = self._from[src].get(dst)
-        return None if found is None else found[0] * size
-
-
 class Scheduler:
     """Pure function of (topology snapshot, registry, dag)."""
 
     def __init__(self, topology: Topology, registry: ServiceRegistry):
         self._topology = topology
         self._registry = registry
-
-    def _failed_nodes(self) -> set[NodeId]:
-        return {
-            n for n, node in self._topology.nodes.items()
-            if node.health.state is HealthState.FAILED
-        }
 
     def _duration(self, cost: int, node: NodeId, congestion: bool) -> int:
         cap = self._topology.node(node).compute_capacity
@@ -171,7 +139,7 @@ class Scheduler:
             return providers & {overrides[task]} if task in overrides else providers
 
         return self._assign(
-            dag, self._failed_nodes(), candidates, congestion=False,
+            dag, candidates, congestion=False,
             unplaced=lambda task, service: UnreachableProvider(
                 f"task {task}: no provider of {service!r} is reachable "
                 f"from its input locations"
@@ -185,14 +153,14 @@ class Scheduler:
         re-placed on the live providers; congestion stretches effective
         cost.
         """
-        failed = self._failed_nodes()
+        failed = self._topology.failed_nodes()
 
         def candidates(task: str, providers: frozenset[NodeId]) -> frozenset[NodeId]:
             node = schedule.assignments[task][0]
             return providers - failed if node in failed else providers & {node}
 
         return self._assign(
-            dag, failed, candidates, congestion=True,
+            dag, candidates, congestion=True,
             unplaced=lambda task, service: NoFeasibleProvider(
                 f"task {task}: every provider of {service!r} is failed"
             ),
@@ -202,7 +170,6 @@ class Scheduler:
     def _assign(
         self,
         dag: CompositionDag,
-        failed: set[NodeId],
         candidates: Callable[[str, frozenset[NodeId]], frozenset[NodeId]],
         congestion: bool,
         unplaced: Callable[[str, str], SdcpsError],
@@ -212,7 +179,7 @@ class Scheduler:
         it first, ties broken by ascending node id. A task with no
         candidate reachable from its inputs raises `unplaced(task, service)`."""
         services = {t: self._registry.lookup(s) for t, s in dag.tasks}
-        transfers = _Transfers(self._topology, failed)
+        paths_from = self._topology.paths_from
         assignments: dict[str, tuple[NodeId, int, int]] = {}
         busy: dict[NodeId, int] = {}
         for task in dag.order:
@@ -222,10 +189,12 @@ class Scheduler:
             for node in sorted(candidates(task, sdef.providers)):
                 ready = 0
                 for (pnode, _, pend), size in inputs:
-                    lat = transfers.latency(pnode, node, size)
-                    if lat is None:
-                        break
-                    ready = max(ready, pend + lat)
+                    if size and pnode != node:
+                        found = paths_from(pnode).get(node)
+                        if found is None:
+                            break
+                        pend += found[0] * size
+                    ready = max(ready, pend)
                 else:
                     start = max(ready, busy.get(node, 0))
                     end = start + self._duration(sdef.cost, node, congestion)

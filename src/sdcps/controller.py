@@ -12,7 +12,7 @@ from enum import Enum, IntEnum
 from typing import Iterable, Optional
 
 from .errors import BadParameter, NoSlice, Oversubscribed, StaleReport, UnknownLink
-from .topology import LinkId, NodeId, Topology, link_id, multi_target_paths
+from .topology import LOSS, LinkId, NodeId, Topology, link_id, multi_target_paths
 
 TenantId = int
 ControllerId = int
@@ -140,8 +140,6 @@ class Verdict(str, Enum):
 
 SEVERITY = {Verdict.HEALTHY: 0, Verdict.SUSPECT_CONGESTED: 1, Verdict.SUSPECT_FAILED: 2}
 
-LOSS = "LOSS"
-
 
 @dataclass(frozen=True)
 class SouthboundReport:
@@ -266,13 +264,13 @@ class SegmentTable(dict):
 class Controller:
     """Owns one domain: its health windows and intra-domain routing.
 
-    Its caches spare admissions repeated work. The merged view and the
-    suspect sets are kept until one of the two writes that can change them:
-    a digest (`receive_digest`) or a verdict transition (`ingest_report`).
-    `_searches` keeps one full search per (slice links, source), together
-    with the domain's suspects it ran with; a read under other domain
-    suspects runs it again and replaces it, so the memo holds one search
-    per key."""
+    Its caches spare admissions repeated work. The suspect sets, the only
+    readers of the merged view, are kept until one of the two writes that
+    can change them: a digest (`receive_digest`) or a verdict transition
+    (`ingest_report`). `_searches` keeps one full search per (slice links,
+    source), together with the domain's suspects it ran with; a read under
+    other domain suspects runs it again and replaces it, so the memo holds
+    one search per key."""
 
     def __init__(
         self,
@@ -290,7 +288,6 @@ class Controller:
         self.monitor = HealthMonitor(topology, window, congestion_threshold)
         # latest digest snapshot per peer controller
         self.peer_views: dict[ControllerId, dict[NodeId, Verdict]] = {}
-        self._view: Optional[dict[NodeId, Verdict]] = None
         self._suspects: Optional[frozenset[NodeId]] = None
         self._domain_suspects: Optional[frozenset[NodeId]] = None
         # (slice links, source) -> (domain suspects it ran with, its rows)
@@ -300,7 +297,6 @@ class Controller:
         twin = Controller(self.id, self.domain_nodes, topology, slice_table)
         twin.monitor = self.monitor.fork(topology)
         twin.peer_views = {peer: dict(view) for peer, view in self.peer_views.items()}
-        twin._view = None if self._view is None else dict(self._view)
         twin._suspects, twin._domain_suspects = self._suspects, self._domain_suspects
         twin._searches = dict(self._searches)
         return twin
@@ -310,18 +306,16 @@ class Controller:
     def ingest_report(self, report: SouthboundReport) -> list[HealthEstimate]:
         transitions = self.monitor.ingest(report)
         if transitions:
-            self._view = self._suspects = self._domain_suspects = None
+            self._suspects = self._domain_suspects = None
         return transitions
 
     def merged_view(self) -> dict[NodeId, Verdict]:
-        """Own and peer verdicts merged, most severe first; a copy."""
-        if self._view is None:
-            self._view = merge_verdicts([self.monitor.estimates(), *self.peer_views.values()])
-        return dict(self._view)
+        """Own and peer verdicts merged, most severe first."""
+        return merge_verdicts([self.monitor.estimates(), *self.peer_views.values()])
 
     def receive_digest(self, peer: ControllerId, estimates: dict[NodeId, Verdict]) -> None:
         self.peer_views[peer] = dict(estimates)
-        self._view = self._suspects = self._domain_suspects = None
+        self._suspects = self._domain_suspects = None
 
     def suspect_failed(self) -> frozenset[NodeId]:
         if self._suspects is None:

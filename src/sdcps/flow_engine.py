@@ -48,7 +48,7 @@ class Unit:
     route: list[NodeId]  # replaced, never changed in place, so forks share it
     position: int  # index into route of current (or arrival) node
     in_transit: bool = False
-    remaining: int = 0
+    arrives: int = 0  # tick the unit reaches route[position], while in transit
     injected_tick: int = 0
 
     def key(self) -> tuple[int, int]:
@@ -56,7 +56,7 @@ class Unit:
 
     def fork(self) -> "Unit":
         return Unit(self.flow, self.seq, self.route, self.position, self.in_transit,
-                    self.remaining, self.injected_tick)
+                    self.arrives, self.injected_tick)
 
 
 @dataclass
@@ -363,12 +363,9 @@ class FlowEngine:
             )
 
         # recovery is enacted; the canonical path now follows the detour
-        prefix = flow.path[: branch_idx + 1]
-        if decision.case_tag is CloneCase.REJOIN:
-            rewritten = prefix[:-1] + decision.detour + flow.path[dest_idx + 1:]
-        else:
-            rewritten = prefix[:-1] + decision.detour
-        flow.path = _simplify(rewritten)
+        flow.path = _simplify(
+            flow.path[:branch_idx] + decision.detour + flow.path[dest_idx + 1:]
+        )
         self._rebase_progress(flow)
         if flow.state is FlowState.RECOVERING:
             self._set_state(flow, FlowState.ACTIVE)
@@ -410,12 +407,9 @@ class FlowEngine:
         self._transmissions()
 
     def _arrivals(self) -> None:
-        arrived: list[Unit] = []
-        for u in sorted((u for u in self.units if u.in_transit), key=Unit.key):
-            u.remaining -= 1
-            if u.remaining <= 0:
-                arrived.append(u)
-        for u in arrived:
+        now = self.now
+        for u in sorted((u for u in self.units if u.in_transit and u.arrives <= now),
+                        key=Unit.key):
             u.in_transit = False
             self._arrive(u)
 
@@ -513,7 +507,7 @@ class FlowEngine:
                 for u in pending[tenant][:grants.get(tenant, 0)]:
                     u.in_transit = True
                     u.position += 1
-                    u.remaining = latency
+                    u.arrives = self.now + latency
                     self._log.emit(
                         f"t={self.now} ev=send flow={u.flow} seq={u.seq} "
                         f"link={here}-{nxt}"

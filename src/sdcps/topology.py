@@ -2,7 +2,8 @@
 
 All path queries are deterministic: equal-cost alternatives are ordered by
 (total latency, hop count, lexicographic node-id sequence), so two runs of
-the same world always route identically.
+the same world always route identically. `Topology` owns every table
+derived from node health.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .errors import (
 
 NodeId = int
 LinkId = tuple[int, int]  # canonical (min, max) endpoint pair
+
+LOSS = "LOSS"  # what a probe of a failed or dropping neighbour observes
 
 
 class NodeKind(str, Enum):
@@ -167,13 +170,14 @@ class Topology:
 
     Single-writer: callers serialize mutations. Path queries never mutate.
 
-    Two caches read node health: `_effective`, the effective latency per
-    directed link, which `effective_latency` fills, and `probes`, what a
-    node last observed when it probed its neighbours, which the world's
-    telemetry fills. `set_health` drops them when a health change makes
-    them stale: the entries of the changed node's links, and the probes of
-    the node and of its neighbours. `add_link` drops its endpoints' probes,
-    since each gains a neighbour; it makes no latency entry stale.
+    It fills, keeps and drops every table derived from node health: the
+    effective latency per directed link (`effective_latency`), each
+    reporter's `probes` (`probe`), the transfer searches (`paths_from`) and
+    the failed set (`failed_nodes`). Only `set_health`, `add_node` and
+    `add_link` drop them: a health change the changed node's latencies and
+    the probes of it and its neighbours, a new link its endpoints' probes,
+    and each of the three the transfer searches and failed set, which a
+    fork also starts without.
     """
 
     def __init__(self):
@@ -182,6 +186,7 @@ class Topology:
         self._adj: dict[NodeId, dict[NodeId, Link]] = {}
         self._effective: dict[tuple[NodeId, NodeId], int] = {}
         self.probes: dict[NodeId, tuple] = {}
+        self._drop_transfers()
 
     def fork(self) -> "Topology":
         twin = Topology()
@@ -190,6 +195,11 @@ class Topology:
         twin._effective, twin.probes = dict(self._effective), dict(self.probes)
         return twin
 
+    def _drop_transfers(self) -> None:
+        self._transfer_adj: Optional[Adjacency] = None
+        self._paths: dict[NodeId, dict[NodeId, PathKey]] = {}
+        self._failed: Optional[frozenset[NodeId]] = None
+
     # -- mutation ----------------------------------------------------------
 
     def add_node(self, node: Node) -> NodeId:
@@ -197,6 +207,7 @@ class Topology:
             raise DuplicateId(f"node {node.id} declared twice")
         self.nodes[node.id] = node
         self._adj[node.id] = {}
+        self._drop_transfers()
         return node.id
 
     def add_link(self, a: NodeId, b: NodeId, latency: int, capacity: int) -> LinkId:
@@ -218,6 +229,7 @@ class Topology:
         self._adj[b][a] = link
         self.probes.pop(a, None)  # a new neighbour for each endpoint
         self.probes.pop(b, None)
+        self._drop_transfers()
         return lid
 
     def set_health(self, n: NodeId, health: Health) -> bool:
@@ -231,6 +243,7 @@ class Topology:
             self._effective.pop((n, nbr), None)
             self._effective.pop((nbr, n), None)
             self.probes.pop(nbr, None)
+        self._drop_transfers()
         return True
 
     # -- queries -----------------------------------------------------------
@@ -290,6 +303,36 @@ class Topology:
             latency = self._effective[(a, b)] = max(1, _ceil(scaled))
         return latency
 
+    def failed_nodes(self) -> frozenset[NodeId]:
+        if self._failed is None:
+            self._failed = frozenset(
+                n for n, node in self.nodes.items() if node.health.state is HealthState.FAILED
+            )
+        return self._failed
+
+    def probe(self, reporter: NodeId, rng) -> tuple[tuple[NodeId, object], ...]:
+        """What reporter observes of each neighbour, in node order: LOSS for
+        a failed one, LOSS with a malicious one's drop probability (one rng
+        draw each), else the link's effective latency. Kept in `probes`
+        unless a neighbour is malicious."""
+        observations = self.probes.get(reporter)
+        if observations is None:
+            observations, reusable = [], True
+            for neighbor in self.neighbors(reporter):
+                h = self.nodes[neighbor].health
+                if h.state is HealthState.MALICIOUS:
+                    reusable = False
+                    lost = rng.random() < h.drop_prob
+                else:
+                    lost = h.state is HealthState.FAILED
+                observations.append(
+                    (neighbor, LOSS if lost else self.effective_latency(reporter, neighbor))
+                )
+            observations = tuple(observations)
+            if reusable:
+                self.probes[reporter] = observations
+        return observations
+
     # -- path computation ----------------------------------------------------
 
     def shortest_path(
@@ -313,6 +356,22 @@ class Topology:
         adj = self.adjacency(nodes, link_filter, latency_fn)
         found = multi_target_paths(adj, src, (dst,)).get(dst)
         return None if found is None else (found[0], list(found[2]))
+
+    def paths_from(self, src: NodeId) -> dict[NodeId, PathKey]:
+        """Best transfer path from src to every node it reaches over every
+        link, weighted by `effective_latency`. Failed nodes other than src
+        may end a path but never relay one."""
+        rows = self._paths.get(src)
+        if rows is None:
+            if self._transfer_adj is None:
+                self._transfer_adj = self.adjacency(
+                    self.nodes.keys(), latency_fn=self.effective_latency
+                )
+            adj = self._transfer_adj
+            rows = self._paths[src] = multi_target_paths(
+                adj, src, adj.keys(), self.failed_nodes() - {src}
+            )
+        return rows
 
     def reachable(
         self, src: NodeId, link_filter: Optional[LinkFilter] = None

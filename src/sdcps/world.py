@@ -27,7 +27,6 @@ from .composition import Scheduler
 from .controller import (
     DEFAULT_CONGESTION_THRESHOLD,
     DEFAULT_WINDOW,
-    LOSS,
     Priority,
     SliceTable,
     SouthboundReport,
@@ -352,36 +351,13 @@ class World:
                 break
 
     def _telemetry(self, t: int) -> None:
-        """Every live node probes each neighbor; reports ride the bus and
-        reach the reporter's domain controller next tick.
-
-        A probe sees a failed neighbor as LOSS, a malicious one as LOSS
-        with its drop probability (one RNG draw per probe, in node order),
-        and any other as the link's effective latency. A reporter with no
-        malicious neighbor observes the same until the health of it or of a
-        neighbor changes, so its observation tuple is kept in
-        `Topology.probes`, which drops it on that change."""
-        topo, rng = self.topology, self.rng
-        nodes, probes = topo.nodes, topo.probes
-        for reporter in topo.node_ids():
+        """Every live node probes its neighbours (`Topology.probe`); reports
+        ride the bus and reach the reporter's domain controller next tick."""
+        nodes, probe, rng = self.topology.nodes, self.topology.probe, self.rng
+        for reporter in self.topology.node_ids():
             if nodes[reporter].health.state is HealthState.FAILED:
                 continue
-            observations = probes.get(reporter)
-            if observations is None:
-                observations, reusable = [], True
-                for neighbor in topo.neighbors(reporter):
-                    h = nodes[neighbor].health
-                    if h.state is HealthState.MALICIOUS:
-                        reusable = False
-                        lost = rng.random() < h.drop_prob
-                    else:
-                        lost = h.state is HealthState.FAILED
-                    observations.append(
-                        (neighbor, LOSS if lost else topo.effective_latency(reporter, neighbor))
-                    )
-                observations = tuple(observations)
-                if reusable:
-                    probes[reporter] = observations
+            observations = probe(reporter, rng)
             if observations:
                 self.farm.send_report(SouthboundReport(reporter, t, observations))
 

@@ -6,7 +6,7 @@ from typing import NamedTuple
 import pytest
 
 from sdcps import Node, NodeKind, Priority, Topology, World, flow_engine
-from sdcps.composition import Schedule, _Transfers
+from sdcps.composition import Schedule
 from sdcps.controller import (
     _FRESH_WINDOW,
     DEFAULT_CONGESTION_THRESHOLD,
@@ -336,7 +336,7 @@ def _reference_place(topology, task, sdef, dag, transfers, assignments, busy,
         feasible = True
         for producer, size in [(a, size) for a, b, size in dag.edges if b == task]:
             pnode, _, pend = assignments[producer]
-            lat = transfers.latency(pnode, node, size)
+            lat = transfers(pnode, node, size)
             if lat is None:
                 feasible = False
                 break
@@ -354,13 +354,33 @@ def _failed_nodes(topology):
     return {n for n, node in topology.nodes.items() if node.health.state is HealthState.FAILED}
 
 
+def _reference_transfers(topology, failed):
+    """Transfer latency of `size` units from src to dst over the pairwise
+    oracle, where failed nodes other than src and dst relay nothing;
+    memoized per (src, dst) for one reference call."""
+    paths = {}
+
+    def latency(src, dst, size):
+        if size == 0 or src == dst:
+            return 0
+        if (src, dst) not in paths:
+            paths[(src, dst)] = reference_shortest_path(
+                topology, src, dst, exclude_nodes=failed - {src, dst},
+                latency_fn=topology.effective_latency,
+            )
+        found = paths[(src, dst)]
+        return None if found is None else found[0] * size
+
+    return latency
+
+
 def reference_schedule(topology, registry, dag, overrides=None):
     """`Scheduler.schedule` as a loop of its own: each task goes to the
     provider that finishes it first, or only to its override, where the
     override provides the task's service."""
     overrides = overrides or {}
     services = {t: registry.lookup(s) for t, s in dag.tasks}
-    transfers = _Transfers(topology, _failed_nodes(topology))
+    transfers = _reference_transfers(topology, _failed_nodes(topology))
     assignments = {}
     busy = {}
     for task in reference_topo_order(dag):
@@ -388,7 +408,7 @@ def reference_execute(topology, registry, schedule, dag):
     finishes it first; congestion stretches every task's cost."""
     services = {t: registry.lookup(s) for t, s in dag.tasks}
     failed = _failed_nodes(topology)
-    transfers = _Transfers(topology, failed)
+    transfers = _reference_transfers(topology, failed)
     actual = {}
     busy = {}
     replaced = []

@@ -18,7 +18,8 @@ from sdcps import (
     parse_scenario,
     speedup_curve,
 )
-from sdcps.composition import Schedule, _Transfers
+from sdcps import topology as topology_module
+from sdcps.composition import Schedule
 from sdcps.topology import HealthState
 from sdcps.errors import (
     BadParameter,
@@ -33,6 +34,7 @@ from sdcps.errors import (
 
 from conftest import (
     make_node,
+    reference_effective_latency,
     reference_execute,
     reference_schedule,
     reference_shortest_path,
@@ -265,8 +267,21 @@ def test_reused_scheduler_sees_health_change_in_transfers():
     assert lat * 1 == 6  # the a->b edge carries size 1
 
 
+def assert_paths_match_reference(topo):
+    failed = {v for v in topo.nodes if topo.node(v).health.state is HealthState.FAILED}
+    assert topo.failed_nodes() == failed
+    for src, dst in itertools.product(topo.nodes, repeat=2):
+        found = topo.paths_from(src).get(dst)
+        assert (None if found is None else (found[0], list(found[2]))) == reference_shortest_path(
+            topo, src, dst, exclude_nodes=failed - {src, dst},
+            latency_fn=lambda a, b: reference_effective_latency(topo, a, b),
+        )
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_transfers_match_pairwise_reference(seed):
+    """`Topology.paths_from` and `failed_nodes` match the pairwise oracle,
+    read again after each kind of change that must drop them."""
     rng = random.Random(seed)
     for _ in range(20):
         n = rng.randint(2, 9)
@@ -283,16 +298,57 @@ def test_transfers_match_pairwise_reference(seed):
                 topo.set_health(v, Health.failed())
             elif r < 0.45:
                 topo.set_health(v, Health.congested(rng.choice([1.5, 2.0, 3.5])))
-        failed = {v for v in range(n) if topo.node(v).health.state is HealthState.FAILED}
-        transfers = _Transfers(topo, failed)
-        for src, dst in itertools.product(range(n), repeat=2):
-            size = rng.randint(0, 3)
-            found = reference_shortest_path(
-                topo, src, dst, exclude_nodes=failed - {src, dst},
-                latency_fn=topo.effective_latency,
-            )
-            expected = None if found is None else found[0] * size
-            assert transfers.latency(src, dst, size) == (0 if size == 0 else expected)
+        assert_paths_match_reference(topo)
+        v = rng.randrange(n)
+        topo.set_health(v, rng.choice(
+            [Health.healthy(), Health.failed(), Health.congested(3.0)]
+        ))
+        assert_paths_match_reference(topo)
+        a, b = rng.sample(range(n), 2)
+        if not topo.has_link(a, b):
+            topo.add_link(a, b, 1, 4)
+        assert_paths_match_reference(topo)
+        topo.add_node(Node(n, NodeKind.CONTROLLER_VES, 1, Health.failed()))
+        assert_paths_match_reference(topo)
+        topo.add_link(n, rng.randrange(n), 1, 4)
+        assert_paths_match_reference(topo)
+
+
+def test_composition_runs_each_transfer_search_once(monkeypatch):
+    """Under unchanged health, `execute` reads the searches `schedule` ran,
+    and a second composition runs none."""
+    sources = []
+    search = topology_module.multi_target_paths
+
+    def counted(adj, src, *args):
+        sources.append(src)
+        return search(adj, src, *args)
+
+    monkeypatch.setattr(topology_module, "multi_target_paths", counted)
+    text = (Path(__file__).parent / "golden" / "twin-rehearsal-2-0.json").read_text()
+    world = build_world(parse_scenario(text))
+    world.run_composition()
+    assert sources and len(sources) == len(set(sources))
+    del sources[:]
+    world.run_composition()
+    assert sources == []
+
+
+def test_congestion_overflow_is_raised_by_the_first_transfer_search():
+    """The transfer adjacency is built when a search first needs it, so a
+    graph with no cross-node transfer never reads an overflowing link."""
+    topo = providers_topology(3, link_latency=1)
+    reg = ServiceRegistry(topo)
+    reg.register_service("first", 2, [0])
+    reg.register_service("second", 2, [2])
+    for n in (1, 2):
+        topo.set_health(n, Health.congested(1e200))
+    scheduler = Scheduler(topo, reg)
+    local = CompositionDag([("a", "first"), ("b", "first")], [("a", "b", 1)])
+    assert scheduler.schedule(local).makespan == 4
+    remote = CompositionDag([("a", "first"), ("b", "second")], [("a", "b", 1)])
+    with pytest.raises(BadParameter, match=r"link \(1, 2\)"):
+        scheduler.schedule(remote)
 
 
 def test_congestion_overflow_aborts_scheduling():

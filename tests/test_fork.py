@@ -89,13 +89,20 @@ def malicious_world():
     return world
 
 
+def composed_world():
+    """The generated twin-rehearsal scenario right after its composition,
+    which filled the topology's transfer table."""
+    text = (TESTS / "golden" / "twin-rehearsal-2-0.json").read_text()
+    world = build_world(parse_scenario(text))
+    world.run_composition()
+    return world
+
+
 def rehearsal_world():
     """The generated twin-rehearsal scenario at t=60: three domains with
     peer digests and cached segment tables, failed nodes, clone decisions,
     a task graph, and a committed decision waiting for the next tick."""
-    text = (TESTS / "golden" / "twin-rehearsal-2-0.json").read_text()
-    world = build_world(parse_scenario(text))
-    world.run_composition()
+    world = composed_world()
     world.run(60)
     world.task_overrides["sense0"] = 0
     world.pending_commits.append(Decision.inject_repair(7))
@@ -110,7 +117,7 @@ def live_world(request):
     assert world.bus._pending
     assert world.composition_report is not None
     farm = world.farm
-    assert farm._joins and all(c._searches and c._view for c in farm.controllers.values())
+    assert farm._joins and all(c._searches for c in farm.controllers.values())
     if request.param is malicious_world:
         assert any(buf.held for buf in engine.buffers.values())
     else:
@@ -165,13 +172,19 @@ def test_guard_catches_a_fork_that_shares_a_telemetry_cache(monkeypatch, cls, fi
 
 @pytest.mark.parametrize("cls, field, owner", [
     (Controller, "_searches", lambda world: world.farm.controllers[0]),
-    (Controller, "_view", lambda world: world.farm.controllers[0]),
     (Farm, "_joins", lambda world: world.farm),
     (Farm, "_fetched", lambda world: world.farm),
     (JoinGraph, "adj", lambda world: next(iter(world.farm._joins.values()))),
 ])
 def test_guard_catches_a_fork_that_shares_an_admission_cache(monkeypatch, cls, field, owner):
     assert_guard_catches_a_shared_cache(monkeypatch, cls, field, owner, rehearsal_world)
+
+
+@pytest.mark.parametrize("field", ["_transfer_adj", "_paths"])
+def test_guard_catches_a_fork_that_shares_the_transfer_table(monkeypatch, field):
+    assert_guard_catches_a_shared_cache(
+        monkeypatch, Topology, field, lambda world: world.topology, composed_world
+    )
 
 
 def decision_for(kind: DecisionKind, world) -> Decision:
