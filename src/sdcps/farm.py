@@ -55,7 +55,8 @@ class Farm:
     The farm is the single mutation point for registration; controllers it
     creates share only read-only structures. Each controller has two bus
     inboxes, one exact topic each, delivered next tick: southbound reports
-    from its domain's nodes (`south/<domain>/reports`) and health digests
+    from its domain's nodes (`south/<domain>/reports`, one message per tick
+    holding the tick's reports in reporter order) and health digests
     from its peers (`west/to/<receiver>`, each carrying its sender). Segments
     are direct calls.
 
@@ -165,13 +166,11 @@ class Farm:
         self.controllers[receiver].receive_digest(sender, estimates)
         self.invalidate_caches()
 
-    def send_report(self, report: SouthboundReport) -> None:
-        """Publish a node's telemetry to its domain controller's inbox."""
-        self._bus.publish(
-            f"south/{self.resolve(report.reporter)}/reports", report, self.now,
-            f"node/{report.reporter:06d}",
-        )
-        self.report_count += 1
+    def send_reports(self, cid: ControllerId, reports: tuple[SouthboundReport, ...]) -> None:
+        """Publish one tick's reports of a domain's nodes, in reporter order,
+        to its controller's inbox as one message."""
+        self._bus.publish(f"south/{cid}/reports", reports, self.now, f"domain/{cid:06d}")
+        self.report_count += len(reports)
 
     def drain_inboxes(self) -> list[tuple[ControllerId, HealthEstimate]]:
         """Hand each controller, in id order, its delivered digests and then
@@ -183,13 +182,14 @@ class Farm:
                 self.deliver_digest(cid, *msg.payload)
             ctrl = self.controllers[cid]
             for msg in reports.drain():
-                try:
-                    transitions = ctrl.ingest_report(msg.payload)
-                except StaleReport:
-                    continue  # replayed telemetry is dropped, not fatal
-                for est in transitions:
-                    changes.append((cid, est))
-                    self.invalidate_caches()
+                for report in msg.payload:
+                    try:
+                        transitions = ctrl.ingest_report(report)
+                    except StaleReport:
+                        continue  # replayed telemetry is dropped, not fatal
+                    for est in transitions:
+                        changes.append((cid, est))
+                        self.invalidate_caches()
         return changes
 
     def cross_domain_path(

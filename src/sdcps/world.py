@@ -6,8 +6,9 @@ per-tick metrics records: event lines fold into the digest and are not kept.
 Each tick runs fixed phases:
 
   1. boundary changes   scheduled faults, committed decisions
-  2. bus delivery       reports and digests published last tick, in
-                        (tick, publisher, sequence) order
+  2. bus delivery       digests and reports published last tick; each
+                        domain's reports arrive as one message and are
+                        ingested in reporter order
   3. flow admissions    scenario flows starting this tick
   4. digest broadcast   every digest-period ticks
   5. clone decisions    recovery for flows crossing suspected-failed nodes
@@ -351,15 +352,22 @@ class World:
                 break
 
     def _telemetry(self, t: int) -> None:
-        """Every live node probes its neighbours (`Topology.probe`); reports
-        ride the bus and reach the reporter's domain controller next tick."""
+        """Every live node probes its neighbours (`Topology.probe`) in node
+        order, the order of the RNG draws. Each domain's reports then ride
+        the bus as one message, in reporter order, and reach its controller
+        next tick."""
         nodes, probe, rng = self.topology.nodes, self.topology.probe, self.rng
+        resolve = self.farm.resolve
+        batches: dict[int, list[SouthboundReport]] = {}
         for reporter in self.topology.node_ids():
             if nodes[reporter].health.state is HealthState.FAILED:
                 continue
             observations = probe(reporter, rng)
             if observations:
-                self.farm.send_report(SouthboundReport(reporter, t, observations))
+                batches.setdefault(resolve(reporter), []).append(
+                    SouthboundReport(reporter, t, observations))
+        for cid in sorted(batches):
+            self.farm.send_reports(cid, tuple(batches[cid]))
 
     # -- summary ------------------------------------------------------------------------
 

@@ -149,8 +149,11 @@ class ReferenceHealthMonitor:
 
 def reference_telemetry(world, t):
     """`World._telemetry` without reuse: every live node probes every
-    neighbour afresh, with one RNG draw per probe of a malicious neighbour."""
+    neighbour afresh, in node order, with one RNG draw per probe of a
+    malicious neighbour. Each domain's reports are sent as one batch, in
+    reporter order, domains in id order."""
     topo = world.topology
+    batches = defaultdict(list)
     for reporter in topo.node_ids():
         if topo.nodes[reporter].health.state is HealthState.FAILED:
             continue
@@ -166,20 +169,24 @@ def reference_telemetry(world, t):
                     (neighbor, reference_effective_latency(topo, reporter, neighbor))
                 )
         if observations:
-            world.farm.send_report(SouthboundReport(reporter, t, tuple(observations)))
+            batches[world.farm.resolve(reporter)].append(
+                SouthboundReport(reporter, t, tuple(observations)))
+    for cid in sorted(batches):
+        world.farm.send_reports(cid, tuple(batches[cid]))
 
 
 def record_reports(mp):
-    """Wrap `Farm.send_report` through the monkeypatch `mp` and return the
-    record: farm object -> the reports it sent, in send order."""
+    """Wrap `Farm.send_reports` through the monkeypatch `mp` and return the
+    record: farm object -> the reports it sent, batches flattened in send
+    order."""
     recorded = defaultdict(list)
-    send = Farm.send_report
+    send = Farm.send_reports
 
-    def recording_send(farm, report):
-        recorded[farm].append(report)
-        send(farm, report)
+    def recording_send(farm, cid, reports):
+        recorded[farm].extend(reports)
+        send(farm, cid, reports)
 
-    mp.setattr(Farm, "send_report", recording_send)
+    mp.setattr(Farm, "send_reports", recording_send)
     return recorded
 
 

@@ -1,4 +1,5 @@
-"""Telemetry reuses a reporter's probes until a health change drops them.
+"""Southbound telemetry: probes reused until a health change drops them,
+and one bus message per domain per tick.
 
 Each scenario runs twice, side by side: once with `World._telemetry` and
 once with `tests/conftest.py::reference_telemetry`, which probes every
@@ -6,14 +7,17 @@ neighbour afresh on every tick. Every tick must send the same reports and
 leave the RNG in the same state.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
-from sdcps import Decision, Health, parse_scenario
+from sdcps import Bus, Decision, Health, SliceTable, Topology, parse_scenario
+from sdcps.controller import LOSS, HealthEstimate, SouthboundReport, Verdict
+from sdcps.farm import Farm
 from sdcps.scenario import build_world
 
-from conftest import record_reports, reference_telemetry
+from conftest import make_node, record_reports, reference_telemetry
 
 TESTS = Path(__file__).parent
 
@@ -42,12 +46,31 @@ def rehearsal_with_repair():
     return world
 
 
+def interleaved_domains():
+    """A ring 0-1-2-3-0 whose domains interleave: domain 0 holds {1, 2},
+    domain 1 holds {0, 3}. Malicious node 1 makes its neighbours draw the
+    RNG in node order 0, 2, which is not domain order (2, then 0)."""
+    doc = {
+        "seed": 5, "horizon": 30,
+        "nodes": [{"id": i, "kind": "smart_device", "compute": 1} for i in range(4)],
+        "links": [{"a": a, "b": b, "latency": 1, "capacity": 2}
+                  for a, b in ((0, 1), (1, 2), (2, 3), (0, 3))],
+        "domains": [{"id": 0, "nodes": [1, 2]}, {"id": 1, "nodes": [0, 3]}],
+        "tenants": [{"id": 0, "priority": "silver", "share": 1,
+                     "links": [[0, 1], [1, 2], [2, 3], [0, 3]]}],
+        "flows": [{"tenant": 0, "origin": 0, "dest": 2, "units": 6, "start": 0}],
+        "faults": [{"tick": 2, "node": 1, "health": {"kind": "malicious", "drop_prob": 0.5}}],
+    }
+    return build_world(parse_scenario(json.dumps(doc)))
+
+
 def with_reference_telemetry(world):
     world._telemetry = lambda t: reference_telemetry(world, t)
     return world
 
 
-@pytest.mark.parametrize("make", [malicious, congested_then_repaired, rehearsal_with_repair])
+@pytest.mark.parametrize(
+    "make", [malicious, congested_then_repaired, rehearsal_with_repair, interleaved_domains])
 def test_reused_probes_send_what_fresh_probes_send(make, monkeypatch):
     world, reference = make(), with_reference_telemetry(make())
     sent = record_reports(monkeypatch)
@@ -77,3 +100,52 @@ def test_a_health_change_in_a_twin_leaves_the_worlds_reports_alone(monkeypatch):
         reference.tick()
     assert sent[world.farm] == sent[reference.farm]
     assert world.trace_hash() == reference.trace_hash()
+
+
+def test_southbound_telemetry_is_one_message_per_domain_per_tick(monkeypatch):
+    world = fixture_world("golden/federated-admission-2-0.json")
+    farm, bus = world.farm, world.bus
+    domains = len(farm.controllers)
+    sent = record_reports(monkeypatch)
+    for _ in range(40):
+        published, reports = bus.published_count, farm.report_count
+        world.tick()
+        digests = domains * (domains - 1) if world.now % world.options.digest_period == 0 else 0
+        reporting = {farm.resolve(r.reporter) for r in sent[farm]}
+        assert bus.published_count - published == len(reporting) + digests
+        assert bus.published_count - published <= domains + digests
+        assert farm.report_count - reports == len(sent[farm]) > domains
+        sent.clear()
+
+
+def test_a_stale_report_in_a_batch_drops_only_itself():
+    topo = Topology()
+    for i in range(5):
+        topo.add_node(make_node(i))
+    for i in range(4):
+        topo.add_link(i, i + 1, 1, 1)
+    bus = Bus()
+    farm = Farm(topo, SliceTable(topo), bus, window=1)
+    farm.register_domain(0, range(5))
+    farm.now = 1
+    farm.send_reports(0, tuple(
+        SouthboundReport(r, 1, tuple((n, 1) for n in topo.neighbors(r))) for r in range(5)))
+    bus.deliver_up_to(2)
+    assert farm.drain_inboxes() == []
+
+    farm.now = 2
+    farm.send_reports(0, (
+        SouthboundReport(1, 2, ((2, LOSS),)),
+        SouthboundReport(2, 2, ((1, LOSS),)),
+        SouthboundReport(3, 1, ((4, LOSS),)),  # not newer than reporter 3's latest
+        SouthboundReport(4, 2, ((3, LOSS),)),
+    ))
+    assert farm.report_count == 9
+    bus.deliver_up_to(3)
+    failed = Verdict.SUSPECT_FAILED
+    assert farm.drain_inboxes() == [
+        (0, HealthEstimate(2, failed)),
+        (0, HealthEstimate(1, failed)),
+        (0, HealthEstimate(3, failed)),
+    ]
+    assert farm.controllers[0].monitor.estimates() == {1: failed, 2: failed, 3: failed}
