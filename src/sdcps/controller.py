@@ -1,8 +1,9 @@
 """Single-domain controller: tenant slices, QoS, health estimation from
 southbound reports, and intra-domain segment tables.
 
-A controller is a logical actor. It only ever reads shared world structures
-(topology, slice table); everything it mutates is its own.
+A controller is a logical actor. The only shared world structure it reads is
+the topology; it routes over the slice links it is handed, never a tenant,
+and everything it mutates is its own.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ class TenantSlice:
     links: frozenset[LinkId]
     share: int
     priority: Priority
-
-    def covers(self, lid: LinkId) -> bool:
-        return lid in self.links
 
 
 class SliceTable:
@@ -262,7 +260,8 @@ class SegmentTable(dict):
 
 
 class Controller:
-    """Owns one domain: its health windows and intra-domain routing.
+    """Owns one domain: its health windows and intra-domain routing over
+    the slice links it is handed.
 
     Its caches spare admissions repeated work. The suspect sets, the only
     readers of the merged view, are kept until one of the two writes that
@@ -277,14 +276,12 @@ class Controller:
         cid: ControllerId,
         domain_nodes: frozenset[NodeId],
         topology: Topology,
-        slice_table: SliceTable,
         window: int = DEFAULT_WINDOW,
         congestion_threshold: float = DEFAULT_CONGESTION_THRESHOLD,
     ):
         self.id = cid
         self.domain_nodes = domain_nodes
         self._topology = topology
-        self._slices = slice_table
         self.monitor = HealthMonitor(topology, window, congestion_threshold)
         # latest digest snapshot per peer controller
         self.peer_views: dict[ControllerId, dict[NodeId, Verdict]] = {}
@@ -293,8 +290,8 @@ class Controller:
         # (slice links, source) -> (domain suspects it ran with, its rows)
         self._searches: dict[tuple, tuple[frozenset[NodeId], SegmentTable]] = {}
 
-    def fork(self, topology: Topology, slice_table: SliceTable) -> "Controller":
-        twin = Controller(self.id, self.domain_nodes, topology, slice_table)
+    def fork(self, topology: Topology) -> "Controller":
+        twin = Controller(self.id, self.domain_nodes, topology)
         twin.monitor = self.monitor.fork(topology)
         twin.peer_views = {peer: dict(view) for peer, view in self.peer_views.items()}
         twin._suspects, twin._domain_suspects = self._suspects, self._domain_suspects
@@ -339,9 +336,7 @@ class Controller:
         suspects = self.domain_suspects()
         memo = self._searches.get((links, source))
         if memo is None or memo[0] != suspects:
-            adj = self._topology.adjacency(
-                self.domain_nodes, lambda link: link.endpoints in links
-            )
+            adj = self._topology.adjacency(self.domain_nodes, links)
             found = multi_target_paths(adj, source, self.domain_nodes, suspects - {source})
             rows = SegmentTable(
                 ((source, v), (dist, list(seq)))
@@ -359,14 +354,13 @@ class Controller:
         found = self.search(links, v).get((v, u))
         return None if found is None else (found[0], found[1][::-1])
 
-    def segment_table(self, tenant: TenantId, terminals: list[NodeId]) -> SegmentTable:
-        """All-pairs slice paths between terminals through this domain only.
+    def segment_table(self, links: frozenset[LinkId], terminals: list[NodeId]) -> SegmentTable:
+        """All-pairs paths over the slice links between terminals, through this domain only.
 
         Served over the westbound surface; peers never see the topology
         itself, just these segments. Read from the memoized per-source
         searches: (u, v) with u < v from u's, (v, u) its reverse.
         """
-        links = self._slices.get(tenant).links
         table = SegmentTable()
         terms = sorted(set(terminals) & self.domain_nodes)
         for i, u in enumerate(terms[:-1]):

@@ -83,10 +83,6 @@ class UnassignedNode(SdcpsError):
     pass
 
 
-class NoPath(SdcpsError):
-    pass
-
-
 # -- composition -----------------------------------------------------------
 
 class DuplicateService(SdcpsError):

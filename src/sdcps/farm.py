@@ -14,12 +14,12 @@ from .controller import HealthEstimate, SouthboundReport, TenantId
 from .errors import (
     DisconnectedDomain,
     DuplicateId,
-    NoPath,
+    NoPathInSlice,
     OverlappingDomain,
     StaleReport,
     UnassignedNode,
 )
-from .topology import NodeId, Topology, multi_target_paths
+from .topology import NodeId, Topology, link_id, multi_target_paths
 
 DEFAULT_DIGEST_PERIOD = 5
 
@@ -60,6 +60,10 @@ class Farm:
     from its peers (`west/to/<receiver>`, each carrying its sender). Segments
     are direct calls.
 
+    An admission names a tenant: the farm looks up its slice's links once and
+    hands controllers only links. It keeps no clock; messages go out at the
+    tick they are given.
+
     Route composition reuses what it has computed. Each controller memoizes
     one search per (slice links, source) under its domain's suspects, and
     the farm keeps one `JoinGraph` per slice links, whose part for a domain
@@ -86,21 +90,18 @@ class Farm:
         self.message_count = 0
         self.report_count = 0
         self._bus = bus
-        self.now = 0  # advanced by the world each tick
         self._joins: dict[frozenset, JoinGraph] = {}  # slice links -> its join graph
         self._fetched: set[tuple] = set()  # (controller, slice links, terminals)
 
     def fork(self, topology, slice_table, bus) -> "Farm":
         twin = Farm(topology, slice_table, bus, self._window, self._congestion_threshold)
-        twin.controllers = {cid: c.fork(topology, slice_table)
-                            for cid, c in self.controllers.items()}
+        twin.controllers = {cid: c.fork(topology) for cid, c in self.controllers.items()}
         twin._owner, twin._fetched = dict(self._owner), set(self._fetched)
         twin._joins = {links: join.fork() for links, join in self._joins.items()}
         old, new = self._bus.subscriptions, bus.subscriptions  # bus is a Bus.fork of ours
         twin._inboxes = {cid: tuple(new[s.topic][old[s.topic].index(s)] for s in subs)
                          for cid, subs in self._inboxes.items()}
         twin.message_count, twin.report_count = self.message_count, self.report_count
-        twin.now = self.now
         return twin
 
     # -- registration ---------------------------------------------------------
@@ -116,15 +117,12 @@ class Farm:
             raise OverlappingDomain(
                 f"domains {self._owner[overlap[0]]} and {domain_id} overlap on nodes {overlap}"
             )
-        for n in sorted(nodes):
-            self._topology.node(n)
-        if nodes and nodes != self._topology.reachable(
-            min(nodes), lambda link: nodes.issuperset(link.endpoints)
-        ):
+        neighbors = self._topology.neighbors  # raises on an unknown node
+        own_links = {link_id(n, m) for n in sorted(nodes) for m in neighbors(n) if m in nodes}
+        if nodes and nodes != self._topology.reachable(min(nodes), own_links):
             raise DisconnectedDomain(f"domain {domain_id} induces a disconnected subgraph")
         self.controllers[domain_id] = Controller(
-            domain_id, nodes, self._topology, self._slices,
-            self._window, self._congestion_threshold,
+            domain_id, nodes, self._topology, self._window, self._congestion_threshold,
         )
         for n in nodes:
             self._owner[n] = domain_id
@@ -150,15 +148,15 @@ class Farm:
         that needs one counts its request and reply again."""
         self._fetched.clear()
 
-    def broadcast_health_digest(self, sender: ControllerId) -> None:
-        """Push this controller's estimate set to every peer via the bus."""
+    def broadcast_health_digest(self, sender: ControllerId, tick: int) -> None:
+        """Push this controller's estimate set to every peer via the bus at tick."""
         estimates = self.controllers[sender].monitor.estimates()
         for peer in sorted(self.controllers):
             if peer == sender:
                 continue
             self.message_count += 1
             self._bus.publish(
-                f"west/to/{peer}", (sender, estimates), self.now,
+                f"west/to/{peer}", (sender, estimates), tick,
                 f"controller/{sender:06d}",
             )
 
@@ -166,10 +164,12 @@ class Farm:
         self.controllers[receiver].receive_digest(sender, estimates)
         self.invalidate_caches()
 
-    def send_reports(self, cid: ControllerId, reports: tuple[SouthboundReport, ...]) -> None:
+    def send_reports(
+        self, cid: ControllerId, reports: tuple[SouthboundReport, ...], tick: int
+    ) -> None:
         """Publish one tick's reports of a domain's nodes, in reporter order,
-        to its controller's inbox as one message."""
-        self._bus.publish(f"south/{cid}/reports", reports, self.now, f"domain/{cid:06d}")
+        to its controller's inbox as one message at tick."""
+        self._bus.publish(f"south/{cid}/reports", reports, tick, f"domain/{cid:06d}")
         self.report_count += len(reports)
 
     def drain_inboxes(self) -> list[tuple[ControllerId, HealthEstimate]]:
@@ -210,7 +210,7 @@ class Farm:
         orchestrator = self.resolve(src)
         self.resolve(dst)
         links = self._slices.get(tenant).links
-        join = self._join_graph(tenant, links)
+        join = self._join_graph(links)
         self._count_fetches(join, links, src, dst)
         if src == dst:
             return [src]
@@ -230,7 +230,7 @@ class Farm:
         adj = {**join.adj, **extra} if extra else join.adj
         found = multi_target_paths(adj, src, (dst,)).get(dst)
         if found is None:
-            raise NoPath(f"tenant {tenant}: no slice route {src}->{dst}")
+            raise NoPathInSlice(f"tenant {tenant}: no slice route {src}->{dst}")
         seq = found[2]
         route = [src]
         for u, v in zip(seq, seq[1:]):
@@ -251,7 +251,7 @@ class Farm:
                 edges.append((v, found[0], len(found[1]) - 1))
         return tuple(edges)
 
-    def _join_graph(self, tenant: TenantId, links) -> JoinGraph:
+    def _join_graph(self, links) -> JoinGraph:
         """The slice's join graph, its segments read under every domain's
         current suspects."""
         join = self._joins.get(links)
@@ -268,7 +268,7 @@ class Farm:
                 continue
             join.suspects[cid] = suspects
             edges: dict[NodeId, list] = {u: [] for u in terms}
-            for (u, v), (w, path) in ctrl.segment_table(tenant, terms).items():
+            for (u, v), (w, path) in ctrl.segment_table(links, terms).items():
                 edges[u].append((v, w, len(path) - 1))
             for u in terms:
                 join.adj[u] = (*edges[u], *join.gateway_edges[u])

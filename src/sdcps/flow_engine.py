@@ -238,10 +238,8 @@ class FlowEngine:
 
         # one search from the branch point reaches the destination and
         # every rejoin candidate over the slice; the branch is never in avoid
-        sl = self._slices.get(flow.tenant)
         adj = self._topology.adjacency(
-            self._topology.nodes.keys() - avoid,
-            lambda link: sl.covers(link.endpoints),
+            self._topology.nodes.keys() - avoid, self._slices.get(flow.tenant).links
         )
         rejoins = [
             idx for idx in range(bad_idx + 1, len(flow.path) - 1)
@@ -495,7 +493,7 @@ class FlowEngine:
             requests = []
             for tenant in sorted(pending):
                 sl = self._slices.slices.get(tenant)
-                if sl is None or not sl.covers(lid):
+                if sl is None or lid not in sl.links:
                     self.slice_violations += len(pending[tenant])
                     continue
                 requests.append((tenant, sl.priority, sl.share, len(pending[tenant])))

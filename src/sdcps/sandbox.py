@@ -17,7 +17,7 @@ from typing import Optional
 
 from .controller import Priority
 from .errors import MidTickSpawn, SdcpsError, StaleDelta, UnresolvableDecision
-from .topology import Health, NodeId
+from .topology import Health, NodeId, link_id
 from .world import World
 
 
@@ -94,7 +94,7 @@ def apply_decision(world: World, decision: Decision) -> None:
         for a, b in zip(path, path[1:]):
             if not world.topology.has_link(a, b):
                 raise UnresolvableDecision(f"reroute uses missing link ({a},{b})")
-            if sl is None or not sl.covers(world.topology.link(a, b).endpoints):
+            if sl is None or link_id(a, b) not in sl.links:
                 raise UnresolvableDecision(f"reroute leaves the tenant slice at ({a},{b})")
         world.engine.reroute(flow.id, path)
     elif decision.kind is DecisionKind.SET_SLICE:
@@ -130,9 +130,10 @@ def evaluate(twin: World, decision: Decision, horizon: int) -> MetricsDelta:
     apply_decision(candidate, decision)  # UnresolvableDecision propagates
     baseline.run(horizon)
     candidate.run(horizon)
+    makespan = 0
     if baseline.dag is not None:
-        baseline.run_composition()
-        candidate.run_composition()
+        base = baseline.run_composition().makespan
+        makespan = candidate.run_composition().makespan - base
 
     def mean_latency(w: World) -> float:
         e = w.engine
@@ -141,7 +142,7 @@ def evaluate(twin: World, decision: Decision, horizon: int) -> MetricsDelta:
     return MetricsDelta(
         delivered_units=candidate.engine.total_delivered - baseline.engine.total_delivered,
         mean_latency=mean_latency(candidate) - mean_latency(baseline),
-        makespan=candidate.composition_makespan - baseline.composition_makespan,
+        makespan=makespan,
         violations=candidate.engine.slice_violations - baseline.engine.slice_violations,
         snapshot_tick=snapshot_tick,
     )

@@ -265,7 +265,7 @@ def build_world(scenario: Scenario, seed: Optional[int] = None) -> World:
         if sl is None:
             continue  # the failed allocation is already a violation
         if (tenant, origin) not in reach:
-            group = world.topology.reachable(origin, lambda link: sl.covers(link.endpoints))
+            group = world.topology.reachable(origin, sl.links)
             reach.update(dict.fromkeys([(tenant, n) for n in group], group))
         if dest not in reach[tenant, origin]:
             problems.append(

@@ -114,7 +114,6 @@ def link_id(a: NodeId, b: NodeId) -> LinkId:
     return (a, b) if a <= b else (b, a)
 
 
-LinkFilter = Callable[[Link], bool]
 LatencyFn = Callable[[NodeId, NodeId], int]  # per-hop cost of a link a-b
 
 # node -> [(next, weight, hops)], at most one edge per (node, next);
@@ -273,17 +272,17 @@ class Topology:
     def adjacency(
         self,
         nodes: AbstractSet[NodeId],
-        link_filter: Optional[LinkFilter] = None,
+        links: Optional[AbstractSet[LinkId]] = None,
         latency_fn: Optional[LatencyFn] = None,
     ) -> Adjacency:
         """Search adjacency of the subgraph induced by nodes, over the links
-        that pass link_filter, weighted by latency_fn (raw latency when
-        None)."""
+        whose endpoints are in links (every link when None), weighted by
+        latency_fn (raw latency when None)."""
         return {
             n: [
                 (nxt, link.latency if latency_fn is None else latency_fn(n, nxt), 1)
                 for nxt, link in self._adj[n].items()
-                if nxt in nodes and (link_filter is None or link_filter(link))
+                if nxt in nodes and (links is None or link.endpoints in links)
             ]
             for n in nodes
         }
@@ -339,21 +338,22 @@ class Topology:
         self,
         src: NodeId,
         dst: NodeId,
-        link_filter: Optional[LinkFilter] = None,
+        links: Optional[AbstractSet[LinkId]] = None,
         exclude_nodes: Iterable[NodeId] = (),
         latency_fn: Optional[LatencyFn] = None,
     ) -> Optional[tuple[int, list[NodeId]]]:
         """Deterministic least-latency path, or None when unreachable.
 
-        One pair's `multi_target_paths` search over the nodes not excluded;
-        latency_fn substitutes per-hop cost as in `adjacency`.
+        One pair's `multi_target_paths` search over the nodes not excluded
+        and the links in links (every link when None); latency_fn
+        substitutes per-hop cost as in `adjacency`.
         """
         self.node(src)
         self.node(dst)
         nodes = self.nodes.keys() - set(exclude_nodes)
         if src not in nodes or dst not in nodes:
             return None
-        adj = self.adjacency(nodes, link_filter, latency_fn)
+        adj = self.adjacency(nodes, links, latency_fn)
         found = multi_target_paths(adj, src, (dst,)).get(dst)
         return None if found is None else (found[0], list(found[2]))
 
@@ -374,16 +374,16 @@ class Topology:
         return rows
 
     def reachable(
-        self, src: NodeId, link_filter: Optional[LinkFilter] = None
+        self, src: NodeId, links: Optional[AbstractSet[LinkId]] = None
     ) -> set[NodeId]:
-        """Every node connected to src over links that pass link_filter,
-        src included."""
+        """Every node connected to src over the links in links (every link
+        when None), src included."""
         self.node(src)
         seen = {src}
         frontier = [src]
         while frontier:
             for nxt, link in self._adj[frontier.pop()].items():
-                if nxt not in seen and (link_filter is None or link_filter(link)):
+                if nxt not in seen and (links is None or link.endpoints in links):
                     seen.add(nxt)
                     frontier.append(nxt)
         return seen

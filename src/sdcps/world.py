@@ -32,13 +32,7 @@ from .controller import (
     SliceTable,
     SouthboundReport,
 )
-from .errors import (
-    BadParameter,
-    NoPath,
-    NoPathInSlice,
-    SdcpsError,
-    Unrecoverable,
-)
+from .errors import BadParameter, SdcpsError, Unrecoverable
 from .events import EventLog
 from .farm import DEFAULT_DIGEST_PERIOD, Farm
 from .flow_engine import FlowEngine, FlowState
@@ -133,7 +127,6 @@ class World:
         self.registry = None
         self.dag = None
         self.task_overrides: dict[str, NodeId] = {}
-        self.composition_makespan = 0
         self.composition_report = None
 
     # -- construction ------------------------------------------------------------
@@ -169,15 +162,9 @@ class World:
 
     # -- routing helpers -----------------------------------------------------------
 
-    def route(self, tenant: int, origin: NodeId, dest: NodeId) -> list[NodeId]:
-        """Admission route; federated composition handles every domain shape."""
-        try:
-            return self.farm.cross_domain_path(origin, dest, tenant)
-        except NoPath as exc:
-            raise NoPathInSlice(str(exc)) from exc
-
     def open_flow(self, tenant, origin, dest, units) -> int:
-        path = self.route(tenant, origin, dest)
+        """Admit a flow on its federated slice route."""
+        path = self.farm.cross_domain_path(origin, dest, tenant)
         return self.engine.open_flow(tenant, origin, dest, units, path)
 
     def fork(self) -> "World":
@@ -198,14 +185,12 @@ class World:
         twin.rejected_flows, twin.health_log = list(self.rejected_flows), list(self.health_log)
         twin.task_overrides = dict(self.task_overrides)
         twin.registry, twin.dag = self.registry, self.dag
-        twin.composition_makespan = self.composition_makespan
         twin.composition_report = self.composition_report
         return twin
 
     def reseed(self, seed: int) -> None:
         self.seed = seed
-        self.rng = random.Random(seed)
-        self.engine._rng = self.rng
+        self.rng.seed(seed)
 
     # -- composition workload ------------------------------------------------------
 
@@ -224,7 +209,6 @@ class World:
         scheduler = Scheduler(self.topology, self.registry)
         schedule = scheduler.schedule(self.dag, overrides=self.task_overrides)
         report = scheduler.execute(schedule, self.dag)
-        self.composition_makespan = report.makespan
         self.composition_report = report
         self.log.emit(f"t={self.now} ev=composition makespan={report.makespan}")
         if self.options.materialize_transfers:
@@ -255,7 +239,6 @@ class World:
         self.mid_tick = True
         self.now += 1
         t = self.now
-        self.farm.now = t
         self.engine.begin_tick(t)
 
         # 1. boundary changes
@@ -298,7 +281,7 @@ class World:
         # 4. digest broadcast
         if t % self.options.digest_period == 0:
             for cid in sorted(self.farm.controllers):
-                self.farm.broadcast_health_digest(cid)
+                self.farm.broadcast_health_digest(cid, t)
 
         # 5. clone decisions
         self._clone_decisions()
@@ -367,7 +350,7 @@ class World:
                 batches.setdefault(resolve(reporter), []).append(
                     SouthboundReport(reporter, t, observations))
         for cid in sorted(batches):
-            self.farm.send_reports(cid, tuple(batches[cid]))
+            self.farm.send_reports(cid, tuple(batches[cid]), t)
 
     # -- summary ------------------------------------------------------------------------
 

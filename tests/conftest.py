@@ -172,7 +172,7 @@ def reference_telemetry(world, t):
             batches[world.farm.resolve(reporter)].append(
                 SouthboundReport(reporter, t, tuple(observations)))
     for cid in sorted(batches):
-        world.farm.send_reports(cid, tuple(batches[cid]))
+        world.farm.send_reports(cid, tuple(batches[cid]), t)
 
 
 def record_reports(mp):
@@ -182,22 +182,22 @@ def record_reports(mp):
     recorded = defaultdict(list)
     send = Farm.send_reports
 
-    def recording_send(farm, cid, reports):
+    def recording_send(farm, cid, reports, tick):
         recorded[farm].extend(reports)
-        send(farm, cid, reports)
+        send(farm, cid, reports, tick)
 
     mp.setattr(Farm, "send_reports", recording_send)
     return recorded
 
 
-def reference_segment_table(ctrl, tenant, terminals):
+def reference_segment_table(ctrl, sl, terminals):
     """`Controller.segment_table` before searches were memoized: one search
-    per terminal over an adjacency built for the table, with the suspects
-    merged afresh from the monitor and the peer views."""
-    sl = ctrl._slices.get(tenant)
+    per terminal over an adjacency of the slice's links built for the
+    table, with the suspects merged afresh from the monitor and the peer
+    views."""
     merged = merge_verdicts([ctrl.monitor.estimates(), *ctrl.peer_views.values()])
     suspects = {n for n, v in merged.items() if v is Verdict.SUSPECT_FAILED}
-    adj = ctrl._topology.adjacency(ctrl.domain_nodes, lambda link: sl.covers(link.endpoints))
+    adj = ctrl._topology.adjacency(ctrl.domain_nodes, sl.links)
     table = {}
     terms = sorted(set(terminals) & ctrl.domain_nodes)
     for i, u in enumerate(terms[:-1]):
@@ -242,7 +242,7 @@ def reference_cross_domain_path(farm, cache, src, dst, tenant):
         cache_key = (cid, sl.links, tuple(terms))
         table = cache.get(cache_key)
         if table is None:
-            table = reference_segment_table(farm.controllers[cid], tenant, terms)
+            table = reference_segment_table(farm.controllers[cid], sl, terms)
             if cid != orchestrator:
                 messages += 2  # the request and its reply
             cache[cache_key] = table
@@ -267,7 +267,7 @@ def reference_cross_domain_path(farm, cache, src, dst, tenant):
 
 class Admission(NamedTuple):
     request: tuple  # (src, dst, tenant)
-    route: object  # None where NoPath was raised
+    route: object  # None where NoPathInSlice was raised
     messages: int
     expected_route: object
     expected_messages: int

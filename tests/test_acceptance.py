@@ -26,7 +26,7 @@ from sdcps import (
     spawn_twin,
     speedup_curve,
 )
-from sdcps.errors import NoPath
+from sdcps.errors import NoPathInSlice
 
 from conftest import path_latency
 
@@ -253,7 +253,7 @@ def test_acceptance_3_federation_transparency():
             try:
                 path = w.farm.cross_domain_path(src, dst, 0)
                 got = path_latency(w.topology, path)
-            except NoPath:
+            except NoPathInSlice:
                 got = None
             checked += 1
             if got != expected:
@@ -289,7 +289,7 @@ def test_acceptance_4_tenant_isolation(event_lines, qos_grants):
         if "ev=send flow=0 " in line:
             a, b = line.rsplit("link=", 1)[1].split("-")
             lid = tuple(sorted((int(a), int(b))))
-            if not slice_a.covers(lid):
+            if lid not in slice_a.links:
                 off_slice.append(line)
     a_flow = summary["flows"][0]
     ok = (

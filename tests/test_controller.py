@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdcps import (
+    Bus,
     Controller,
+    Farm,
     HealthMonitor,
     Priority,
     SliceTable,
@@ -27,12 +29,12 @@ from conftest import ReferenceHealthMonitor, build_topology, reference_shortest_
 
 
 def make_controller(topo, nodes=None, window=3):
-    slices = SliceTable(topo)
+    """A controller of nodes (every node when None) and an empty slice
+    table whose slices' links the tests hand it."""
     ctrl = Controller(
-        0, frozenset(nodes if nodes is not None else topo.nodes), topo, slices,
-        window=window,
+        0, frozenset(nodes if nodes is not None else topo.nodes), topo, window=window,
     )
-    return ctrl, slices
+    return ctrl, SliceTable(topo)
 
 
 # -- slice allocation ------------------------------------------------------------
@@ -43,7 +45,7 @@ def test_two_tenants_fit_on_capacity_two():
     table.allocate(0, [(0, 1)], 1, Priority.GOLD)
     table.allocate(1, [(0, 1)], 1, Priority.SILVER)
     for tenant in (0, 1):
-        assert table.get(tenant).covers((0, 1))
+        assert (0, 1) in table.get(tenant).links
         assert table.get(tenant).share == 1
 
 
@@ -266,22 +268,27 @@ def test_merge_verdicts_most_severe_wins():
 def test_admit_flow_on_line_slice():
     topo = build_topology(3, [(0, 1), (1, 2)])
     ctrl, slices = make_controller(topo)
-    slices.allocate(0, [(0, 1), (1, 2)], 1, Priority.GOLD)
-    assert ctrl.segment_table(0, [0, 2]) == {(0, 2): (2, [0, 1, 2]), (2, 0): (2, [2, 1, 0])}
+    sl = slices.allocate(0, [(0, 1), (1, 2)], 1, Priority.GOLD)
+    assert ctrl.segment_table(sl.links, [0, 2]) == {
+        (0, 2): (2, [0, 1, 2]), (2, 0): (2, [2, 1, 0])
+    }
 
 
 def test_admit_flow_requires_slice():
+    """Controllers are handed links; the farm resolves an admission's
+    tenant to its slice and rejects a tenant with none."""
     topo = build_topology(3, [(0, 1), (1, 2)])
-    ctrl, _ = make_controller(topo)
+    farm = Farm(topo, SliceTable(topo), Bus())
+    farm.register_domain(0, topo.nodes)
     with pytest.raises(NoSlice):
-        ctrl.segment_table(0, [0, 2])
+        farm.cross_domain_path(0, 2, 0)
 
 
 def test_admit_flow_dest_outside_slice():
     topo = build_topology(3, [(0, 1), (1, 2)])
     ctrl, slices = make_controller(topo)
-    slices.allocate(0, [(0, 1)], 1, Priority.GOLD)
-    assert ctrl.segment_table(0, [0, 2]) == {}
+    sl = slices.allocate(0, [(0, 1)], 1, Priority.GOLD)
+    assert ctrl.segment_table(sl.links, [0, 2]) == {}
 
 
 def segment_case(seed):
@@ -313,7 +320,7 @@ def test_segment_table_matches_pairwise_oracle(seed):
     sl = slices.get(0)
 
     def in_slice(link):
-        return sl.covers(link.endpoints) and set(link.endpoints) <= domain
+        return link.endpoints in sl.links and set(link.endpoints) <= domain
 
     expected = {}
     terms = sorted(set(terminals) & domain)
@@ -325,7 +332,7 @@ def test_segment_table_matches_pairwise_oracle(seed):
             if found is not None:
                 expected[(u, v)] = found
                 expected[(v, u)] = (found[0], list(reversed(found[1])))
-    assert list(ctrl.segment_table(0, terminals).items()) == list(expected.items())
+    assert list(ctrl.segment_table(sl.links, terminals).items()) == list(expected.items())
 
 
 def test_ingest_report_about_non_neighbour_raises_unknown_link():
@@ -338,11 +345,11 @@ def test_ingest_report_about_non_neighbour_raises_unknown_link():
 def test_admit_flow_routes_around_suspect():
     topo = build_topology(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
     ctrl, slices = make_controller(topo)
-    slices.allocate(0, [(0, 1), (1, 3), (0, 2), (2, 3)], 1, Priority.GOLD)
-    assert ctrl.segment_table(0, [0, 3])[(0, 3)] == (2, [0, 1, 3])
+    sl = slices.allocate(0, [(0, 1), (1, 3), (0, 2), (2, 3)], 1, Priority.GOLD)
+    assert ctrl.segment_table(sl.links, [0, 3])[(0, 3)] == (2, [0, 1, 3])
     for t in range(1, 4):
         ctrl.ingest_report(loss_report(0, t, 1))
-    assert ctrl.segment_table(0, [0, 3])[(0, 3)] == (2, [0, 2, 3])
+    assert ctrl.segment_table(sl.links, [0, 3])[(0, 3)] == (2, [0, 2, 3])
 
 
 def test_merged_view_and_suspects_are_kept_until_a_digest_or_a_transition():

@@ -25,7 +25,7 @@ from sdcps.controller import LOSS
 from sdcps.errors import (
     DisconnectedDomain,
     DuplicateId,
-    NoPath,
+    NoPathInSlice,
     OverlappingDomain,
     SdcpsError,
     UnassignedNode,
@@ -203,7 +203,8 @@ def test_two_domain_line_concatenates_segments():
 def test_same_domain_pair_degenerates_to_intra():
     w = farm_world({0: [0, 1, 2]}, [(0, 1), (1, 2)])
     assert w.farm.cross_domain_path(0, 2, 0) == [0, 1, 2]
-    assert w.farm.controllers[0].segment_table(0, [0, 2])[(0, 2)] == (2, [0, 1, 2])
+    table = w.farm.controllers[0].segment_table(w.slices.get(0).links, [0, 2])
+    assert table[(0, 2)] == (2, [0, 1, 2])
 
 
 def test_no_cross_domain_link_in_slice_is_no_path():
@@ -217,7 +218,7 @@ def test_no_cross_domain_link_in_slice_is_no_path():
     w.register_domain(1, [2, 3])
     w.allocate_slice(0, [inner_a, inner_b], 1, Priority.GOLD)  # gateway excluded
     w.finish_setup()
-    with pytest.raises(NoPath):
+    with pytest.raises(NoPathInSlice):
         w.farm.cross_domain_path(0, 3, 0)
     assert gateway == (1, 2) and w.farm.resolve(1) != w.farm.resolve(2)
 
@@ -268,7 +269,7 @@ def test_federation_transparency_oracle_equivalence():
                 expected = merged_shortest_latency(topo, src, dst)
                 try:
                     path = w.farm.cross_domain_path(src, dst, 0)
-                except NoPath:
+                except NoPathInSlice:
                     assert expected is None
                     continue
                 assert path_latency(topo, path) == expected
@@ -316,7 +317,7 @@ def test_admissions_match_the_table_join_reference(monkeypatch):
                 gateways if gateways and rng.random() < 0.3 else nodes)
             try:
                 farm.cross_domain_path(src, dst, rng.randrange(3))
-            except NoPath:
+            except NoPathInSlice:
                 pass
             seen.add((src == dst, farm.resolve(src) == farm.resolve(dst),
                       src in gateways or dst in gateways, admissions[-1].route is None))
@@ -325,7 +326,7 @@ def test_admissions_match_the_table_join_reference(monkeypatch):
     assert {same for same, *_ in seen} == {True, False}  # origin == dest
     assert {same for _, same, _, _ in seen} == {True, False}  # same-domain pairs
     assert {gate for *_, gate, _ in seen} == {True, False}  # a gateway end
-    assert {none for *_, none in seen} == {True, False}  # NoPath
+    assert {none for *_, none in seen} == {True, False}  # NoPathInSlice
     assert any(a.messages for a in admissions)
 
 
@@ -360,7 +361,7 @@ def test_memo_holds_one_search_per_source_and_one_join_graph_per_slice():
             for dst in nodes:
                 try:
                     farm.cross_domain_path(src, dst, rng.randrange(2))
-                except NoPath:
+                except NoPathInSlice:
                     pass
         sizes.append([len(c._searches) for c in farm.controllers.values()])
         assert len(farm._joins) == 1  # both tenants have the same links
@@ -382,7 +383,7 @@ def test_digest_broadcast_counts_one_message_per_peer():
         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
     )
     before = w.farm.message_count
-    w.farm.broadcast_health_digest(1)
+    w.farm.broadcast_health_digest(1, w.now)
     assert w.farm.message_count == before + 2
 
 
@@ -479,7 +480,7 @@ def test_twin_message_series_tracks_physical():
 def test_twin_shares_pending_bus_messages():
     w = farm_world(*LINE3)
     fail_node(w, 1, 0, 0)
-    w.farm.broadcast_health_digest(0)
+    w.farm.broadcast_health_digest(0, w.now)
     twin = spawn_twin(w)
     assert len(twin.bus._pending) == 2
     assert all(a is b for a, b in zip(twin.bus._pending, w.bus._pending))
@@ -522,8 +523,8 @@ def test_conflicting_verdicts_most_severe_wins():
         a.ingest_report(SouthboundReport(1, t, ((2, 9),)))  # high latency
         b.ingest_report(SouthboundReport(3, t, ((2, LOSS),)))
     assert a.merged_view()[2] is Verdict.SUSPECT_CONGESTED
-    w.farm.broadcast_health_digest(0)
-    w.farm.broadcast_health_digest(1)
+    w.farm.broadcast_health_digest(0, w.now)
+    w.farm.broadcast_health_digest(1, w.now)
     w.run(1)  # digests ride the bus to the next tick
     assert a.merged_view()[2] is Verdict.SUSPECT_FAILED
     assert b.merged_view()[2] is Verdict.SUSPECT_FAILED

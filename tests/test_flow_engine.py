@@ -193,7 +193,7 @@ def test_rejoin_latency_never_exceeds_destination_detour():
             sl = w.slices.get(0)
             best_dest = reference_shortest_path(
                 w.topology, d.branch_point, flow.destination,
-                link_filter=lambda l: sl.covers(l.endpoints),
+                link_filter=lambda l: l.endpoints in sl.links,
                 exclude_nodes={bad},
             )
             assert best_dest is not None
@@ -213,7 +213,7 @@ def reference_detour(w, flow, bad, suspects):
 
     def search(dst):
         return reference_shortest_path(
-            w.topology, branch, dst, link_filter=lambda l: sl.covers(l.endpoints),
+            w.topology, branch, dst, link_filter=lambda l: l.endpoints in sl.links,
             exclude_nodes=avoid - {branch, dst},
         )
 

@@ -203,7 +203,7 @@ def decision_for(kind: DecisionKind, world) -> Decision:
     sl = world.slices.get(flow.tenant)
     _, path = reference_shortest_path(
         world.topology, flow.origin, flow.destination,
-        link_filter=lambda link: sl.covers(link.endpoints), exclude_nodes=[flow.path[1]],
+        link_filter=lambda link: link.endpoints in sl.links, exclude_nodes=[flow.path[1]],
     )
     return Decision.reroute(flow.id, path)
 

@@ -1,4 +1,5 @@
 import copy
+import random
 from pathlib import Path
 
 import pytest
@@ -126,8 +127,14 @@ def test_mid_tick_spawn_rejected(line_world):
 
 def test_twin_divergent_seed_allowed(diamond_world):
     diamond_world.schedule_flow(0, 0, 3, 4, 0)
+    before = diamond_world.rng.getstate()
     twin = spawn_twin(diamond_world, twin_seed=999)
     assert twin.seed == 999
+    # the twin's own RNG, the one its engine draws from, is reseeded in
+    # place to a fresh RNG's state; the world's RNG is left alone
+    assert twin.rng.getstate() == random.Random(999).getstate()
+    assert twin.engine._rng is twin.rng
+    assert diamond_world.rng.getstate() == before
 
 
 # -- evaluate -------------------------------------------------------------------------
@@ -228,12 +235,12 @@ def test_committed_slice_change_reroutes_admission():
     # domains {0,1,2} and {3,4,5}; node 5 hangs off node 4 alone
     text = (Path(__file__).parent / "fixtures" / "two_domains.json").read_text()
     world = build_scenario_world(parse_scenario(text))
-    assert world.route(0, 0, 5) == [0, 1, 4, 5]
+    assert world.farm.cross_domain_path(0, 5, 0) == [0, 1, 4, 5]
     links = sorted(world.slices.get(0).links - {(4, 5)})
     apply_decision(world, Decision.set_slice(0, links, 2, Priority.GOLD))
     with pytest.raises(NoPathInSlice):
-        world.route(0, 0, 5)
-    assert world.route(0, 0, 3) == [0, 1, 2, 3]
+        world.farm.cross_domain_path(0, 5, 0)
+    assert world.farm.cross_domain_path(0, 3, 0) == [0, 1, 2, 3]
 
 
 def test_evaluate_leaves_twin_at_snapshot(line_world):
@@ -257,7 +264,7 @@ def test_place_task_decision_changes_makespan():
     registry.register_service("svc", 4, [0, 1])
     w.set_composition(registry, CompositionDag([("a", "svc")]))
     w.run_composition()
-    assert w.composition_makespan == 1  # fast provider wins placement
+    assert w.composition_report.makespan == 1  # fast provider wins placement
     twin = spawn_twin(w)
     delta = evaluate(twin, Decision.place_task("a", 1), horizon=1)
     assert delta.makespan == 3  # pinned to the slow provider

@@ -127,19 +127,17 @@ def test_a_stale_report_in_a_batch_drops_only_itself():
     bus = Bus()
     farm = Farm(topo, SliceTable(topo), bus, window=1)
     farm.register_domain(0, range(5))
-    farm.now = 1
     farm.send_reports(0, tuple(
-        SouthboundReport(r, 1, tuple((n, 1) for n in topo.neighbors(r))) for r in range(5)))
+        SouthboundReport(r, 1, tuple((n, 1) for n in topo.neighbors(r))) for r in range(5)), 1)
     bus.deliver_up_to(2)
     assert farm.drain_inboxes() == []
 
-    farm.now = 2
     farm.send_reports(0, (
         SouthboundReport(1, 2, ((2, LOSS),)),
         SouthboundReport(2, 2, ((1, LOSS),)),
         SouthboundReport(3, 1, ((4, LOSS),)),  # not newer than reporter 3's latest
         SouthboundReport(4, 2, ((3, LOSS),)),
-    ))
+    ), 2)
     assert farm.report_count == 9
     bus.deliver_up_to(3)
     failed = Verdict.SUSPECT_FAILED

@@ -197,7 +197,7 @@ def test_k_paths_unreachable_is_empty():
 def test_k_paths_respects_link_filter():
     topo = build_topology(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
     banned = {(0, 1)}
-    found = topo.shortest_path(0, 3, link_filter=lambda l: l.endpoints not in banned)
+    found = topo.shortest_path(0, 3, links=topo.links.keys() - banned)
     assert found == (2, [0, 2, 3])
 
 
@@ -237,14 +237,16 @@ def test_shortest_path_matches_reference_with_filters_exclusions_congestion(seed
         for n in rng.sample(nodes, rng.randint(0, len(nodes) // 2)):
             topo.set_health(n, Health.congested(rng.choice([1.5, 2.0, 3.0])))
         banned = {lid for lid in topo.links if rng.random() < 0.2}
+        kept = rng.choice([None, topo.links.keys() - banned])
         kwargs = {
-            "link_filter": rng.choice([None, lambda l: l.endpoints not in banned]),
             "exclude_nodes": set(rng.sample(nodes, rng.randint(0, min(3, len(nodes))))),
             "latency_fn": rng.choice([None, topo.effective_latency]),
         }
+        # the same choice of links: a set for Topology, a predicate for the oracle
+        link_filter = None if kept is None else lambda l: l.endpoints in kept
         src, dst = rng.choice(nodes), rng.choice(nodes)
-        assert topo.shortest_path(src, dst, **kwargs) == reference_shortest_path(
-            topo, src, dst, **kwargs
+        assert topo.shortest_path(src, dst, kept, **kwargs) == reference_shortest_path(
+            topo, src, dst, link_filter=link_filter, **kwargs
         )
 
 
@@ -298,19 +300,19 @@ def test_effective_latency_table_matches_the_formula_after_health_changes(seed):
 
 # -- reachable -----------------------------------------------------------------------
 
-def avoiding(excluded):
-    """Link filter that keeps only links with no endpoint in excluded."""
-    return lambda link: not (set(link.endpoints) & excluded)
+def avoiding(topo, excluded):
+    """The links of topo with no endpoint in excluded."""
+    return {lid for lid in topo.links if not set(lid) & excluded}
 
 
 def test_reachable_line_excluding_middle():
     topo = build_topology(3, [(0, 1), (1, 2)])
-    assert 2 not in topo.reachable(0, avoiding({1}))
+    assert 2 not in topo.reachable(0, avoiding(topo, {1}))
 
 
 def test_reachable_diamond_excluding_one_arm():
     topo = build_topology(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
-    assert 3 in topo.reachable(0, avoiding({1}))
+    assert 3 in topo.reachable(0, avoiding(topo, {1}))
 
 
 def test_reachable_empty_exclusion_connected():
@@ -320,7 +322,7 @@ def test_reachable_empty_exclusion_connected():
 
 def test_reachable_always_holds_source_and_rejects_unknown():
     topo = build_topology(2, [(0, 1)])
-    assert topo.reachable(0, lambda link: False) == {0}
+    assert topo.reachable(0, frozenset()) == {0}
     with pytest.raises(UnknownNode):
         topo.reachable(5)
 
@@ -333,8 +335,8 @@ def test_reachable_iff_filtered_kpaths_nonempty():
         src, dst = rng.sample(nodes, 2)
         others = [n for n in nodes if n not in (src, dst)]
         excluded = set(rng.sample(others, min(len(others), rng.randint(0, 3))))
-        found = topo.shortest_path(src, dst, link_filter=avoiding(excluded))
-        assert (dst in topo.reachable(src, avoiding(excluded))) == (found is not None)
+        found = topo.shortest_path(src, dst, links=avoiding(topo, excluded))
+        assert (dst in topo.reachable(src, avoiding(topo, excluded))) == (found is not None)
 
 
 def test_mutation_preserves_unrelated_ids():
