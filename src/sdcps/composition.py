@@ -8,9 +8,9 @@ max(latest input arrival, candidate busy-until) + ceil(cost / capacity),
 with input arrival = producer end + transfer_size * path latency over the
 current health-aware topology: congestion stretches link latency and failed
 nodes relay nothing. Transfer paths and the failed set come from
-`Topology.paths_from` and `Topology.failed_nodes`, kept until the next health
-change, so an `execute` after a `schedule` repeats no search. Ties break by
-ascending node id, so equal worlds always produce equal schedules.
+`Topology.paths_from` and `Topology.failed_nodes`, memoized per health key
+and shared with forks, so an `execute` after a `schedule` repeats no search.
+Ties break by ascending node id, so equal worlds always produce equal schedules.
 """
 
 from __future__ import annotations

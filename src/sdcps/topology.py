@@ -164,6 +164,23 @@ def multi_target_paths(
     return found
 
 
+TRANSFER_KEYS = 16  # health keys a TransferMemo holds; the oldest goes first
+
+
+@dataclass
+class _Transfers:
+    """A health key's failed set, all-node adjacency (built by the first search) and rows."""
+
+    failed: frozenset[NodeId]
+    adj: Optional[Adjacency] = None
+    rows: dict[NodeId, dict[NodeId, PathKey]] = field(default_factory=dict)
+
+
+class TransferMemo(dict):
+    """Health key -> `_Transfers`, shared whole by a topology and its forks:
+    each entry is a pure function of node/link structure, key and source."""
+
+
 class Topology:
     """Mutable node/link store with a consistent adjacency index.
 
@@ -172,11 +189,11 @@ class Topology:
     It fills, keeps and drops every table derived from node health: the
     effective latency per directed link (`effective_latency`), each
     reporter's `probes` (`probe`), the transfer searches (`paths_from`) and
-    the failed set (`failed_nodes`). Only `set_health`, `add_node` and
-    `add_link` drop them: a health change the changed node's latencies and
-    the probes of it and its neighbours, a new link its endpoints' probes,
-    and each of the three the transfer searches and failed set, which a
-    fork also starts without.
+    the failed set (`failed_nodes`). A health change drops the changed
+    node's latencies and the probes of it and its neighbours, a new link
+    its endpoints' probes. The transfer searches and failed set live in a
+    `TransferMemo` under the health key (each non-healthy node's `Health`),
+    which forks share and a new node or link replaces.
     """
 
     def __init__(self):
@@ -185,19 +202,18 @@ class Topology:
         self._adj: dict[NodeId, dict[NodeId, Link]] = {}
         self._effective: dict[tuple[NodeId, NodeId], int] = {}
         self.probes: dict[NodeId, tuple] = {}
-        self._drop_transfers()
+        self._unhealthy: dict[NodeId, Health] = {}
+        self._health_key, self._memo = frozenset(), TransferMemo()
 
     def fork(self) -> "Topology":
+        """Copy every table; share the frozen nodes and links and the memo."""
         twin = Topology()
         twin.nodes, twin.links = dict(self.nodes), dict(self.links)  # both frozen, so shared
         twin._adj = {n: dict(nbrs) for n, nbrs in self._adj.items()}
         twin._effective, twin.probes = dict(self._effective), dict(self.probes)
+        twin._unhealthy, twin._health_key = dict(self._unhealthy), self._health_key
+        twin._memo = self._memo
         return twin
-
-    def _drop_transfers(self) -> None:
-        self._transfer_adj: Optional[Adjacency] = None
-        self._paths: dict[NodeId, dict[NodeId, PathKey]] = {}
-        self._failed: Optional[frozenset[NodeId]] = None
 
     # -- mutation ----------------------------------------------------------
 
@@ -206,7 +222,10 @@ class Topology:
             raise DuplicateId(f"node {node.id} declared twice")
         self.nodes[node.id] = node
         self._adj[node.id] = {}
-        self._drop_transfers()
+        if node.health.state is not HealthState.HEALTHY:
+            self._unhealthy[node.id] = node.health
+            self._health_key = frozenset(self._unhealthy.items())
+        self._memo = TransferMemo()
         return node.id
 
     def add_link(self, a: NodeId, b: NodeId, latency: int, capacity: int) -> LinkId:
@@ -228,7 +247,7 @@ class Topology:
         self._adj[b][a] = link
         self.probes.pop(a, None)  # a new neighbour for each endpoint
         self.probes.pop(b, None)
-        self._drop_transfers()
+        self._memo = TransferMemo()
         return lid
 
     def set_health(self, n: NodeId, health: Health) -> bool:
@@ -242,7 +261,11 @@ class Topology:
             self._effective.pop((n, nbr), None)
             self._effective.pop((nbr, n), None)
             self.probes.pop(nbr, None)
-        self._drop_transfers()
+        if health.state is HealthState.HEALTHY:
+            self._unhealthy.pop(n, None)
+        else:
+            self._unhealthy[n] = health
+        self._health_key = frozenset(self._unhealthy.items())
         return True
 
     # -- queries -----------------------------------------------------------
@@ -302,12 +325,17 @@ class Topology:
             latency = self._effective[(a, b)] = max(1, _ceil(scaled))
         return latency
 
+    def _transfers(self) -> _Transfers:
+        entry = self._memo.get(self._health_key)
+        if entry is None:
+            if len(self._memo) >= TRANSFER_KEYS:
+                del self._memo[next(iter(self._memo))]
+            failed = (n for n, h in self._unhealthy.items() if h.state is HealthState.FAILED)
+            entry = self._memo[self._health_key] = _Transfers(frozenset(failed))
+        return entry
+
     def failed_nodes(self) -> frozenset[NodeId]:
-        if self._failed is None:
-            self._failed = frozenset(
-                n for n, node in self.nodes.items() if node.health.state is HealthState.FAILED
-            )
-        return self._failed
+        return self._transfers().failed
 
     def probe(self, reporter: NodeId, rng) -> tuple[tuple[NodeId, object], ...]:
         """What reporter observes of each neighbour, in node order: LOSS for
@@ -360,17 +388,14 @@ class Topology:
     def paths_from(self, src: NodeId) -> dict[NodeId, PathKey]:
         """Best transfer path from src to every node it reaches over every
         link, weighted by `effective_latency`. Failed nodes other than src
-        may end a path but never relay one."""
-        rows = self._paths.get(src)
+        may end a path but never relay one. Memoized per health key."""
+        entry = self._transfers()
+        rows = entry.rows.get(src)
         if rows is None:
-            if self._transfer_adj is None:
-                self._transfer_adj = self.adjacency(
-                    self.nodes.keys(), latency_fn=self.effective_latency
-                )
-            adj = self._transfer_adj
-            rows = self._paths[src] = multi_target_paths(
-                adj, src, adj.keys(), self.failed_nodes() - {src}
-            )
+            if entry.adj is None:
+                entry.adj = self.adjacency(self.nodes.keys(), latency_fn=self.effective_latency)
+            rows = entry.rows[src] = multi_target_paths(
+                entry.adj, src, entry.adj, entry.failed - {src})
         return rows
 
     def reachable(

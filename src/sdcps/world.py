@@ -168,9 +168,9 @@ class World:
         return self.engine.open_flow(tenant, origin, dest, units, path)
 
     def fork(self) -> "World":
-        """Copy the live state, sharing only what nothing changes in place. The
-        copy's metrics records start empty: its trace hash, counters and totals
-        continue from here while its history begins here."""
+        """Copy the live state, sharing only what nothing changes in place and
+        the topology's transfer memo (see `TransferMemo`). The copy's metrics
+        start empty; its trace hash, counters and totals continue from here."""
         twin = World.__new__(World)
         twin.seed, twin.options, twin.now = self.seed, replace(self.options), self.now
         twin.rng = random.Random()

@@ -20,7 +20,7 @@ from sdcps import (
 )
 from sdcps import topology as topology_module
 from sdcps.composition import Schedule
-from sdcps.topology import HealthState
+from sdcps.topology import TRANSFER_KEYS, HealthState
 from sdcps.errors import (
     BadParameter,
     CyclicDag,
@@ -278,11 +278,20 @@ def assert_paths_match_reference(topo):
         )
 
 
+def other_health(rng, topo, v):
+    return rng.choice([h for h in (Health.healthy(), Health.failed(), Health.congested(2.0))
+                       if h != topo.node(v).health])
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_transfers_match_pairwise_reference(seed):
     """`Topology.paths_from` and `failed_nodes` match the pairwise oracle,
-    read again after each kind of change that must drop them."""
+    read again after each kind of change that must select other searches:
+    health that reverts, a fork's health change searched before the world
+    reads the same health, a fork's new link or node, and more health keys
+    than the memo holds."""
     rng = random.Random(seed)
+    forks = random.Random(-1 - seed)  # draws of the fork cases leave rng's sequence as it was
     for _ in range(20):
         n = rng.randint(2, 9)
         topo = providers_topology(n)
@@ -300,9 +309,33 @@ def test_transfers_match_pairwise_reference(seed):
                 topo.set_health(v, Health.congested(rng.choice([1.5, 2.0, 3.5])))
         assert_paths_match_reference(topo)
         v = rng.randrange(n)
+        health_a = topo.node(v).health
         topo.set_health(v, rng.choice(
             [Health.healthy(), Health.failed(), Health.congested(3.0)]
         ))
+        assert_paths_match_reference(topo)
+        health_b = topo.node(v).health
+        for health in (health_a, health_b):  # A -> B -> A -> B
+            topo.set_health(v, health)
+            assert_paths_match_reference(topo)
+        twin, u = topo.fork(), forks.randrange(n)
+        twin.set_health(u, other_health(forks, topo, u))
+        assert_paths_match_reference(twin)
+        topo.set_health(u, twin.node(u).health)  # reads what the twin searched
+        assert_paths_match_reference(topo)
+        unlinked = [p for p in itertools.combinations(range(n), 2) if not topo.has_link(*p)]
+        if unlinked:
+            twin = topo.fork()
+            twin.add_link(*forks.choice(unlinked), 1, 4)
+            assert_paths_match_reference(twin)
+            assert_paths_match_reference(topo)
+        twin = topo.fork()
+        twin.add_node(Node(n, NodeKind.CONTROLLER_VES, 1))
+        assert_paths_match_reference(twin)
+        twin.add_node(Node(n + 1, NodeKind.CONTROLLER_VES, 1, Health.congested(2.0)))
+        twin.add_link(n, n + 1, 1, 4)
+        twin.add_link(n + 1, forks.randrange(n), 1, 4)
+        assert_paths_match_reference(twin)
         assert_paths_match_reference(topo)
         a, b = rng.sample(range(n), 2)
         if not topo.has_link(a, b):
@@ -312,6 +345,11 @@ def test_transfers_match_pairwise_reference(seed):
         assert_paths_match_reference(topo)
         topo.add_link(n, rng.randrange(n), 1, 4)
         assert_paths_match_reference(topo)
+    keys = [Health.congested(1.0 + k / 4) for k in range(TRANSFER_KEYS + 3)]
+    for health in keys + keys[:3]:  # the first three are evicted, then searched again
+        topo.set_health(0, health)
+        assert_paths_match_reference(topo)
+        assert len(topo._memo) <= TRANSFER_KEYS
 
 
 def test_composition_runs_each_transfer_search_once(monkeypatch):
@@ -482,6 +520,7 @@ def test_placement_matches_the_two_loop_reference():
             seen[plan[0]] += 1
             continue
         seen["planned"] += 1
+        planned = {v: node.health for v, node in topo.nodes.items()}
         shake(rng, topo)
         report = outcome(scheduler.execute, plan, dag)
         assert report == outcome(reference_execute, topo, reg, plan, dag)
@@ -489,6 +528,12 @@ def test_placement_matches_the_two_loop_reference():
             seen["replaced" if report.replaced else "executed"] += 1
         else:
             seen[report[0]] += 1
+        shaken = {v: node.health for v, node in topo.nodes.items()}
+        for health in (planned, shaken):  # health reverts between plan and execution
+            for v, h in health.items():
+                topo.set_health(v, h)
+            assert outcome(scheduler.execute, plan, dag) == outcome(
+                reference_execute, topo, reg, plan, dag)
     assert min(seen[k] for k in ("planned", "replaced", "executed",
                                  UnreachableProvider, NoFeasibleProvider)) >= 10, seen
 

@@ -1,22 +1,27 @@
 """A fork shares no mutable state with the world it was forked from.
 
 `reachable` walks an object graph with `gc.get_referents`. It stops at the
-types a fork shares whole (memoized searches, the service registry, the
+types a fork shares whole: memoized searches, the service registry, the
 task graph, the composition report and clone decisions, none of which
-anything changes once made) and skips the fields that are only ever
-replaced, never changed in place (unit routes, flow paths, buffers' onward
-paths, bus message payloads, decision paths and links). Every other object
-reachable from both a world and its fork must be immutable.
+anything changes once made, and the topology's `TransferMemo`, which is
+safe to share because each entry is a pure function of node/link
+structure, health key and source, and a structure change binds a new memo.
+It skips the fields that are only ever replaced, never changed in place
+(unit routes, flow paths, buffers' onward paths, bus message payloads,
+decision paths and links). Every other object reachable from both a world
+and its fork must be immutable.
 """
 
 import dataclasses
 import enum
 import gc
+import itertools
 from pathlib import Path
 
 import pytest
 
 from sdcps import CompositionDag, Decision, ServiceRegistry, Topology, parse_scenario
+from sdcps.topology import HealthState, TransferMemo
 from sdcps.bus import BusMessage
 from sdcps.composition import Schedule
 from sdcps.controller import Controller, HealthMonitor, SegmentTable
@@ -25,11 +30,13 @@ from sdcps.flow_engine import CloneDecision, Flow, FlowState, ReorderBuffer, Uni
 from sdcps.sandbox import DecisionKind, apply_decision, spawn_twin
 from sdcps.scenario import build_world
 
-from conftest import reference_shortest_path
+from conftest import reference_effective_latency, reference_shortest_path
 
 TESTS = Path(__file__).parent
 
-SHARED_TYPES = (SegmentTable, ServiceRegistry, CompositionDag, Schedule, CloneDecision)
+SHARED_TYPES = (
+    SegmentTable, ServiceRegistry, CompositionDag, Schedule, CloneDecision, TransferMemo,
+)
 SHARED_FIELDS = {
     Unit: {"route"},
     Flow: {"path"},
@@ -180,11 +187,50 @@ def test_guard_catches_a_fork_that_shares_an_admission_cache(monkeypatch, cls, f
     assert_guard_catches_a_shared_cache(monkeypatch, cls, field, owner, rehearsal_world)
 
 
-@pytest.mark.parametrize("field", ["_transfer_adj", "_paths"])
-def test_guard_catches_a_fork_that_shares_the_transfer_table(monkeypatch, field):
+def test_guard_catches_a_fork_that_shares_the_health_key_map(monkeypatch):
+    """The transfer memo is shared, but the map that keys it is each
+    topology's own."""
     assert_guard_catches_a_shared_cache(
-        monkeypatch, Topology, field, lambda world: world.topology, composed_world
+        monkeypatch, Topology, "_unhealthy", lambda world: world.topology, rehearsal_world
     )
+
+
+def paths_disagree_with_reference(topo) -> list:
+    """The (src, dst) pairs whose `paths_from` row is not the oracle's."""
+    failed = {v for v in topo.nodes if topo.node(v).health.state is HealthState.FAILED}
+    wrong = []
+    for src, dst in itertools.product(topo.nodes, repeat=2):
+        found = topo.paths_from(src).get(dst)
+        if (None if found is None else (found[0], list(found[2]))) != reference_shortest_path(
+            topo, src, dst, exclude_nodes=failed - {src, dst},
+            latency_fn=lambda a, b: reference_effective_latency(topo, a, b),
+        ):
+            wrong.append((src, dst))
+    return wrong
+
+
+@pytest.mark.parametrize("in_place", [False, True])
+def test_a_twins_new_link_leaves_the_worlds_transfers_alone(monkeypatch, in_place):
+    """A twin's `add_link` binds it a new memo. Emptying the shared memo in
+    place instead lets the twin's searches over its new link reach the
+    world, whose later reads then disagree with the oracle."""
+    if in_place:
+        add_link = Topology.add_link
+
+        def clearing(self, *args):
+            memo = self._memo
+            lid = add_link(self, *args)
+            self._memo = memo
+            memo.clear()
+            return lid
+
+        monkeypatch.setattr(Topology, "add_link", clearing)
+    world = malicious_world()
+    twin = world.fork()
+    twin.topology.add_link(0, 3, 1, 2)
+    assert paths_disagree_with_reference(twin.topology) == []
+    wrong = paths_disagree_with_reference(world.topology)
+    assert (0, 3) in wrong if in_place else wrong == []
 
 
 def decision_for(kind: DecisionKind, world) -> Decision:
@@ -215,8 +261,12 @@ def test_a_twin_decision_leaves_the_world_as_it_was(kind):
     twin = spawn_twin(world, twin_seed=99)
     apply_decision(twin, decision_for(kind, twin))
     twin.run(10)
+    for src in twin.topology.nodes:  # the twin's health key fills the shared memo first
+        twin.topology.paths_from(src)
     assert twin.trace_hash() != before[0]
     assert (world.trace_hash(), world.summary()) == before
+    for src in reference.topology.nodes:
+        assert world.topology.paths_from(src) == reference.topology.paths_from(src)
     world.run(10)
     reference.run(10)
     assert (world.trace_hash(), world.summary()) == (reference.trace_hash(), reference.summary())

@@ -37,6 +37,7 @@ from pathlib import Path
 import pytest
 
 from sdcps import events, sandbox
+from sdcps import topology as topology_module
 from sdcps.cli import main as cli_main
 from sdcps.scenario import parse_scenario, run_scenario
 
@@ -184,6 +185,40 @@ def test_output_is_identical_across_processes_and_hash_seeds(name, tmp_path):
     assert outputs[0] == outputs[1]
     expected = json.loads(EXPECTED.read_text())[name]["output_sha256"]
     assert hashlib.sha256(outputs[0]).hexdigest() == expected
+
+
+def test_rehearsal_reuses_transfer_searches(monkeypatch):
+    """A world and its twins share transfer searches under equal health, so
+    the rehearsal schedule runs at most 60 (548 when each fork and health
+    change searched afresh) and still shows the pinned hash."""
+    sources = []
+    search = topology_module.multi_target_paths
+
+    def counted(adj, src, *args):
+        sources.append(src)
+        return search(adj, src, *args)
+
+    monkeypatch.setattr(topology_module, "multi_target_paths", counted)
+    name = "golden/twin-rehearsal-2-0.json"
+    assert rehearsal_sha256(name) == json.loads(EXPECTED.read_text())[name]["rehearsal_sha256"]
+    assert 0 < len(sources) <= 60
+
+
+def test_rehearsal_is_identical_across_hash_seeds():
+    """The transfer memo is keyed by frozensets, whose iteration order
+    depends on the string-hash seed; rehearsals in fresh interpreters with
+    different seeds show the same, pinned hash."""
+    name = "golden/twin-rehearsal-2-0.json"
+    code = f"from test_golden import rehearsal_sha256; print(rehearsal_sha256({name!r}))"
+    src = str(TESTS.parent / "src")
+    hashes = []
+    for hash_seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, str(TESTS), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, cwd=TESTS,
+                              check=True, capture_output=True, text=True)
+        hashes.append(done.stdout.strip())
+    assert hashes[0] == hashes[1] == json.loads(EXPECTED.read_text())[name]["rehearsal_sha256"]
 
 
 if __name__ == "__main__":
