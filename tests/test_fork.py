@@ -187,11 +187,13 @@ def test_guard_catches_a_fork_that_shares_an_admission_cache(monkeypatch, cls, f
     assert_guard_catches_a_shared_cache(monkeypatch, cls, field, owner, rehearsal_world)
 
 
-def test_guard_catches_a_fork_that_shares_the_health_key_map(monkeypatch):
-    """The transfer memo is shared, but the map that keys it is each
+@pytest.mark.parametrize("field", ["_adj", "_unhealthy"])
+def test_guard_catches_a_fork_that_shares_a_transfer_source(monkeypatch, field):
+    """The transfer memo is shared, but the tables its searches and keys are
+    built from (the adjacency index and the health-key map) are each
     topology's own."""
     assert_guard_catches_a_shared_cache(
-        monkeypatch, Topology, "_unhealthy", lambda world: world.topology, rehearsal_world
+        monkeypatch, Topology, field, lambda world: world.topology, rehearsal_world
     )
 
 
