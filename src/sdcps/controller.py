@@ -171,7 +171,9 @@ class HealthMonitor:
     count at that time: the reporter's next report, if its observations are
     equal and nothing was written since, would write nothing either, so it
     is skipped. A skipped report still counts as the reporter's latest, so
-    a later report with an earlier tick is still stale."""
+    a later report with an earlier tick is still stale. `ingest_batch` skips
+    whole, the same way, a repeat of the last batch that wrote nothing and
+    held no stale entry: each of its entries would hit its reporter's skip."""
 
     def __init__(self, topology: Topology, window: int = DEFAULT_WINDOW,
                  congestion_threshold: float = DEFAULT_CONGESTION_THRESHOLD):
@@ -183,11 +185,12 @@ class HealthMonitor:
         self._writes = 0
         # reporter -> (observations of its last report that wrote nothing, _writes then)
         self._no_op: dict[NodeId, tuple] = {}
+        self._quiet: Optional[tuple] = None  # (last batch that wrote nothing, _writes then)
 
     def fork(self, topology: Topology) -> "HealthMonitor":
         twin = HealthMonitor(topology, self.window, self.congestion_threshold)
         twin._windows, twin._last_tick = dict(self._windows), dict(self._last_tick)
-        twin._writes, twin._no_op = self._writes, dict(self._no_op)
+        twin._writes, twin._no_op, twin._quiet = self._writes, dict(self._no_op), self._quiet
         return twin
 
     def estimates(self) -> dict[NodeId, Verdict]:
@@ -198,25 +201,43 @@ class HealthMonitor:
         }
 
     def ingest(self, report: SouthboundReport) -> list[HealthEstimate]:
-        self._topology.node(report.reporter)
-        last = self._last_tick.get(report.reporter)
-        if last is not None and report.tick <= last:
-            raise StaleReport(
-                f"reporter {report.reporter}: tick {report.tick} <= {last}"
-            )
-        self._last_tick[report.reporter] = report.tick
-        observations, writes = report.neighbor_observations, self._writes
-        if self._no_op.get(report.reporter) == (observations, writes):
+        return self._ingest(report.reporter, report.tick, report.neighbor_observations)
+
+    def ingest_batch(self, entries: tuple, tick: int) -> list[HealthEstimate]:
+        """Ingest (reporter, observations) pairs, all at tick, in order; a
+        stale entry is dropped alone."""
+        last, writes = self._last_tick, self._writes
+        if self._quiet == (entries, writes) and all(last[r] < tick for r, _ in entries):
+            last.update(dict.fromkeys([r for r, _ in entries], tick))
+            return []
+        transitions, stale = [], False
+        for reporter, observations in entries:
+            try:
+                transitions += self._ingest(reporter, tick, observations)
+            except StaleReport:
+                stale = True
+        if self._writes == writes and not stale:
+            self._quiet = (entries, writes)
+        return transitions
+
+    def _ingest(self, reporter: NodeId, tick: int, observations) -> list[HealthEstimate]:
+        self._topology.node(reporter)
+        last = self._last_tick.get(reporter)
+        if last is not None and tick <= last:
+            raise StaleReport(f"reporter {reporter}: tick {tick} <= {last}")
+        self._last_tick[reporter] = tick
+        writes = self._writes
+        if self._no_op.get(reporter) == (observations, writes):
             return []
         transitions = []
         for neighbor, observation in observations:
             self._topology.node(neighbor)
-            nominal = self._topology.link(report.reporter, neighbor).latency
+            nominal = self._topology.link(reporter, neighbor).latency
             est = self._observe(neighbor, observation, nominal)
             if est is not None:
                 transitions.append(est)
         if self._writes == writes:
-            self._no_op[report.reporter] = (observations, writes)
+            self._no_op[reporter] = (observations, writes)
         return transitions
 
     def _observe(self, node: NodeId, observation, nominal: int) -> Optional[HealthEstimate]:
@@ -266,10 +287,10 @@ class Controller:
     Its caches spare admissions repeated work. The suspect sets, the only
     readers of the merged view, are kept until one of the two writes that
     can change them: a digest (`receive_digest`) or a verdict transition
-    (`ingest_report`). `_searches` keeps one full search per (slice links,
-    source), together with the domain's suspects it ran with; a read under
-    other domain suspects runs it again and replaces it, so the memo holds
-    one search per key."""
+    (`ingest_report`, `ingest_batch`). `_searches` keeps one full search
+    per (slice links, source), together with the domain's suspects it ran
+    with; a read under other domain suspects runs it again and replaces it,
+    so the memo holds one search per key."""
 
     def __init__(
         self,
@@ -301,7 +322,13 @@ class Controller:
     # -- health --------------------------------------------------------------
 
     def ingest_report(self, report: SouthboundReport) -> list[HealthEstimate]:
-        transitions = self.monitor.ingest(report)
+        return self._noted(self.monitor.ingest(report))
+
+    def ingest_batch(self, entries: tuple, tick: int) -> list[HealthEstimate]:
+        """A domain's (reporter, observations) pairs of one tick."""
+        return self._noted(self.monitor.ingest_batch(entries, tick))
+
+    def _noted(self, transitions: list[HealthEstimate]) -> list[HealthEstimate]:
         if transitions:
             self._suspects = self._domain_suspects = None
         return transitions

@@ -10,13 +10,12 @@ traffic; it keeps no message log.
 from __future__ import annotations
 
 from .controller import DEFAULT_CONGESTION_THRESHOLD, DEFAULT_WINDOW, Controller, ControllerId
-from .controller import HealthEstimate, SouthboundReport, TenantId
+from .controller import HealthEstimate, TenantId
 from .errors import (
     DisconnectedDomain,
     DuplicateId,
     NoPathInSlice,
     OverlappingDomain,
-    StaleReport,
     UnassignedNode,
 )
 from .topology import NodeId, Topology, link_id, multi_target_paths
@@ -56,7 +55,8 @@ class Farm:
     creates share only read-only structures. Each controller has two bus
     inboxes, one exact topic each, delivered next tick: southbound reports
     from its domain's nodes (`south/<domain>/reports`, one message per tick
-    holding the tick's reports in reporter order) and health digests
+    holding (reporter, observations) pairs in reporter order, each at the
+    message's tick, ingested as one batch) and health digests
     from its peers (`west/to/<receiver>`, each carrying its sender). Segments
     are direct calls.
 
@@ -164,17 +164,17 @@ class Farm:
         self.controllers[receiver].receive_digest(sender, estimates)
         self.invalidate_caches()
 
-    def send_reports(
-        self, cid: ControllerId, reports: tuple[SouthboundReport, ...], tick: int
-    ) -> None:
-        """Publish one tick's reports of a domain's nodes, in reporter order,
-        to its controller's inbox as one message at tick."""
-        self._bus.publish(f"south/{cid}/reports", reports, tick, f"domain/{cid:06d}")
-        self.report_count += len(reports)
+    def send_reports(self, cid: ControllerId, entries: tuple, tick: int) -> None:
+        """Publish one tick's reports of a domain's nodes, (reporter,
+        observations) pairs in reporter order, to its controller's inbox as
+        one message at tick; each pair counts as a report."""
+        self._bus.publish(f"south/{cid}/reports", entries, tick, f"domain/{cid:06d}")
+        self.report_count += len(entries)
 
     def drain_inboxes(self) -> list[tuple[ControllerId, HealthEstimate]]:
         """Hand each controller, in id order, its delivered digests and then
-        its reports; return the verdict changes in that order."""
+        its report batches (a stale report is dropped, not fatal); return
+        the verdict changes in that order."""
         changes = []
         for cid in sorted(self.controllers):
             reports, digests = self._inboxes[cid]
@@ -182,14 +182,9 @@ class Farm:
                 self.deliver_digest(cid, *msg.payload)
             ctrl = self.controllers[cid]
             for msg in reports.drain():
-                for report in msg.payload:
-                    try:
-                        transitions = ctrl.ingest_report(report)
-                    except StaleReport:
-                        continue  # replayed telemetry is dropped, not fatal
-                    for est in transitions:
-                        changes.append((cid, est))
-                        self.invalidate_caches()
+                for est in ctrl.ingest_batch(msg.payload, msg.tick):
+                    changes.append((cid, est))
+                    self.invalidate_caches()
         return changes
 
     def cross_domain_path(

@@ -193,7 +193,7 @@ class Topology:
     node's latencies and the probes of it and its neighbours, a new link
     its endpoints' probes. The transfer searches and failed set live in a
     `TransferMemo` under the health key (each non-healthy node's `Health`),
-    which forks share and a new node or link replaces.
+    which forks share. A new node or link unbinds it until a read or fork.
     """
 
     def __init__(self):
@@ -203,7 +203,7 @@ class Topology:
         self._effective: dict[tuple[NodeId, NodeId], int] = {}
         self.probes: dict[NodeId, tuple] = {}
         self._unhealthy: dict[NodeId, Health] = {}
-        self._health_key, self._memo = frozenset(), TransferMemo()
+        self._health_key, self._memo = frozenset(), None
 
     def fork(self) -> "Topology":
         """Copy every table; share the frozen nodes and links and the memo."""
@@ -212,6 +212,8 @@ class Topology:
         twin._adj = {n: dict(nbrs) for n, nbrs in self._adj.items()}
         twin._effective, twin.probes = dict(self._effective), dict(self.probes)
         twin._unhealthy, twin._health_key = dict(self._unhealthy), self._health_key
+        if self._memo is None:
+            self._memo = TransferMemo()
         twin._memo = self._memo
         return twin
 
@@ -225,7 +227,7 @@ class Topology:
         if node.health.state is not HealthState.HEALTHY:
             self._unhealthy[node.id] = node.health
             self._health_key = frozenset(self._unhealthy.items())
-        self._memo = TransferMemo()
+        self._memo = None
         return node.id
 
     def add_link(self, a: NodeId, b: NodeId, latency: int, capacity: int) -> LinkId:
@@ -247,7 +249,7 @@ class Topology:
         self._adj[b][a] = link
         self.probes.pop(a, None)  # a new neighbour for each endpoint
         self.probes.pop(b, None)
-        self._memo = TransferMemo()
+        self._memo = None
         return lid
 
     def set_health(self, n: NodeId, health: Health) -> bool:
@@ -326,6 +328,8 @@ class Topology:
         return latency
 
     def _transfers(self) -> _Transfers:
+        if self._memo is None:
+            self._memo = TransferMemo()
         entry = self._memo.get(self._health_key)
         if entry is None:
             if len(self._memo) >= TRANSFER_KEYS:
@@ -340,12 +344,13 @@ class Topology:
     def probe(self, reporter: NodeId, rng) -> tuple[tuple[NodeId, object], ...]:
         """What reporter observes of each neighbour, in node order: LOSS for
         a failed one, LOSS with a malicious one's drop probability (one rng
-        draw each), else the link's effective latency. Kept in `probes`
-        unless a neighbour is malicious."""
+        draw each), else the link's effective latency; a failed reporter
+        observes nothing. Kept in `probes` unless a neighbour is malicious."""
         observations = self.probes.get(reporter)
         if observations is None:
             observations, reusable = [], True
-            for neighbor in self.neighbors(reporter):
+            failed = self.nodes[reporter].health.state is HealthState.FAILED
+            for neighbor in () if failed else self.neighbors(reporter):
                 h = self.nodes[neighbor].health
                 if h.state is HealthState.MALICIOUS:
                     reusable = False

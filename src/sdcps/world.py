@@ -7,8 +7,9 @@ Each tick runs fixed phases:
 
   1. boundary changes   scheduled faults, committed decisions
   2. bus delivery       digests and reports published last tick; each
-                        domain's reports arrive as one message and are
-                        ingested in reporter order
+                        domain's reports arrive as one message, ingested
+                        as one batch (skipped whole if it repeats the
+                        last batch that wrote nothing)
   3. flow admissions    scenario flows starting this tick
   4. digest broadcast   every digest-period ticks
   5. clone decisions    recovery for flows crossing suspected-failed nodes
@@ -30,13 +31,12 @@ from .controller import (
     DEFAULT_WINDOW,
     Priority,
     SliceTable,
-    SouthboundReport,
 )
 from .errors import BadParameter, SdcpsError, Unrecoverable
 from .events import EventLog
 from .farm import DEFAULT_DIGEST_PERIOD, Farm
 from .flow_engine import FlowEngine, FlowState
-from .topology import Health, HealthState, Node, NodeId, Topology
+from .topology import Health, Node, NodeId, Topology
 
 
 @dataclass
@@ -128,6 +128,7 @@ class World:
         self.dag = None
         self.task_overrides: dict[str, NodeId] = {}
         self.composition_report = None
+        self._batches: dict[int, tuple] = {}  # domain -> its last telemetry batch
 
     # -- construction ------------------------------------------------------------
 
@@ -186,6 +187,7 @@ class World:
         twin.task_overrides = dict(self.task_overrides)
         twin.registry, twin.dag = self.registry, self.dag
         twin.composition_report = self.composition_report
+        twin._batches = dict(self._batches)  # the batches are tuples, so shared
         return twin
 
     def reseed(self, seed: int) -> None:
@@ -335,22 +337,19 @@ class World:
                 break
 
     def _telemetry(self, t: int) -> None:
-        """Every live node probes its neighbours (`Topology.probe`) in node
-        order, the order of the RNG draws. Each domain's reports then ride
-        the bus as one message, in reporter order, and reach its controller
-        next tick."""
-        nodes, probe, rng = self.topology.nodes, self.topology.probe, self.rng
-        resolve = self.farm.resolve
-        batches: dict[int, list[SouthboundReport]] = {}
-        for reporter in self.topology.node_ids():
-            if nodes[reporter].health.state is HealthState.FAILED:
-                continue
-            observations = probe(reporter, rng)
-            if observations:
-                batches.setdefault(resolve(reporter), []).append(
-                    SouthboundReport(reporter, t, observations))
+        """Probe, in node order (that of the RNG draws), each reporter with
+        no kept probe (`Topology.probe`). Rebuild the batch of each domain
+        with a probed reporter, or with none yet, in reporter order; each
+        non-empty batch rides the bus as one message, domains in id order."""
+        topo, controllers, batches = self.topology, self.farm.controllers, self._batches
+        kept = topo.probes
+        fresh = {r: topo.probe(r, self.rng) for r in topo.node_ids() if r not in kept}
+        for cid in {self.farm.resolve(r) for r in fresh} | (controllers.keys() - batches.keys()):
+            batches[cid] = tuple((r, obs) for r in sorted(controllers[cid].domain_nodes)
+                                 if (obs := fresh[r] if r in fresh else kept[r]))
         for cid in sorted(batches):
-            self.farm.send_reports(cid, tuple(batches[cid]), t)
+            if batches[cid]:
+                self.farm.send_reports(cid, batches[cid], t)
 
     # -- summary ------------------------------------------------------------------------
 

@@ -150,8 +150,8 @@ class ReferenceHealthMonitor:
 def reference_telemetry(world, t):
     """`World._telemetry` without reuse: every live node probes every
     neighbour afresh, in node order, with one RNG draw per probe of a
-    malicious neighbour. Each domain's reports are sent as one batch, in
-    reporter order, domains in id order."""
+    malicious neighbour. Each domain's reports are sent as one batch of
+    (reporter, observations) pairs, in reporter order, domains in id order."""
     topo = world.topology
     batches = defaultdict(list)
     for reporter in topo.node_ids():
@@ -169,8 +169,7 @@ def reference_telemetry(world, t):
                     (neighbor, reference_effective_latency(topo, reporter, neighbor))
                 )
         if observations:
-            batches[world.farm.resolve(reporter)].append(
-                SouthboundReport(reporter, t, tuple(observations)))
+            batches[world.farm.resolve(reporter)].append((reporter, tuple(observations)))
     for cid in sorted(batches):
         world.farm.send_reports(cid, tuple(batches[cid]), t)
 
@@ -178,13 +177,13 @@ def reference_telemetry(world, t):
 def record_reports(mp):
     """Wrap `Farm.send_reports` through the monkeypatch `mp` and return the
     record: farm object -> the reports it sent, batches flattened in send
-    order."""
+    order, each pair as a `SouthboundReport` at its batch's tick."""
     recorded = defaultdict(list)
     send = Farm.send_reports
 
-    def recording_send(farm, cid, reports, tick):
-        recorded[farm].extend(reports)
-        send(farm, cid, reports, tick)
+    def recording_send(farm, cid, entries, tick):
+        recorded[farm].extend(SouthboundReport(r, tick, obs) for r, obs in entries)
+        send(farm, cid, entries, tick)
 
     mp.setattr(Farm, "send_reports", recording_send)
     return recorded

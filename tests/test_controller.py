@@ -15,7 +15,7 @@ from sdcps import (
     Verdict,
     qos_schedule,
 )
-from sdcps.controller import LOSS, merge_verdicts
+from sdcps.controller import LOSS, HealthEstimate, merge_verdicts
 from sdcps.errors import (
     BadParameter,
     NoSlice,
@@ -230,6 +230,47 @@ def test_capped_skipping_monitor_matches_the_reference(window, threshold, steps)
             assert mon.estimates() == ref.estimates()
 
 
+BATCHES = st.lists(
+    st.tuples(
+        st.sampled_from(["batch", "repeat", "repeat", "single"]),  # repeat: the last batch again
+        st.integers(1, 5),  # how many REPORT_STEPS a new batch takes
+        st.integers(-3, 1),  # tick offset: some entries are stale, repeats included
+    ),
+    max_size=40,
+)
+
+
+@given(st.integers(1, 4), st.sampled_from([1.0, 1.5, 2.0, 2.5]), REPORT_STEPS, BATCHES)
+@settings(max_examples=500, deadline=None)
+def test_a_batch_ingests_what_its_reports_ingest_one_at_a_time(window, threshold, steps, kinds):
+    """Batches of (reporter, observations) pairs, repeats included, some of
+    whose entries are stale, with single reports in between."""
+    topo = build_topology(5, SHARED_NEIGHBOURS)
+    mon = HealthMonitor(topo, window, threshold)
+    ref = ReferenceHealthMonitor(topo, window, threshold)
+    last, entries = {}, ()
+    for n, (kind, size, offset) in enumerate(kinds, start=1):
+        take = 1 if kind == "single" else size
+        group, steps = steps[:take], steps[take:]
+        for reporter, repeat, _offset, _replay, values in group:
+            if not (repeat and reporter in last):
+                last[reporter] = tuple(zip(topo.neighbors(reporter), values))
+        tick = n + offset
+        if kind == "single" and group:
+            report = SouthboundReport(group[0][0], tick, last[group[0][0]])
+            assert ingest_or_stale(mon, report) == ingest_or_stale(ref, report)
+        else:
+            if kind == "batch" or not entries:
+                entries = tuple(sorted({step[0]: last[step[0]] for step in group}.items()))
+            expected = []
+            for reporter, observations in entries:
+                found = ingest_or_stale(ref, SouthboundReport(reporter, tick, observations))
+                expected += [] if found == "stale" else found
+            assert mon.ingest_batch(entries, tick) == expected
+        assert mon.estimates() == ref.estimates()
+        assert mon._last_tick == ref._last_tick
+
+
 def test_a_repeated_no_op_report_is_skipped_and_still_checked_for_staleness(monkeypatch):
     topo = build_topology(3, [(0, 1), (1, 2)])
     mon = HealthMonitor(topo)
@@ -252,6 +293,31 @@ def test_a_repeated_no_op_report_is_skipped_and_still_checked_for_staleness(monk
     mon.ingest(SouthboundReport(0, 5, ((1, 1),)))  # writes node 1's window
     assert mon.ingest(SouthboundReport(1, 6, report)) == []
     assert len(observed) == 3  # node 1's write moved the count: applied again
+
+
+def test_a_repeated_quiet_batch_is_skipped_until_a_write_or_a_stale_entry(monkeypatch):
+    topo = build_topology(3, [(0, 1), (1, 2)])
+    mon = HealthMonitor(topo, window=1)
+    batch = ((0, ((1, LOSS),)), (2, ((1, LOSS),)))
+    assert mon.ingest_batch(batch, 1) == [HealthEstimate(1, Verdict.SUSPECT_FAILED)]
+    assert mon.ingest_batch(batch, 2) == []  # wrote nothing: remembered
+    ingested = []
+    ingest = HealthMonitor._ingest
+
+    def recording_ingest(self, reporter, *args):
+        ingested.append(reporter)
+        return ingest(self, reporter, *args)
+
+    monkeypatch.setattr(HealthMonitor, "_ingest", recording_ingest)
+    assert mon.ingest_batch(batch, 3) == []
+    assert ingested == [] and mon._last_tick == {0: 3, 2: 3}
+    # reporter 0's latest becomes 5, so its entry at tick 4 is stale
+    assert mon.ingest(SouthboundReport(0, 5, ((1, LOSS),))) == []
+    assert mon.ingest_batch(batch, 4) == []
+    assert ingested == [0, 0, 2] and mon._last_tick == {0: 5, 2: 4}
+    # a write: node 1 clears, and the batch must set it again
+    assert mon.ingest(SouthboundReport(0, 6, ((1, 1),))) == [HealthEstimate(1, Verdict.HEALTHY)]
+    assert mon.ingest_batch(batch, 7) == [HealthEstimate(1, Verdict.SUSPECT_FAILED)]
 
 
 def test_merge_verdicts_most_severe_wins():

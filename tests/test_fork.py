@@ -5,7 +5,7 @@ types a fork shares whole: memoized searches, the service registry, the
 task graph, the composition report and clone decisions, none of which
 anything changes once made, and the topology's `TransferMemo`, which is
 safe to share because each entry is a pure function of node/link
-structure, health key and source, and a structure change binds a new memo.
+structure, health key and source, and a structure change unbinds it.
 It skips the fields that are only ever replaced, never changed in place
 (unit routes, flow paths, buffers' onward paths, bus message payloads,
 decision paths and links). Every other object reachable from both a world
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from sdcps import CompositionDag, Decision, ServiceRegistry, Topology, parse_scenario
+from sdcps import CompositionDag, Decision, ServiceRegistry, Topology, World, parse_scenario
 from sdcps.topology import HealthState, TransferMemo
 from sdcps.bus import BusMessage
 from sdcps.composition import Schedule
@@ -172,6 +172,7 @@ def assert_guard_catches_a_shared_cache(monkeypatch, cls, field, owner, make_wor
     (Topology, "_effective", lambda world: world.topology),
     (Topology, "probes", lambda world: world.topology),
     (HealthMonitor, "_no_op", lambda world: world.farm.controllers[0].monitor),
+    (World, "_batches", lambda world: world),
 ])
 def test_guard_catches_a_fork_that_shares_a_telemetry_cache(monkeypatch, cls, field, owner):
     assert_guard_catches_a_shared_cache(monkeypatch, cls, field, owner, malicious_world)
@@ -213,17 +214,19 @@ def paths_disagree_with_reference(topo) -> list:
 
 @pytest.mark.parametrize("in_place", [False, True])
 def test_a_twins_new_link_leaves_the_worlds_transfers_alone(monkeypatch, in_place):
-    """A twin's `add_link` binds it a new memo. Emptying the shared memo in
-    place instead lets the twin's searches over its new link reach the
-    world, whose later reads then disagree with the oracle."""
+    """A twin's `add_link` unbinds its memo, so its next read binds a new
+    one. Emptying the shared memo in place instead lets the twin's searches
+    over its new link reach the world, whose later reads then disagree with
+    the oracle."""
     if in_place:
         add_link = Topology.add_link
 
         def clearing(self, *args):
             memo = self._memo
             lid = add_link(self, *args)
-            self._memo = memo
-            memo.clear()
+            if memo is not None:  # unbound until the first read or fork
+                self._memo = memo
+                memo.clear()
             return lid
 
         monkeypatch.setattr(Topology, "add_link", clearing)
