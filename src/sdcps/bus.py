@@ -1,16 +1,18 @@
 """In-process topic bus standing in for MOM-style northbound/southbound wiring.
 
-Each subscription names one exact topic; a topic may have several
-subscribers, each of which receives every message on it. Delivery is
-at-most-once per subscriber and totally ordered by (publish tick, publisher
-id, per-publisher sequence), which makes every run of the same scenario
-replay message-for-message.
+Each topic has at most one subscriber, and a subscription names one exact
+topic. Delivery hands the due messages back to the caller, at most once
+each, totally ordered by (publish tick, publisher id, per-publisher
+sequence), which makes every run of the same scenario replay
+message-for-message.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
+
+from .errors import DuplicateId
 
 
 @dataclass(frozen=True)
@@ -25,21 +27,9 @@ class BusMessage:
         return (self.tick, self.publisher, self.seq)
 
 
-@dataclass(eq=False)  # by identity, so a farm fork finds its own in the list
-class Subscription:
-    """Pull-model inbox: the owner drains `inbox` when it is scheduled."""
-
-    topic: str
-    inbox: list[BusMessage] = field(default_factory=list)
-
-    def drain(self) -> list[BusMessage]:
-        out, self.inbox = self.inbox, []
-        return out
-
-
 class Bus:
     def __init__(self):
-        self.subscriptions: dict[str, list[Subscription]] = {}
+        self.topics: frozenset[str] = frozenset()  # the subscribed ones; forks share it
         self._pending: list[BusMessage] = []
         self._seq: dict[str, int] = {}
         self.dropped_no_subscriber = 0
@@ -47,19 +37,18 @@ class Bus:
 
     def fork(self) -> "Bus":
         twin = Bus()
-        twin.subscriptions = {topic: [Subscription(topic, list(sub.inbox)) for sub in subs]
-                              for topic, subs in self.subscriptions.items()}
+        twin.topics = self.topics
         twin._pending, twin._seq = list(self._pending), dict(self._seq)  # messages are shared
         twin.dropped_no_subscriber = self.dropped_no_subscriber
         twin.published_count = self.published_count
         return twin
 
-    def subscribe(self, topic: str) -> Subscription:
+    def subscribe(self, topic: str) -> None:
         if not topic:
             raise ValueError("topic name must be non-empty")
-        sub = Subscription(topic)
-        self.subscriptions.setdefault(topic, []).append(sub)
-        return sub
+        if topic in self.topics:
+            raise DuplicateId(f"topic {topic} already has a subscriber")
+        self.topics |= {topic}
 
     def publish(self, topic: str, payload: Any, tick: int, publisher: str) -> BusMessage:
         if not topic:
@@ -72,18 +61,13 @@ class Bus:
         return msg
 
     def deliver_up_to(self, tick: int) -> list[BusMessage]:
-        """Move all messages published before `tick` into subscriber inboxes.
-
-        Returns the delivered messages in their global order.
-        """
+        """Take every message published before `tick` off the bus; return
+        those on a subscribed topic in their global order and count the
+        rest as dropped."""
         due = sorted(
             (m for m in self._pending if m.tick < tick), key=BusMessage.order_key
         )
         self._pending = [m for m in self._pending if m.tick >= tick]
-        for msg in due:
-            takers = self.subscriptions.get(msg.topic, ())
-            if not takers:
-                self.dropped_no_subscriber += 1
-            for sub in takers:
-                sub.inbox.append(msg)
-        return due
+        delivered = [m for m in due if m.topic in self.topics]
+        self.dropped_no_subscriber += len(due) - len(delivered)
+        return delivered

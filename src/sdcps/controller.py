@@ -167,13 +167,12 @@ class HealthMonitor:
     A run's length stops growing at `window`, the only length ever read, so
     a node's (run, length, verdict) tuple stops changing once a run has
     set its verdict. The monitor writes a tuple only when it changes and
-    counts the writes. A report that wrote nothing is remembered with the
-    count at that time: the reporter's next report, if its observations are
-    equal and nothing was written since, would write nothing either, so it
-    is skipped. A skipped report still counts as the reporter's latest, so
-    a later report with an earlier tick is still stale. `ingest_batch` skips
-    whole, the same way, a repeat of the last batch that wrote nothing and
-    held no stale entry: each of its entries would hit its reporter's skip."""
+    counts the writes. A batch that wrote nothing and held no stale entry
+    is remembered with the count at that time: `ingest_batch` skips whole a
+    repeat of it while the count is unchanged, since equal observations
+    over unchanged windows write nothing again. A skipped batch still
+    makes each of its entries its reporter's latest, so a later report
+    with an earlier tick is still stale."""
 
     def __init__(self, topology: Topology, window: int = DEFAULT_WINDOW,
                  congestion_threshold: float = DEFAULT_CONGESTION_THRESHOLD):
@@ -183,14 +182,12 @@ class HealthMonitor:
         self._windows: dict[NodeId, tuple[Verdict, int, Verdict]] = {}
         self._last_tick: dict[NodeId, int] = {}
         self._writes = 0
-        # reporter -> (observations of its last report that wrote nothing, _writes then)
-        self._no_op: dict[NodeId, tuple] = {}
         self._quiet: Optional[tuple] = None  # (last batch that wrote nothing, _writes then)
 
     def fork(self, topology: Topology) -> "HealthMonitor":
         twin = HealthMonitor(topology, self.window, self.congestion_threshold)
         twin._windows, twin._last_tick = dict(self._windows), dict(self._last_tick)
-        twin._writes, twin._no_op, twin._quiet = self._writes, dict(self._no_op), self._quiet
+        twin._writes, twin._quiet = self._writes, self._quiet
         return twin
 
     def estimates(self) -> dict[NodeId, Verdict]:
@@ -226,9 +223,6 @@ class HealthMonitor:
         if last is not None and tick <= last:
             raise StaleReport(f"reporter {reporter}: tick {tick} <= {last}")
         self._last_tick[reporter] = tick
-        writes = self._writes
-        if self._no_op.get(reporter) == (observations, writes):
-            return []
         transitions = []
         for neighbor, observation in observations:
             self._topology.node(neighbor)
@@ -236,8 +230,6 @@ class HealthMonitor:
             est = self._observe(neighbor, observation, nominal)
             if est is not None:
                 transitions.append(est)
-        if self._writes == writes:
-            self._no_op[reporter] = (observations, writes)
         return transitions
 
     def _observe(self, node: NodeId, observation, nominal: int) -> Optional[HealthEstimate]:

@@ -3,8 +3,8 @@
 Domains strictly partition the node set. Controllers coordinate only through
 the farm: cross-domain routes are composed from per-domain path segments
 joined at gateway links, so no controller ever reads a peer's topology
-directly. The farm owns each controller's bus inboxes and counts westbound
-traffic; it keeps no message log.
+directly. The farm hands each controller what the bus delivers on its
+topics and counts westbound traffic; it keeps no message log.
 """
 
 from __future__ import annotations
@@ -52,13 +52,14 @@ class Farm:
     """Controller farm over a shared topology.
 
     The farm is the single mutation point for registration; controllers it
-    creates share only read-only structures. Each controller has two bus
-    inboxes, one exact topic each, delivered next tick: southbound reports
-    from its domain's nodes (`south/<domain>/reports`, one message per tick
-    holding (reporter, observations) pairs in reporter order, each at the
-    message's tick, ingested as one batch) and health digests
-    from its peers (`west/to/<receiver>`, each carrying its sender). Segments
-    are direct calls.
+    creates share only read-only structures. Each controller subscribes two
+    exact bus topics, whose messages the world's next tick delivers and
+    `receive` hands it: southbound reports from its domain's nodes
+    (`south/<domain>/reports`, one message per tick holding (reporter,
+    observations) pairs in reporter order, each at the message's tick,
+    ingested as one batch) and health digests from its peers
+    (`west/to/<receiver>`, each carrying its sender). Segments are direct
+    calls.
 
     An admission names a tenant: the farm looks up its slice's links once and
     hands controllers only links. It keeps no clock; messages go out at the
@@ -86,7 +87,6 @@ class Farm:
         self._congestion_threshold = congestion_threshold
         self.controllers: dict[ControllerId, Controller] = {}
         self._owner: dict[NodeId, ControllerId] = {}
-        self._inboxes: dict[ControllerId, tuple] = {}  # (reports, digests)
         self.message_count = 0
         self.report_count = 0
         self._bus = bus
@@ -98,9 +98,6 @@ class Farm:
         twin.controllers = {cid: c.fork(topology) for cid, c in self.controllers.items()}
         twin._owner, twin._fetched = dict(self._owner), set(self._fetched)
         twin._joins = {links: join.fork() for links, join in self._joins.items()}
-        old, new = self._bus.subscriptions, bus.subscriptions  # bus is a Bus.fork of ours
-        twin._inboxes = {cid: tuple(new[s.topic][old[s.topic].index(s)] for s in subs)
-                         for cid, subs in self._inboxes.items()}
         twin.message_count, twin.report_count = self.message_count, self.report_count
         return twin
 
@@ -108,7 +105,7 @@ class Farm:
 
     def register_domain(self, domain_id: ControllerId, nodes) -> ControllerId:
         """Give a connected node set its own controller, whose id is the
-        domain id, and subscribe that controller's inboxes."""
+        domain id, and subscribe that controller's two topics."""
         nodes = frozenset(nodes)
         if domain_id in self.controllers:
             raise DuplicateId(f"domain {domain_id} declared twice")
@@ -127,10 +124,8 @@ class Farm:
         for n in nodes:
             self._owner[n] = domain_id
         self._joins.clear()  # gateways may have changed
-        self._inboxes[domain_id] = (
-            self._bus.subscribe(f"south/{domain_id}/reports"),
-            self._bus.subscribe(f"west/to/{domain_id}"),
-        )
+        self._bus.subscribe(f"south/{domain_id}/reports")
+        self._bus.subscribe(f"west/to/{domain_id}")
         return domain_id
 
     def resolve(self, n: NodeId) -> ControllerId:
@@ -166,22 +161,25 @@ class Farm:
 
     def send_reports(self, cid: ControllerId, entries: tuple, tick: int) -> None:
         """Publish one tick's reports of a domain's nodes, (reporter,
-        observations) pairs in reporter order, to its controller's inbox as
+        observations) pairs in reporter order, to its controller's topic as
         one message at tick; each pair counts as a report."""
         self._bus.publish(f"south/{cid}/reports", entries, tick, f"domain/{cid:06d}")
         self.report_count += len(entries)
 
-    def drain_inboxes(self) -> list[tuple[ControllerId, HealthEstimate]]:
-        """Hand each controller, in id order, its delivered digests and then
-        its report batches (a stale report is dropped, not fatal); return
-        the verdict changes in that order."""
+    def receive(self, messages) -> list[tuple[ControllerId, HealthEstimate]]:
+        """Hand each controller, in id order, its digests and then its
+        report batches among the delivered `messages`, each topic in the
+        order given (a stale report is dropped, not fatal); return the
+        verdict changes in that order."""
+        by_topic: dict[str, list] = {}
+        for msg in messages:
+            by_topic.setdefault(msg.topic, []).append(msg)
         changes = []
         for cid in sorted(self.controllers):
-            reports, digests = self._inboxes[cid]
-            for msg in digests.drain():
+            for msg in by_topic.get(f"west/to/{cid}", ()):
                 self.deliver_digest(cid, *msg.payload)
             ctrl = self.controllers[cid]
-            for msg in reports.drain():
+            for msg in by_topic.get(f"south/{cid}/reports", ()):
                 for est in ctrl.ingest_batch(msg.payload, msg.tick):
                     changes.append((cid, est))
                     self.invalidate_caches()

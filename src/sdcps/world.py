@@ -6,10 +6,11 @@ per-tick metrics records: event lines fold into the digest and are not kept.
 Each tick runs fixed phases:
 
   1. boundary changes   scheduled faults, committed decisions
-  2. bus delivery       digests and reports published last tick; each
-                        domain's reports arrive as one message, ingested
-                        as one batch (skipped whole if it repeats the
-                        last batch that wrote nothing)
+  2. bus delivery       digests and reports published last tick, handed
+                        straight to the farm; each domain's reports
+                        arrive as one message, ingested as one batch
+                        (skipped whole if it repeats the last batch that
+                        wrote nothing)
   3. flow admissions    scenario flows starting this tick
   4. digest broadcast   every digest-period ticks
   5. clone decisions    recovery for flows crossing suspected-failed nodes
@@ -258,8 +259,7 @@ class World:
             self.pending_commits = []
 
         # 2. bus delivery, then controller ingestion in delivered order
-        self.bus.deliver_up_to(t)
-        for cid, est in self.farm.drain_inboxes():
+        for cid, est in self.farm.receive(self.bus.deliver_up_to(t)):
             line = (
                 f"t={t} ev=estimate ctrl={cid} node={est.node} "
                 f"verdict={est.verdict.value}"

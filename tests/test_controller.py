@@ -271,7 +271,7 @@ def test_a_batch_ingests_what_its_reports_ingest_one_at_a_time(window, threshold
         assert mon._last_tick == ref._last_tick
 
 
-def test_a_repeated_no_op_report_is_skipped_and_still_checked_for_staleness(monkeypatch):
+def test_a_repeated_report_is_still_checked_for_staleness(monkeypatch):
     topo = build_topology(3, [(0, 1), (1, 2)])
     mon = HealthMonitor(topo)
     report = ((0, LOSS), (2, 1))
@@ -287,12 +287,13 @@ def test_a_repeated_no_op_report_is_skipped_and_still_checked_for_staleness(monk
 
     monkeypatch.setattr(HealthMonitor, "_observe", recording_observe)
     assert mon.ingest(SouthboundReport(1, 5, report)) == []
-    assert observed == []  # the fourth report wrote nothing, so the fifth is skipped
     with pytest.raises(StaleReport):
         mon.ingest(SouthboundReport(1, 5, report))
+    assert len(observed) == 2 and mon._last_tick[1] == 5  # the stale report observed nothing
     mon.ingest(SouthboundReport(0, 5, ((1, 1),)))  # writes node 1's window
     assert mon.ingest(SouthboundReport(1, 6, report)) == []
-    assert len(observed) == 3  # node 1's write moved the count: applied again
+    assert mon.estimates() == {0: Verdict.SUSPECT_FAILED}
+    assert len(observed) == 5 and mon._last_tick == {0: 5, 1: 6}
 
 
 def test_a_repeated_quiet_batch_is_skipped_until_a_write_or_a_stale_entry(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 from sdcps import (
     Bus,
+    Controller,
     Farm,
     Health,
     Node,
@@ -129,10 +130,10 @@ def test_world_duplicate_domain_keeps_first_controller_and_subscriptions():
     w.add_link(0, 1, 1, 1)
     w.add_link(2, 3, 1, 1)
     w.register_domain(0, [0, 1])
-    before = {t: list(s) for t, s in w.bus.subscriptions.items()}
+    before = w.bus.topics
     with pytest.raises(DuplicateId):
         w.register_domain(0, [2, 3])
-    assert {t: list(s) for t, s in w.bus.subscriptions.items()} == before
+    assert w.bus.topics == before
     assert w.farm.resolve(0) == 0 and w.farm.unassigned_nodes() == [2, 3]
 
 
@@ -499,6 +500,32 @@ def fail_node(w, node, reporter, domain):
     base = w.now * 1000 + 1
     for i in range(3):
         ctrl.ingest_report(SouthboundReport(reporter, base + i, ((node, LOSS),)))
+
+
+def test_receive_hands_each_controller_its_digests_then_its_reports(monkeypatch):
+    w = farm_world(*LINE3)
+    calls = []
+    receive_digest, ingest_batch = Controller.receive_digest, Controller.ingest_batch
+
+    def recording_digest(self, peer, estimates):
+        calls.append((self.id, "digest", peer))
+        return receive_digest(self, peer, estimates)
+
+    def recording_batch(self, entries, tick):
+        calls.append((self.id, "reports", tick))
+        return ingest_batch(self, entries, tick)
+
+    monkeypatch.setattr(Controller, "receive_digest", recording_digest)
+    monkeypatch.setattr(Controller, "ingest_batch", recording_batch)
+    for cid in (2, 0, 1):
+        w.farm.send_reports(cid, ((2 * cid, ()),), w.now)
+        w.farm.broadcast_health_digest(cid, w.now)
+    assert w.farm.receive(w.bus.deliver_up_to(w.now + 1)) == []
+    assert calls == [
+        (0, "digest", 1), (0, "digest", 2), (0, "reports", w.now),
+        (1, "digest", 0), (1, "digest", 2), (1, "reports", w.now),
+        (2, "digest", 0), (2, "digest", 1), (2, "reports", w.now),
+    ]
 
 
 def test_digest_propagates_within_period():

@@ -171,7 +171,6 @@ def assert_guard_catches_a_shared_cache(monkeypatch, cls, field, owner, make_wor
 @pytest.mark.parametrize("cls, field, owner", [
     (Topology, "_effective", lambda world: world.topology),
     (Topology, "probes", lambda world: world.topology),
-    (HealthMonitor, "_no_op", lambda world: world.farm.controllers[0].monitor),
     (World, "_batches", lambda world: world),
 ])
 def test_guard_catches_a_fork_that_shares_a_telemetry_cache(monkeypatch, cls, field, owner):

@@ -130,8 +130,7 @@ def test_a_stale_report_in_a_batch_drops_only_itself():
     farm.register_domain(0, range(5))
     farm.send_reports(0, tuple(
         (r, tuple((n, 1) for n in topo.neighbors(r))) for r in range(5)), 1)
-    bus.deliver_up_to(2)
-    assert farm.drain_inboxes() == []
+    assert farm.receive(bus.deliver_up_to(2)) == []
 
     # reporter 3's latest becomes tick 2, so its entry in the tick-2 batch is stale
     assert farm.controllers[0].ingest_report(SouthboundReport(3, 2, ((2, 1), (4, 1)))) == []
@@ -142,9 +141,8 @@ def test_a_stale_report_in_a_batch_drops_only_itself():
         (4, ((3, LOSS),)),
     ), 2)
     assert farm.report_count == 9
-    bus.deliver_up_to(3)
     failed = Verdict.SUSPECT_FAILED
-    assert farm.drain_inboxes() == [
+    assert farm.receive(bus.deliver_up_to(3)) == [
         (0, HealthEstimate(2, failed)),
         (0, HealthEstimate(1, failed)),
         (0, HealthEstimate(3, failed)),
