@@ -1,6 +1,8 @@
 """Modelling sandbox: spawn a one-to-one twin of the world, rehearse a
 decision over a horizon, and commit it to the physical world only if the
-rehearsal improved things.
+rehearsal improved things. A rehearsal runs baseline and decision branches;
+a `place_task` decision, which changes only composition, runs one branch
+unless a pending `place_task` commit could overwrite it at tick 1.
 
 A twin is a `World.fork()`: a copy of the live state that shares only what
 nothing changes in place, with its metrics records empty. It runs the same
@@ -77,6 +79,17 @@ def spawn_twin(world: World, twin_seed: Optional[int] = None) -> World:
     return twin
 
 
+def _check_placement(world: World, decision: Decision) -> None:
+    """Raise unless the placement names a workload task and a provider of it."""
+    if decision.node not in world.topology.nodes:
+        raise UnresolvableDecision(f"node {decision.node} does not exist")
+    if world.dag is None or decision.task not in world.dag.inputs:
+        raise UnresolvableDecision(f"task {decision.task!r} is not in the workload")
+    service = dict(world.dag.tasks)[decision.task]
+    if decision.node not in world.registry.lookup(service).providers:
+        raise UnresolvableDecision(f"node {decision.node} does not provide {service!r}")
+
+
 def apply_decision(world: World, decision: Decision) -> None:
     """Resolve and apply one decision against a world, now."""
     if decision.kind is DecisionKind.INJECT_REPAIR:
@@ -105,26 +118,28 @@ def apply_decision(world: World, decision: Decision) -> None:
         except SdcpsError as exc:
             raise UnresolvableDecision(str(exc)) from exc
     elif decision.kind is DecisionKind.PLACE_TASK:
-        if decision.node not in world.topology.nodes:
-            raise UnresolvableDecision(f"node {decision.node} does not exist")
-        if world.dag is None or decision.task not in world.dag.inputs:
-            raise UnresolvableDecision(f"task {decision.task!r} is not in the workload")
-        service = dict(world.dag.tasks)[decision.task]
-        if decision.node not in world.registry.lookup(service).providers:
-            raise UnresolvableDecision(
-                f"node {decision.node} does not provide {service!r}"
-            )
+        _check_placement(world, decision)
         world.task_overrides[decision.task] = decision.node
     else:
         raise UnresolvableDecision(f"unknown decision kind {decision.kind}")
 
 
 def evaluate(twin: World, decision: Decision, horizon: int) -> MetricsDelta:
-    """Run baseline and decision branches from identical snapshots and
-    return candidate minus baseline metrics over that horizon."""
+    """Return candidate minus baseline metrics over `horizon` ticks, leaving
+    the twin at its snapshot. Baseline and decision run on two forks, but a
+    `place_task` runs one, composed before and after its override, unless a
+    pending `place_task` commit could overwrite that override at tick 1."""
     if horizon < 1:
         raise UnresolvableDecision("horizon must be >= 1")
     snapshot_tick = twin.now
+    pending = {d.kind for d in twin.pending_commits}
+    if decision.kind is DecisionKind.PLACE_TASK and DecisionKind.PLACE_TASK not in pending:
+        _check_placement(twin, decision)
+        branch = twin.fork()
+        branch.run(horizon)
+        base = branch.run_composition().makespan
+        branch.task_overrides[decision.task] = decision.node
+        return MetricsDelta(0, 0.0, branch.run_composition().makespan - base, 0, snapshot_tick)
     baseline = twin.fork()
     candidate = twin.fork()
     apply_decision(candidate, decision)  # UnresolvableDecision propagates

@@ -23,9 +23,11 @@ from sdcps.errors import (
     NoFeasibleProvider,
     StaleReport,
     UnreachableProvider,
+    UnresolvableDecision,
 )
 from sdcps.events import EventLog
 from sdcps.farm import Farm
+from sdcps.sandbox import MetricsDelta, apply_decision
 from sdcps.topology import HealthState, link_id, multi_target_paths
 
 
@@ -495,6 +497,34 @@ def reference_high_water(engine, flow):
         else:
             high_water[seq] = positions.get(seq, 0)
     return high_water
+
+
+def reference_evaluate(twin: World, decision, horizon: int) -> MetricsDelta:
+    """`sandbox.evaluate` with two branches for every decision kind."""
+    if horizon < 1:
+        raise UnresolvableDecision("horizon must be >= 1")
+    snapshot_tick = twin.now
+    baseline = twin.fork()
+    candidate = twin.fork()
+    apply_decision(candidate, decision)  # UnresolvableDecision propagates
+    baseline.run(horizon)
+    candidate.run(horizon)
+    makespan = 0
+    if baseline.dag is not None:
+        base = baseline.run_composition().makespan
+        makespan = candidate.run_composition().makespan - base
+
+    def mean_latency(w: World) -> float:
+        e = w.engine
+        return e.latency_sum / e.latency_count if e.latency_count else 0.0
+
+    return MetricsDelta(
+        delivered_units=candidate.engine.total_delivered - baseline.engine.total_delivered,
+        mean_latency=mean_latency(candidate) - mean_latency(baseline),
+        makespan=makespan,
+        violations=candidate.engine.slice_violations - baseline.engine.slice_violations,
+        snapshot_tick=snapshot_tick,
+    )
 
 
 def record_event_lines(mp):

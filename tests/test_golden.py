@@ -36,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from sdcps import events, sandbox
+from sdcps import World, events, sandbox
 from sdcps import topology as topology_module
 from sdcps.cli import main as cli_main
 from sdcps.scenario import parse_scenario, run_scenario
@@ -202,6 +202,37 @@ def test_rehearsal_reuses_transfer_searches(monkeypatch):
     name = "golden/twin-rehearsal-2-0.json"
     assert rehearsal_sha256(name) == json.loads(EXPECTED.read_text())[name]["rehearsal_sha256"]
     assert 0 < len(sources) <= 60
+
+
+def test_rehearsal_runs_one_branch_per_place_task(monkeypatch):
+    """A `place_task` rehearsal forks and ticks one branch, so the rehearsal
+    schedule's 50 placements and 3 repairs at horizon 3 make at most 56
+    forks and 168 ticks inside `evaluate` (106 and 318 with two branches
+    each) and still show the pinned hash."""
+    counts = {"fork": 0, "tick": 0}
+    inside = []
+    evaluate, fork, tick = sandbox.evaluate, World.fork, World.tick
+
+    def evaluating(*args):
+        inside.append(True)
+        try:
+            return evaluate(*args)
+        finally:
+            inside.pop()
+
+    def counted(name, method):
+        def wrapper(world):
+            counts[name] += bool(inside)
+            return method(world)
+        return wrapper
+
+    monkeypatch.setattr(sandbox, "evaluate", evaluating)
+    monkeypatch.setattr(World, "fork", counted("fork", fork))
+    monkeypatch.setattr(World, "tick", counted("tick", tick))
+    name = "golden/twin-rehearsal-2-0.json"
+    assert rehearsal_sha256(name) == json.loads(EXPECTED.read_text())[name]["rehearsal_sha256"]
+    assert 0 < counts["fork"] <= 56
+    assert 0 < counts["tick"] <= 168
 
 
 def test_rehearsal_is_identical_across_hash_seeds():

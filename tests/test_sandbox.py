@@ -19,11 +19,19 @@ from sdcps import (
     parse_scenario,
     spawn_twin,
 )
-from sdcps.errors import MidTickSpawn, NoPathInSlice, StaleDelta, UnresolvableDecision
+from sdcps.errors import (
+    MidTickSpawn,
+    NoPathInSlice,
+    SdcpsError,
+    StaleDelta,
+    UnresolvableDecision,
+)
 from sdcps.flow_engine import FlowEngine
-from sdcps.sandbox import apply_decision
+from sdcps.sandbox import DecisionKind, apply_decision
 
-from conftest import build_world
+from conftest import build_world, reference_evaluate
+
+TESTS = Path(__file__).parent
 
 
 def blocked_line_world():
@@ -268,6 +276,121 @@ def test_place_task_decision_changes_makespan():
     twin = spawn_twin(w)
     delta = evaluate(twin, Decision.place_task("a", 1), horizon=1)
     assert delta.makespan == 3  # pinned to the slow provider
+
+
+def _outcome(rehearse, twin, decision, horizon):
+    """A rehearsal's delta, or the type and message of what it raised."""
+    try:
+        return rehearse(twin, decision, horizon)
+    except SdcpsError as exc:
+        return type(exc), str(exc)
+
+
+def _placements(world):
+    """(task, node) pairs: every provider of every task, a non-provider, a
+    missing node and an unknown task."""
+    nodes = sorted(world.topology.nodes)
+    pairs = [("no-such-task", nodes[0])]
+    if world.dag is None:
+        return pairs
+    for task, service in world.dag.tasks:
+        providers = sorted(world.registry.lookup(service).providers)
+        pairs += [(task, node) for node in providers]
+        pairs += [(task, node) for node in nodes if node not in providers][:1]
+    return pairs + [(world.dag.tasks[0][0], nodes[-1] + 1)]
+
+
+def _pending_placements(world, task, node):
+    """No pending commit, a pending placement of the same task elsewhere,
+    and one of another task."""
+    variants = [[]]
+    if world.dag is None:
+        return variants
+    tasks = dict(world.dag.tasks)
+    if task in tasks:
+        providers = sorted(world.registry.lookup(tasks[task]).providers)
+        other = next((n for n in providers if n != node), providers[0])
+        variants.append([Decision.place_task(task, other)])
+    other_task, service = next((t for t in world.dag.tasks if t[0] != task), world.dag.tasks[0])
+    variants.append(
+        [Decision.place_task(other_task, min(world.registry.lookup(service).providers))]
+    )
+    return variants
+
+
+def _decisions(world):
+    """(decision, pending commits) cases over every decision kind, each
+    resolvable and not."""
+    nodes = sorted(world.topology.nodes)
+    missing = nodes[-1] + 1
+    failed = [n for n in nodes if world.topology.node(n).health == Health.failed()]
+    cases = [
+        (Decision.inject_repair((failed or nodes)[0]), []),
+        (Decision.inject_repair(missing), []),
+        (Decision.reroute(10**6, [nodes[0], nodes[-1]]), []),
+    ]
+    for fid in sorted(world.engine.flows)[:2]:
+        flow = world.engine.flows[fid]
+        cases.append((Decision.reroute(fid, list(flow.path)), []))
+        cases.append((Decision.reroute(fid, [flow.origin]), []))
+        cases.append((Decision.reroute(fid, [flow.origin, missing, flow.destination]), []))
+    for tenant, sl in sorted(world.slices.slices.items())[:2]:
+        links = sorted(sl.links)
+        cases.append((Decision.set_slice(tenant, links, sl.share, sl.priority), []))
+        cases.append((Decision.set_slice(tenant, links, -1, sl.priority), []))
+        cases.append((Decision.set_slice(tenant, [(nodes[0], missing)], 1, sl.priority), []))
+    for task, node in _placements(world):
+        for pending in _pending_placements(world, task, node):
+            cases.append((Decision.place_task(task, node), pending))
+    return cases
+
+
+EQUIVALENCE_TICKS = {
+    **{f"fixtures/{p.name}": (0, 3, 8) for p in sorted((TESTS / "fixtures").glob("*.json"))},
+    "golden/twin-rehearsal-2-0.json": (5, 24, 60),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_TICKS))
+def test_evaluate_matches_the_two_branch_reference(name):
+    """On each scenario at several ticks, every case rehearses to the delta,
+    or raises the exception, that running baseline and decision on two
+    branches gives, and leaves the twin as it was."""
+    world = build_scenario_world(parse_scenario((TESTS / name).read_text(encoding="utf-8")))
+    if world.dag is not None:
+        world.run_composition()
+    kinds = set()
+    for tick in EQUIVALENCE_TICKS[name]:
+        world.run(tick - world.now)
+        for decision, pending in _decisions(world):
+            twin = spawn_twin(world)
+            twin.pending_commits.extend(pending)
+            before = (twin.trace_hash(), twin.now, dict(twin.task_overrides),
+                      list(twin.pending_commits))
+            expected = _outcome(reference_evaluate, twin, decision, 3)
+            assert _outcome(evaluate, twin, decision, 3) == expected, (tick, decision, pending)
+            assert (twin.trace_hash(), twin.now, dict(twin.task_overrides),
+                    list(twin.pending_commits)) == before
+            kinds.add(decision.kind)
+    assert kinds == set(DecisionKind)
+
+
+def test_an_unresolvable_placement_raises_before_any_fork_or_tick(monkeypatch):
+    text = (TESTS / "fixtures" / "composition.json").read_text(encoding="utf-8")
+    world = build_scenario_world(parse_scenario(text))
+    world.run(2)
+    twin = spawn_twin(world)
+    calls = []
+    monkeypatch.setattr(World, "fork", lambda w: calls.append("fork"))
+    monkeypatch.setattr(World, "tick", lambda w: calls.append("tick"))
+    for decision, message in [
+        (Decision.place_task("no-such-task", 0), "task 'no-such-task' is not in the workload"),
+        (Decision.place_task("act", 2), "node 2 does not provide 'actuate'"),
+        (Decision.place_task("act", 9), "node 9 does not exist"),
+    ]:
+        with pytest.raises(UnresolvableDecision, match=f"^{message}$"):
+            evaluate(twin, decision, horizon=3)
+    assert calls == []
 
 
 # -- commit ------------------------------------------------------------------------------
