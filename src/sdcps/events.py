@@ -4,6 +4,8 @@ Every observable simulation event is rendered as one stable text line and
 folded into a 64-bit FNV-1a digest. Equal scenarios with equal seeds yield
 equal digests; the twin fidelity and determinism checks compare these. The
 lines themselves are not kept, so a log's size does not grow with the run.
+Rehearsal branches log to an `UntracedLog`, which folds nothing: each branch
+is dropped once its counters and makespans are read, so no one reads its digest.
 """
 
 from __future__ import annotations
@@ -37,3 +39,16 @@ class EventLog:
 
     def trace_hash(self) -> str:
         return f"{self._digest:016x}"
+
+
+class UntracedLog:
+    """Folds nothing: the log of a world whose digest no one reads."""
+
+    def fork(self) -> "UntracedLog":
+        return UntracedLog()
+
+    def emit(self, line: str) -> None:
+        pass
+
+    def trace_hash(self) -> str:
+        raise RuntimeError("an untraced world keeps no trace hash")

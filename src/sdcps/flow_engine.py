@@ -14,7 +14,7 @@ otherwise it runs all the way to the destination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import AbstractSet, Optional
 
@@ -111,9 +111,9 @@ class Flow:
     handled_bad: set[NodeId] = field(default_factory=set)
 
     def fork(self) -> "Flow":
-        return replace(self, delivered_record=list(self.delivered_record),
-                       destination_arrivals=list(self.destination_arrivals),
-                       handled_bad=set(self.handled_bad))
+        return Flow(self.id, self.tenant, self.origin, self.destination, self.units, self.path,
+                    self.state, self.start_tick, self.progress, list(self.delivered_record),
+                    list(self.destination_arrivals), self.clone_count, set(self.handled_bad))
 
     def path_index(self, node: NodeId) -> Optional[int]:
         try:

@@ -8,7 +8,8 @@ A twin is a `World.fork()`: a copy of the live state that shares only what
 nothing changes in place, with its metrics records empty. It runs the same
 code the physical world runs; with the same seed its trace hash and totals
 continue tick for tick from the physical world's. Twin mutations can never
-touch physical state.
+touch physical state. A rehearsal's branches are untraced forks of the twin:
+they are dropped once their counters and makespans are read.
 """
 
 from __future__ import annotations
@@ -128,20 +129,21 @@ def evaluate(twin: World, decision: Decision, horizon: int) -> MetricsDelta:
     """Return candidate minus baseline metrics over `horizon` ticks, leaving
     the twin at its snapshot. Baseline and decision run on two forks, but a
     `place_task` runs one, composed before and after its override, unless a
-    pending `place_task` commit could overwrite that override at tick 1."""
+    pending `place_task` commit could overwrite that override at tick 1.
+    The branches are untraced: only their counters and makespans are read."""
     if horizon < 1:
         raise UnresolvableDecision("horizon must be >= 1")
     snapshot_tick = twin.now
     pending = {d.kind for d in twin.pending_commits}
     if decision.kind is DecisionKind.PLACE_TASK and DecisionKind.PLACE_TASK not in pending:
         _check_placement(twin, decision)
-        branch = twin.fork()
+        branch = twin.fork(traced=False)
         branch.run(horizon)
         base = branch.run_composition().makespan
         branch.task_overrides[decision.task] = decision.node
         return MetricsDelta(0, 0.0, branch.run_composition().makespan - base, 0, snapshot_tick)
-    baseline = twin.fork()
-    candidate = twin.fork()
+    baseline = twin.fork(traced=False)
+    candidate = twin.fork(traced=False)
     apply_decision(candidate, decision)  # UnresolvableDecision propagates
     baseline.run(horizon)
     candidate.run(horizon)

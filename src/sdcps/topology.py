@@ -324,7 +324,7 @@ class Topology:
             scaled = self.link(a, b).latency * self.slowdown(a) * self.slowdown(b)
             if not math.isfinite(scaled):
                 raise BadParameter(f"link {link_id(a, b)}: congested latency overflows")
-            latency = self._effective[(a, b)] = max(1, _ceil(scaled))
+            latency = self._effective[(a, b)] = max(1, math.ceil(scaled))
         return latency
 
     def _transfers(self) -> _Transfers:
@@ -417,8 +417,3 @@ class Topology:
                     seen.add(nxt)
                     frontier.append(nxt)
         return seen
-
-
-def _ceil(x: float) -> int:
-    n = int(x)
-    return n if n == x else n + 1

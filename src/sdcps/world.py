@@ -34,7 +34,7 @@ from .controller import (
     SliceTable,
 )
 from .errors import BadParameter, SdcpsError, Unrecoverable
-from .events import EventLog
+from .events import EventLog, UntracedLog
 from .farm import DEFAULT_DIGEST_PERIOD, Farm
 from .flow_engine import FlowEngine, FlowState
 from .topology import Health, Node, NodeId, Topology
@@ -169,15 +169,18 @@ class World:
         path = self.farm.cross_domain_path(origin, dest, tenant)
         return self.engine.open_flow(tenant, origin, dest, units, path)
 
-    def fork(self) -> "World":
+    def fork(self, traced: bool = True) -> "World":
         """Copy the live state, sharing only what nothing changes in place and
         the topology's transfer memo (see `TransferMemo`). The copy's metrics
-        start empty; its trace hash, counters and totals continue from here."""
+        start empty; its trace hash, counters and totals continue from here.
+        An untraced copy folds no events and has no trace hash, nor do its
+        forks: a rehearsal branch is dropped once its counters are read."""
         twin = World.__new__(World)
         twin.seed, twin.options, twin.now = self.seed, replace(self.options), self.now
         twin.rng = random.Random()
         twin.rng.setstate(self.rng.getstate())
-        twin.topology, twin.log, twin.bus = self.topology.fork(), self.log.fork(), self.bus.fork()
+        twin.log = self.log.fork() if traced else UntracedLog()
+        twin.topology, twin.bus = self.topology.fork(), self.bus.fork()
         twin.slices = self.slices.fork(twin.topology)
         twin.farm = self.farm.fork(twin.topology, twin.slices, twin.bus)
         twin.engine = self.engine.fork(twin.topology, twin.slices, twin.rng, twin.log)

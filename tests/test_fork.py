@@ -133,8 +133,13 @@ def live_world(request):
     return world
 
 
-def test_fork_shares_no_mutable_state(live_world):
-    assert shared_mutables(live_world, live_world.fork()) == []
+@pytest.mark.parametrize("untraced_parent, traced", [(False, True), (False, False), (True, True)],
+                         ids=["fork", "untraced-fork", "fork-of-untraced-fork"])
+def test_fork_shares_no_mutable_state(live_world, untraced_parent, traced):
+    """The world and its fork, the world and its untraced fork, and that
+    untraced fork and its own fork."""
+    world = live_world.fork(traced=False) if untraced_parent else live_world
+    assert shared_mutables(world, world.fork(traced=traced)) == []
 
 
 def test_guard_catches_a_fork_that_shares_a_container(monkeypatch):

@@ -204,14 +204,10 @@ def test_rehearsal_reuses_transfer_searches(monkeypatch):
     assert 0 < len(sources) <= 60
 
 
-def test_rehearsal_runs_one_branch_per_place_task(monkeypatch):
-    """A `place_task` rehearsal forks and ticks one branch, so the rehearsal
-    schedule's 50 placements and 3 repairs at horizon 3 make at most 56
-    forks and 168 ticks inside `evaluate` (106 and 318 with two branches
-    each) and still show the pinned hash."""
-    counts = {"fork": 0, "tick": 0}
+def inside_evaluate(monkeypatch) -> list:
+    """Wrap `sandbox.evaluate`; the returned list is non-empty while it runs."""
     inside = []
-    evaluate, fork, tick = sandbox.evaluate, World.fork, World.tick
+    evaluate = sandbox.evaluate
 
     def evaluating(*args):
         inside.append(True)
@@ -220,19 +216,51 @@ def test_rehearsal_runs_one_branch_per_place_task(monkeypatch):
         finally:
             inside.pop()
 
+    monkeypatch.setattr(sandbox, "evaluate", evaluating)
+    return inside
+
+
+def test_rehearsal_runs_one_branch_per_place_task(monkeypatch):
+    """A `place_task` rehearsal forks and ticks one branch, so the rehearsal
+    schedule's 50 placements and 3 repairs at horizon 3 make at most 56
+    forks and 168 ticks inside `evaluate` (106 and 318 with two branches
+    each) and still show the pinned hash."""
+    counts = {"fork": 0, "tick": 0}
+    inside = inside_evaluate(monkeypatch)
+    fork, tick = World.fork, World.tick
+
     def counted(name, method):
-        def wrapper(world):
+        def wrapper(world, *args, **kwargs):
             counts[name] += bool(inside)
-            return method(world)
+            return method(world, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(sandbox, "evaluate", evaluating)
     monkeypatch.setattr(World, "fork", counted("fork", fork))
     monkeypatch.setattr(World, "tick", counted("tick", tick))
     name = "golden/twin-rehearsal-2-0.json"
     assert rehearsal_sha256(name) == json.loads(EXPECTED.read_text())[name]["rehearsal_sha256"]
     assert 0 < counts["fork"] <= 56
     assert 0 < counts["tick"] <= 168
+
+
+def test_rehearsal_folds_no_branch_event(monkeypatch):
+    """The branches `evaluate` forks are dropped once their counters and
+    makespans are read, so nothing is folded into a digest while it runs;
+    the physical world and its twins still fold every line, and the
+    rehearsal schedule still shows the pinned hash."""
+    folded = {"inside": 0, "outside": 0}
+    inside = inside_evaluate(monkeypatch)
+    fold = events.fnv1a_64
+
+    def counted(data, *args):
+        folded["inside" if inside else "outside"] += len(data)
+        return fold(data, *args)
+
+    monkeypatch.setattr(events, "fnv1a_64", counted)
+    name = "golden/twin-rehearsal-2-0.json"
+    assert rehearsal_sha256(name) == json.loads(EXPECTED.read_text())[name]["rehearsal_sha256"]
+    assert folded["inside"] == 0
+    assert folded["outside"] > 0
 
 
 def test_rehearsal_is_identical_across_hash_seeds():

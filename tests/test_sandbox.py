@@ -127,6 +127,31 @@ def test_twin_metrics_records_track_physical(event_lines):
     assert twin.trace_hash() == w.trace_hash()
 
 
+def test_twin_continues_the_world_hash_tick_for_tick():
+    """A twin is traced: its trace hash equals the world's after every tick."""
+    text = (TESTS / "golden" / "twin-rehearsal-2-0.json").read_text(encoding="utf-8")
+    w = build_scenario_world(parse_scenario(text))
+    w.run_composition()
+    w.run(10)
+    twin = spawn_twin(w)
+    for _ in range(20):
+        w.tick()
+        twin.tick()
+        assert twin.trace_hash() == w.trace_hash()
+
+
+def test_an_untraced_world_and_its_forks_keep_no_trace_hash(diamond_world):
+    """A hash read from a world that folds no events fails loudly, and not
+    as an `SdcpsError`, which a caller could take for a refused decision."""
+    branch = diamond_world.fork(traced=False)
+    for world in (branch, branch.fork(), branch.fork(traced=True)):
+        world.run(2)
+        with pytest.raises(RuntimeError, match="untraced") as raised:
+            world.trace_hash()
+        assert not isinstance(raised.value, SdcpsError)
+    assert diamond_world.trace_hash() == diamond_world.fork().trace_hash()
+
+
 def test_mid_tick_spawn_rejected(line_world):
     line_world.mid_tick = True
     with pytest.raises(MidTickSpawn):
@@ -391,6 +416,31 @@ def test_an_unresolvable_placement_raises_before_any_fork_or_tick(monkeypatch):
         with pytest.raises(UnresolvableDecision, match=f"^{message}$"):
             evaluate(twin, decision, horizon=3)
     assert calls == []
+
+
+def test_evaluate_branches_keep_no_trace_hash(monkeypatch):
+    """Every branch `evaluate` forks, for a `place_task` and for a repair,
+    is untraced: it is dropped once its counters and makespans are read."""
+    text = (TESTS / "fixtures" / "composition.json").read_text(encoding="utf-8")
+    world = build_scenario_world(parse_scenario(text))
+    world.run_composition()
+    world.run(2)
+    twin = spawn_twin(world)
+    branches = []
+    fork = World.fork
+
+    def recording(w, *args, **kwargs):
+        branches.append(fork(w, *args, **kwargs))
+        return branches[-1]
+
+    monkeypatch.setattr(World, "fork", recording)
+    evaluate(twin, Decision.place_task("fuse", 3), horizon=3)
+    evaluate(twin, Decision.inject_repair(1), horizon=3)
+    assert len(branches) == 3
+    for branch in branches:
+        with pytest.raises(RuntimeError, match="untraced"):
+            branch.trace_hash()
+    assert twin.trace_hash() == world.trace_hash()
 
 
 # -- commit ------------------------------------------------------------------------------
