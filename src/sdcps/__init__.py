@@ -8,7 +8,6 @@ from .controller import (
     HealthMonitor,
     Priority,
     SliceTable,
-    SouthboundReport,
     TenantSlice,
     Verdict,
     qos_schedule,
@@ -46,7 +45,6 @@ __all__ = [
     "Scheduler",
     "ServiceRegistry",
     "SliceTable",
-    "SouthboundReport",
     "TenantSlice",
     "Topology",
     "Unit",

@@ -30,7 +30,7 @@ from .errors import (
     UnknownService,
     UnreachableProvider,
 )
-from .topology import Node, NodeId, NodeKind, Topology
+from .topology import MAX_WEIGHT, Node, NodeId, NodeKind, Topology
 
 
 @dataclass
@@ -97,6 +97,8 @@ class ServiceRegistry:
             raise DuplicateService(f"service {name!r} already registered")
         if cost <= 0:
             raise NoProviders(f"service {name!r}: cost must be > 0")
+        if cost > MAX_WEIGHT:
+            raise BadParameter(f"service {name!r}: cost must be <= {MAX_WEIGHT:.6g}")
         usable = frozenset(
             n for n in providers
             if self._topology.node(n).compute_capacity > 0
@@ -208,18 +210,28 @@ class Scheduler:
         return Schedule(assignments, makespan, list(replaced))
 
 
+# The largest task count and instance count of a speedup curve: one point
+# at both caps takes about 0.6 s (CPython 3.11, 2-vCPU VM).
+MAX_SWEEP_TASKS = 1024
+MAX_SWEEP_INSTANCES = 1024
+
+
 def speedup_curve(
     n_tasks: int, instances: list[int], cost: int
 ) -> list[tuple[int, int, float]]:
     """Makespan and speedup of n independent equal tasks over m identical
-    virtual execution spaces, for each m in `instances`."""
-    if n_tasks < 1:
-        raise BadParameter(f"task count {n_tasks} must be >= 1")
+    virtual execution spaces, for each m in `instances`. Every count is
+    checked before anything is built."""
+    if not 1 <= n_tasks <= MAX_SWEEP_TASKS:
+        raise BadParameter(f"task count {n_tasks} must be in 1..{MAX_SWEEP_TASKS}")
+    if not instances:
+        raise BadParameter("no instance count given")
+    for m in instances:
+        if not 1 <= m <= MAX_SWEEP_INSTANCES:
+            raise BadParameter(f"instance count {m} must be in 1..{MAX_SWEEP_INSTANCES}")
     dag = CompositionDag([(f"t{i:04d}", "unit") for i in range(n_tasks)])
 
     def makespan(m: int) -> int:
-        if m < 1:
-            raise BadParameter(f"instance count {m} must be >= 1")
         topo = Topology()
         for i in range(m):
             topo.add_node(Node(i, NodeKind.CONTROLLER_VES, compute_capacity=1))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Iterable, Optional
 
-from .errors import BadParameter, NoSlice, Oversubscribed, StaleReport, UnknownLink
+from .errors import BadParameter, NoSlice, Oversubscribed, UnknownLink
 from .topology import LOSS, LinkId, NodeId, Topology, link_id, multi_target_paths
 
 TenantId = int
@@ -139,14 +139,6 @@ class Verdict(str, Enum):
 SEVERITY = {Verdict.HEALTHY: 0, Verdict.SUSPECT_CONGESTED: 1, Verdict.SUSPECT_FAILED: 2}
 
 
-@dataclass(frozen=True)
-class SouthboundReport:
-    reporter: NodeId
-    tick: int
-    # (neighbor, observed latency in ticks) or (neighbor, LOSS)
-    neighbor_observations: tuple[tuple[NodeId, object], ...]
-
-
 @dataclass
 class HealthEstimate:
     node: NodeId
@@ -167,11 +159,11 @@ class HealthMonitor:
     A run's length stops growing at `window`, the only length ever read, so
     a node's (run, length, verdict) tuple stops changing once a run has
     set its verdict. The monitor writes a tuple only when it changes and
-    counts the writes. A batch that wrote nothing and held no stale entry
-    is remembered with the count at that time: `ingest_batch` skips whole a
+    counts the writes. A report that wrote nothing and held no stale entry
+    is remembered with the count at that time: `ingest` skips whole a
     repeat of it while the count is unchanged, since equal observations
-    over unchanged windows write nothing again. A skipped batch still
-    makes each of its entries its reporter's latest, so a later report
+    over unchanged windows write nothing again. A skipped report still
+    makes each of its entries its reporter's latest, so a later entry
     with an earlier tick is still stale."""
 
     def __init__(self, topology: Topology, window: int = DEFAULT_WINDOW,
@@ -197,31 +189,26 @@ class HealthMonitor:
             if verdict is not Verdict.HEALTHY
         }
 
-    def ingest(self, report: SouthboundReport) -> list[HealthEstimate]:
-        return self._ingest(report.reporter, report.tick, report.neighbor_observations)
-
-    def ingest_batch(self, entries: tuple, tick: int) -> list[HealthEstimate]:
-        """Ingest (reporter, observations) pairs, all at tick, in order; a
-        stale entry is dropped alone."""
+    def ingest(self, entries: tuple, tick: int) -> list[HealthEstimate]:
+        """Ingest a report's (reporter, ((neighbour, latency or LOSS), ...))
+        pairs, all at tick, in order; an entry no later than its reporter's
+        latest is stale and dropped alone."""
         last, writes = self._last_tick, self._writes
         if self._quiet == (entries, writes) and all(last[r] < tick for r, _ in entries):
             last.update(dict.fromkeys([r for r, _ in entries], tick))
             return []
         transitions, stale = [], False
         for reporter, observations in entries:
-            try:
-                transitions += self._ingest(reporter, tick, observations)
-            except StaleReport:
+            if reporter in last and last[reporter] >= tick:
                 stale = True
+            else:
+                transitions += self._ingest(reporter, tick, observations)
         if self._writes == writes and not stale:
             self._quiet = (entries, writes)
         return transitions
 
     def _ingest(self, reporter: NodeId, tick: int, observations) -> list[HealthEstimate]:
         self._topology.node(reporter)
-        last = self._last_tick.get(reporter)
-        if last is not None and tick <= last:
-            raise StaleReport(f"reporter {reporter}: tick {tick} <= {last}")
         self._last_tick[reporter] = tick
         transitions = []
         for neighbor, observation in observations:
@@ -279,10 +266,10 @@ class Controller:
     Its caches spare admissions repeated work. The suspect sets, the only
     readers of the merged view, are kept until one of the two writes that
     can change them: a digest (`receive_digest`) or a verdict transition
-    (`ingest_report`, `ingest_batch`). `_searches` keeps one full search
-    per (slice links, source), together with the domain's suspects it ran
-    with; a read under other domain suspects runs it again and replaces it,
-    so the memo holds one search per key."""
+    (`ingest_report`). `_searches` keeps one full search per (slice links,
+    source), together with the domain's suspects it ran with; a read under
+    other domain suspects runs it again and replaces it, so the memo holds
+    one search per key."""
 
     def __init__(
         self,
@@ -313,14 +300,9 @@ class Controller:
 
     # -- health --------------------------------------------------------------
 
-    def ingest_report(self, report: SouthboundReport) -> list[HealthEstimate]:
-        return self._noted(self.monitor.ingest(report))
-
-    def ingest_batch(self, entries: tuple, tick: int) -> list[HealthEstimate]:
-        """A domain's (reporter, observations) pairs of one tick."""
-        return self._noted(self.monitor.ingest_batch(entries, tick))
-
-    def _noted(self, transitions: list[HealthEstimate]) -> list[HealthEstimate]:
+    def ingest_report(self, entries: tuple, tick: int) -> list[HealthEstimate]:
+        """A domain's report, its (reporter, observations) pairs of one tick."""
+        transitions = self.monitor.ingest(entries, tick)
         if transitions:
             self._suspects = self._domain_suspects = None
         return transitions

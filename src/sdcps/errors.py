@@ -39,10 +39,6 @@ class UnknownLink(SdcpsError):
     pass
 
 
-class StaleReport(SdcpsError):
-    pass
-
-
 class NoSlice(SdcpsError):
     pass
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import AbstractSet, Callable, Iterable, Optional
@@ -27,6 +28,10 @@ NodeId = int
 LinkId = tuple[int, int]  # canonical (min, max) endpoint pair
 
 LOSS = "LOSS"  # what a probe of a failed or dropping neighbour observes
+
+# The largest link latency or service cost: congestion scales either by a
+# float, so each must convert to one.
+MAX_WEIGHT = int(sys.float_info.max)
 
 
 class NodeKind(str, Enum):
@@ -241,6 +246,8 @@ class Topology:
             raise DuplicateLink(f"link {lid} declared twice")
         if latency < 1:
             raise BadParameter("latency must be >= 1")
+        if latency > MAX_WEIGHT:
+            raise BadParameter(f"latency must be <= {MAX_WEIGHT:.6g}")
         if capacity < 1:
             raise BadParameter("capacity must be >= 1")
         link = Link(lid, latency, capacity)

@@ -7,10 +7,11 @@ Each tick runs fixed phases:
 
   1. boundary changes   scheduled faults, committed decisions
   2. bus delivery       digests and reports published last tick, handed
-                        straight to the farm; each domain's reports
-                        arrive as one message, ingested as one batch
-                        (skipped whole if it repeats the last batch that
-                        wrote nothing)
+                        straight to the farm; each domain's report is one
+                        message of (reporter, observations) pairs, which
+                        its controller ingests (`Controller.ingest_report`)
+                        or skips whole if it repeats the last report that
+                        wrote nothing
   3. flow admissions    scenario flows starting this tick
   4. digest broadcast   every digest-period ticks
   5. clone decisions    recovery for flows crossing suspected-failed nodes

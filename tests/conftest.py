@@ -13,7 +13,6 @@ from sdcps.controller import (
     DEFAULT_WINDOW,
     LOSS,
     HealthEstimate,
-    SouthboundReport,
     Verdict,
     merge_verdicts,
 )
@@ -21,7 +20,6 @@ from sdcps.errors import (
     BadParameter,
     CyclicDag,
     NoFeasibleProvider,
-    StaleReport,
     UnreachableProvider,
     UnresolvableDecision,
 )
@@ -124,28 +122,31 @@ class ReferenceHealthMonitor:
             if verdict is not Verdict.HEALTHY
         }
 
-    def ingest(self, report):
-        self._topology.node(report.reporter)
-        last = self._last_tick.get(report.reporter)
-        if last is not None and report.tick <= last:
-            raise StaleReport(f"reporter {report.reporter}: tick {report.tick} <= {last}")
-        self._last_tick[report.reporter] = report.tick
+    def ingest(self, entries, tick):
+        """Apply each (reporter, observations) pair at tick in turn; a pair
+        no later than its reporter's latest is stale and changes nothing."""
         transitions = []
-        for neighbor, observation in report.neighbor_observations:
-            self._topology.node(neighbor)
-            nominal = self._topology.link(report.reporter, neighbor).latency
-            if observation == LOSS:
-                points_to = Verdict.SUSPECT_FAILED
-            elif observation > self.congestion_threshold * nominal:
-                points_to = Verdict.SUSPECT_CONGESTED
-            else:
-                points_to = Verdict.HEALTHY
-            run, length, before = self._windows.get(neighbor, _FRESH_WINDOW)
-            length = length + 1 if points_to is run else 1
-            verdict = points_to if length >= self.window else before
-            self._windows[neighbor] = (points_to, length, verdict)
-            if verdict is not before:
-                transitions.append(HealthEstimate(neighbor, verdict))
+        for reporter, observations in entries:
+            self._topology.node(reporter)
+            last = self._last_tick.get(reporter)
+            if last is not None and tick <= last:
+                continue
+            self._last_tick[reporter] = tick
+            for neighbor, observation in observations:
+                self._topology.node(neighbor)
+                nominal = self._topology.link(reporter, neighbor).latency
+                if observation == LOSS:
+                    points_to = Verdict.SUSPECT_FAILED
+                elif observation > self.congestion_threshold * nominal:
+                    points_to = Verdict.SUSPECT_CONGESTED
+                else:
+                    points_to = Verdict.HEALTHY
+                run, length, before = self._windows.get(neighbor, _FRESH_WINDOW)
+                length = length + 1 if points_to is run else 1
+                verdict = points_to if length >= self.window else before
+                self._windows[neighbor] = (points_to, length, verdict)
+                if verdict is not before:
+                    transitions.append(HealthEstimate(neighbor, verdict))
         return transitions
 
 
@@ -179,12 +180,13 @@ def reference_telemetry(world, t):
 def record_reports(mp):
     """Wrap `Farm.send_reports` through the monkeypatch `mp` and return the
     record: farm object -> the reports it sent, batches flattened in send
-    order, each pair as a `SouthboundReport` at its batch's tick."""
+    order, each pair as a (reporter, tick, observations) triple at its
+    batch's tick."""
     recorded = defaultdict(list)
     send = Farm.send_reports
 
     def recording_send(farm, cid, entries, tick):
-        recorded[farm].extend(SouthboundReport(r, tick, obs) for r, obs in entries)
+        recorded[farm].extend((r, tick, obs) for r, obs in entries)
         send(farm, cid, entries, tick)
 
     mp.setattr(Farm, "send_reports", recording_send)

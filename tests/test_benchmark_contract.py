@@ -1,6 +1,8 @@
 """The benchmark's traced pass wraps every entry point that
 `perfbench/harness.py::targets()` names. A renamed or deleted entry point
-makes every benchmark run die with AttributeError, so each must resolve."""
+makes every benchmark run die with AttributeError, so each must resolve.
+An entry point that nothing calls any more reports 0 calls, so each must
+also be reached."""
 
 import sys
 from pathlib import Path
@@ -9,6 +11,14 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(BENCH))
 
 import harness  # noqa: E402
+from spans import Tracer, instrument  # noqa: E402
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# span name -> why no run reaches it
+UNREACHED = {
+    "topology.shortest_path": "no caller in src/; ROADMAP item 1 deletes it",
+}
 
 
 def test_every_traced_entry_point_resolves():
@@ -18,6 +28,19 @@ def test_every_traced_entry_point_resolves():
         if not callable(getattr(owner, attr, None))
     ]
     assert missing == []
+
+
+def test_every_traced_entry_point_is_reached():
+    """One instance without rehearsals and one with them, both traced,
+    together call every span but the listed exceptions."""
+    tracer = Tracer()
+    with instrument(tracer, harness.targets()):
+        for name, rehearse in (("federated-admission-2-0", False), ("twin-rehearsal-2-0", True)):
+            scenario, world, _ = harness.set_up((GOLDEN / f"{name}.json").read_text())
+            harness.run_instance(harness.PassResult(), name, rehearse, scenario, world)
+    calls = {name: n for name, (n, _self_s) in tracer.totals().items()}
+    dark = sorted(name for name in harness.SPAN_NAMES if not calls.get(name))
+    assert dark == sorted(UNREACHED)
 
 
 def test_one_rehearsing_instance_runs_clean():

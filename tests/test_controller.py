@@ -11,7 +11,6 @@ from sdcps import (
     HealthMonitor,
     Priority,
     SliceTable,
-    SouthboundReport,
     Verdict,
     qos_schedule,
 )
@@ -20,7 +19,6 @@ from sdcps.errors import (
     BadParameter,
     NoSlice,
     Oversubscribed,
-    StaleReport,
     UnknownLink,
     UnknownNode,
 )
@@ -83,12 +81,13 @@ def test_slice_unknown_link():
 
 # -- health windows --------------------------------------------------------------------
 
-def loss_report(reporter, tick, about):
-    return SouthboundReport(reporter, tick, ((about, LOSS),))
+def loss_report(reporter, about):
+    """A one-entry report: the reporter lost its probe of `about`."""
+    return ((reporter, ((about, LOSS),)),)
 
 
-def clean_report(reporter, tick, about, latency=1):
-    return SouthboundReport(reporter, tick, ((about, latency),))
+def clean_report(reporter, about, latency=1):
+    return ((reporter, ((about, latency),)),)
 
 
 def test_three_losses_escalate():
@@ -96,7 +95,7 @@ def test_three_losses_escalate():
     mon = HealthMonitor(topo)
     out = []
     for t in range(1, 4):
-        out += mon.ingest(loss_report(0, t, 1))
+        out += mon.ingest(loss_report(0, 1), t)
     assert [(e.node, e.verdict) for e in out] == [(1, Verdict.SUSPECT_FAILED)]
 
 
@@ -106,7 +105,7 @@ def test_clean_report_resets_window():
     seq = [LOSS, LOSS, 1, LOSS, LOSS]
     out = []
     for t, obs in enumerate(seq, start=1):
-        out += mon.ingest(SouthboundReport(0, t, ((1, obs),)))
+        out += mon.ingest(((0, ((1, obs),)),), t)
     assert out == []
     assert mon.estimates() == {}
 
@@ -115,31 +114,31 @@ def test_unknown_reporter_and_neighbor():
     topo = build_topology(2, [(0, 1)])
     mon = HealthMonitor(topo)
     with pytest.raises(UnknownNode):
-        mon.ingest(loss_report(5, 1, 1))
+        mon.ingest(loss_report(5, 1), 1)
     with pytest.raises(UnknownNode):
-        mon.ingest(loss_report(0, 1, 5))
+        mon.ingest(loss_report(0, 5), 1)
 
 
 def test_stale_report_rejected():
     topo = build_topology(2, [(0, 1)])
     mon = HealthMonitor(topo)
-    mon.ingest(loss_report(0, 5, 1))
-    with pytest.raises(StaleReport):
-        mon.ingest(loss_report(0, 5, 1))
-    with pytest.raises(StaleReport):
-        mon.ingest(loss_report(0, 3, 1))
+    mon.ingest(loss_report(0, 1), 5)
+    before = (dict(mon._last_tick), mon._writes, mon.estimates())
+    for tick in (5, 3):  # a fresh loss would lengthen node 1's run
+        assert mon.ingest(loss_report(0, 1), tick) == []
+        assert (mon._last_tick, mon._writes, mon.estimates()) == before
 
 
 def test_congestion_detection_threshold_is_strict():
     topo = build_topology(2, [(0, 1, 2)])  # nominal latency 2
     mon = HealthMonitor(topo)
     for t in range(1, 4):
-        mon.ingest(clean_report(0, t, 1, latency=4))  # exactly 2x: not over
+        mon.ingest(clean_report(0, 1, latency=4), t)  # exactly 2x: not over
     assert mon.estimates() == {}
     mon2 = HealthMonitor(topo)
     out = []
     for t in range(1, 4):
-        out += mon2.ingest(clean_report(0, t, 1, latency=5))
+        out += mon2.ingest(clean_report(0, 1, latency=5), t)
     assert [(e.node, e.verdict) for e in out] == [(1, Verdict.SUSPECT_CONGESTED)]
 
 
@@ -171,7 +170,7 @@ def test_window_automaton_matches_replay_oracle(observations):
     topo = build_topology(2, [(0, 1)])
     mon = HealthMonitor(topo)
     for t, obs in enumerate(observations, start=1):
-        mon.ingest(SouthboundReport(0, t, ((1, obs),)))
+        mon.ingest(((0, ((1, obs),)),), t)
     got = mon.estimates().get(1, Verdict.HEALTHY)
     assert got == window_oracle(observations)
 
@@ -182,9 +181,9 @@ def test_escalation_exactly_at_wth_report():
     for w in (2, 3, 4):
         mon = HealthMonitor(topo, window=w)
         for t in range(1, w):
-            mon.ingest(loss_report(0, t, 1))
+            mon.ingest(loss_report(0, 1), t)
             assert mon.estimates() == {}
-        out = mon.ingest(loss_report(0, w, 1))
+        out = mon.ingest(loss_report(0, 1), w)
         assert [e.verdict for e in out] == [Verdict.SUSPECT_FAILED]
 
 
@@ -193,13 +192,6 @@ def test_escalation_exactly_at_wth_report():
 SHARED_NEIGHBOURS = [(0, 1, 1), (0, 2, 2), (1, 2, 1), (1, 3, 2), (2, 3, 3), (3, 4, 1), (0, 4, 2)]
 # loss, and latencies on both sides of and at threshold x nominal
 OBSERVATIONS = [LOSS, 1, 2, 3, 4, 5, 6, 7, 8]
-
-
-def ingest_or_stale(monitor, report):
-    try:
-        return monitor.ingest(report)
-    except StaleReport:
-        return "stale"
 
 
 REPORT_STEPS = st.lists(
@@ -224,10 +216,11 @@ def test_capped_skipping_monitor_matches_the_reference(window, threshold, steps)
     for step, (reporter, repeat, offset, replay, values) in enumerate(steps):
         if not (repeat and reporter in last):
             last[reporter] = tuple(zip(topo.neighbors(reporter), values))
-        report = SouthboundReport(reporter, step + offset, last[reporter])
+        report, tick = ((reporter, last[reporter]),), step + offset
         for _ in range(1 + replay):
-            assert ingest_or_stale(mon, report) == ingest_or_stale(ref, report)
+            assert mon.ingest(report, tick) == ref.ingest(report, tick)
             assert mon.estimates() == ref.estimates()
+            assert mon._last_tick == ref._last_tick  # both found the same reports stale
 
 
 BATCHES = st.lists(
@@ -257,16 +250,15 @@ def test_a_batch_ingests_what_its_reports_ingest_one_at_a_time(window, threshold
                 last[reporter] = tuple(zip(topo.neighbors(reporter), values))
         tick = n + offset
         if kind == "single" and group:
-            report = SouthboundReport(group[0][0], tick, last[group[0][0]])
-            assert ingest_or_stale(mon, report) == ingest_or_stale(ref, report)
+            report = ((group[0][0], last[group[0][0]]),)
+            assert mon.ingest(report, tick) == ref.ingest(report, tick)
         else:
             if kind == "batch" or not entries:
                 entries = tuple(sorted({step[0]: last[step[0]] for step in group}.items()))
             expected = []
-            for reporter, observations in entries:
-                found = ingest_or_stale(ref, SouthboundReport(reporter, tick, observations))
-                expected += [] if found == "stale" else found
-            assert mon.ingest_batch(entries, tick) == expected
+            for entry in entries:
+                expected += ref.ingest((entry,), tick)
+            assert mon.ingest(entries, tick) == expected
         assert mon.estimates() == ref.estimates()
         assert mon._last_tick == ref._last_tick
 
@@ -274,9 +266,9 @@ def test_a_batch_ingests_what_its_reports_ingest_one_at_a_time(window, threshold
 def test_a_repeated_report_is_still_checked_for_staleness(monkeypatch):
     topo = build_topology(3, [(0, 1), (1, 2)])
     mon = HealthMonitor(topo)
-    report = ((0, LOSS), (2, 1))
+    report = ((1, ((0, LOSS), (2, 1))),)
     for t in range(1, 5):
-        mon.ingest(SouthboundReport(1, t, report))
+        mon.ingest(report, t)
     assert mon.estimates() == {0: Verdict.SUSPECT_FAILED}
     observed = []
     observe = HealthMonitor._observe
@@ -286,22 +278,24 @@ def test_a_repeated_report_is_still_checked_for_staleness(monkeypatch):
         return observe(self, *args)
 
     monkeypatch.setattr(HealthMonitor, "_observe", recording_observe)
-    assert mon.ingest(SouthboundReport(1, 5, report)) == []
-    with pytest.raises(StaleReport):
-        mon.ingest(SouthboundReport(1, 5, report))
-    assert len(observed) == 2 and mon._last_tick[1] == 5  # the stale report observed nothing
-    mon.ingest(SouthboundReport(0, 5, ((1, 1),)))  # writes node 1's window
-    assert mon.ingest(SouthboundReport(1, 6, report)) == []
+    # tick 4 wrote nothing, so its repeat at tick 5 is skipped whole
+    assert mon.ingest(report, 5) == []
+    assert observed == [] and mon._last_tick[1] == 5
+    before = (dict(mon._last_tick), mon._writes, mon.estimates())
+    assert mon.ingest(report, 5) == []  # stale: observes and changes nothing
+    assert observed == [] and (mon._last_tick, mon._writes, mon.estimates()) == before
+    mon.ingest(((0, ((1, 1),)),), 5)  # writes node 1's window
+    assert mon.ingest(report, 6) == []
     assert mon.estimates() == {0: Verdict.SUSPECT_FAILED}
-    assert len(observed) == 5 and mon._last_tick == {0: 5, 1: 6}
+    assert len(observed) == 3 and mon._last_tick == {0: 5, 1: 6}
 
 
 def test_a_repeated_quiet_batch_is_skipped_until_a_write_or_a_stale_entry(monkeypatch):
     topo = build_topology(3, [(0, 1), (1, 2)])
     mon = HealthMonitor(topo, window=1)
     batch = ((0, ((1, LOSS),)), (2, ((1, LOSS),)))
-    assert mon.ingest_batch(batch, 1) == [HealthEstimate(1, Verdict.SUSPECT_FAILED)]
-    assert mon.ingest_batch(batch, 2) == []  # wrote nothing: remembered
+    assert mon.ingest(batch, 1) == [HealthEstimate(1, Verdict.SUSPECT_FAILED)]
+    assert mon.ingest(batch, 2) == []  # wrote nothing: remembered
     ingested = []
     ingest = HealthMonitor._ingest
 
@@ -310,15 +304,16 @@ def test_a_repeated_quiet_batch_is_skipped_until_a_write_or_a_stale_entry(monkey
         return ingest(self, reporter, *args)
 
     monkeypatch.setattr(HealthMonitor, "_ingest", recording_ingest)
-    assert mon.ingest_batch(batch, 3) == []
+    assert mon.ingest(batch, 3) == []
     assert ingested == [] and mon._last_tick == {0: 3, 2: 3}
-    # reporter 0's latest becomes 5, so its entry at tick 4 is stale
-    assert mon.ingest(SouthboundReport(0, 5, ((1, LOSS),))) == []
-    assert mon.ingest_batch(batch, 4) == []
-    assert ingested == [0, 0, 2] and mon._last_tick == {0: 5, 2: 4}
+    # reporter 0's latest becomes 5, so its entry at tick 4 is stale and
+    # never reaches `_ingest`
+    assert mon.ingest(((0, ((1, LOSS),)),), 5) == []
+    assert mon.ingest(batch, 4) == []
+    assert ingested == [0, 2] and mon._last_tick == {0: 5, 2: 4}
     # a write: node 1 clears, and the batch must set it again
-    assert mon.ingest(SouthboundReport(0, 6, ((1, 1),))) == [HealthEstimate(1, Verdict.HEALTHY)]
-    assert mon.ingest_batch(batch, 7) == [HealthEstimate(1, Verdict.SUSPECT_FAILED)]
+    assert mon.ingest(((0, ((1, 1),)),), 6) == [HealthEstimate(1, Verdict.HEALTHY)]
+    assert mon.ingest(batch, 7) == [HealthEstimate(1, Verdict.SUSPECT_FAILED)]
 
 
 def test_merge_verdicts_most_severe_wins():
@@ -406,7 +401,7 @@ def test_ingest_report_about_non_neighbour_raises_unknown_link():
     topo = build_topology(3, [(0, 1)])
     mon = HealthMonitor(topo)
     with pytest.raises(UnknownLink):
-        mon.ingest(loss_report(0, 1, 2))
+        mon.ingest(loss_report(0, 2), 1)
 
 
 def test_admit_flow_routes_around_suspect():
@@ -415,7 +410,7 @@ def test_admit_flow_routes_around_suspect():
     sl = slices.allocate(0, [(0, 1), (1, 3), (0, 2), (2, 3)], 1, Priority.GOLD)
     assert ctrl.segment_table(sl.links, [0, 3])[(0, 3)] == (2, [0, 1, 3])
     for t in range(1, 4):
-        ctrl.ingest_report(loss_report(0, t, 1))
+        ctrl.ingest_report(loss_report(0, 1), t)
     assert ctrl.segment_table(sl.links, [0, 3])[(0, 3)] == (2, [0, 2, 3])
 
 
@@ -426,17 +421,17 @@ def test_merged_view_and_suspects_are_kept_until_a_digest_or_a_transition():
     assert view == {} and suspects == frozenset()
     view[1] = Verdict.SUSPECT_FAILED  # a copy: the caller's to change
     assert ctrl.merged_view() == {} and ctrl.suspect_failed() is suspects
-    ctrl.ingest_report(clean_report(0, 1, 1))  # no transition keeps both
+    ctrl.ingest_report(clean_report(0, 1), 1)  # no transition keeps both
     assert ctrl.suspect_failed() is suspects
     for t in range(2, 5):
-        ctrl.ingest_report(loss_report(0, t, 1))
+        ctrl.ingest_report(loss_report(0, 1), t)
     assert ctrl.suspect_failed() == {1} and ctrl.merged_view() == {1: Verdict.SUSPECT_FAILED}
     ctrl.receive_digest(7, {3: Verdict.SUSPECT_FAILED, 2: Verdict.SUSPECT_CONGESTED})
     assert ctrl.suspect_failed() == {1, 3} and ctrl.domain_suspects() == {1, 3}
     assert ctrl.merged_view() == {
         1: Verdict.SUSPECT_FAILED, 2: Verdict.SUSPECT_CONGESTED, 3: Verdict.SUSPECT_FAILED}
     for t in range(5, 8):
-        ctrl.ingest_report(clean_report(0, t, 1))
+        ctrl.ingest_report(clean_report(0, 1), t)
     assert ctrl.suspect_failed() == {3}
     ctrl.receive_digest(7, {})
     assert ctrl.merged_view() == {} and ctrl.suspect_failed() == frozenset()

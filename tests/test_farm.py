@@ -14,7 +14,6 @@ from sdcps import (
     NodeKind,
     Priority,
     SliceTable,
-    SouthboundReport,
     Topology,
     Verdict,
     World,
@@ -499,24 +498,24 @@ def fail_node(w, node, reporter, domain):
     ctrl = w.farm.controllers[domain]
     base = w.now * 1000 + 1
     for i in range(3):
-        ctrl.ingest_report(SouthboundReport(reporter, base + i, ((node, LOSS),)))
+        ctrl.ingest_report(((reporter, ((node, LOSS),)),), base + i)
 
 
 def test_receive_hands_each_controller_its_digests_then_its_reports(monkeypatch):
     w = farm_world(*LINE3)
     calls = []
-    receive_digest, ingest_batch = Controller.receive_digest, Controller.ingest_batch
+    receive_digest, ingest_report = Controller.receive_digest, Controller.ingest_report
 
     def recording_digest(self, peer, estimates):
         calls.append((self.id, "digest", peer))
         return receive_digest(self, peer, estimates)
 
-    def recording_batch(self, entries, tick):
+    def recording_report(self, entries, tick):
         calls.append((self.id, "reports", tick))
-        return ingest_batch(self, entries, tick)
+        return ingest_report(self, entries, tick)
 
     monkeypatch.setattr(Controller, "receive_digest", recording_digest)
-    monkeypatch.setattr(Controller, "ingest_batch", recording_batch)
+    monkeypatch.setattr(Controller, "ingest_report", recording_report)
     for cid in (2, 0, 1):
         w.farm.send_reports(cid, ((2 * cid, ()),), w.now)
         w.farm.broadcast_health_digest(cid, w.now)
@@ -547,8 +546,8 @@ def test_conflicting_verdicts_most_severe_wins():
     w = farm_world({0: [0, 1], 1: [2, 3]}, [(0, 1), (1, 2), (2, 3)])
     a, b = w.farm.controllers[0], w.farm.controllers[1]
     for t in range(1, 4):
-        a.ingest_report(SouthboundReport(1, t, ((2, 9),)))  # high latency
-        b.ingest_report(SouthboundReport(3, t, ((2, LOSS),)))
+        a.ingest_report(((1, ((2, 9),)),), t)  # high latency
+        b.ingest_report(((3, ((2, LOSS),)),), t)
     assert a.merged_view()[2] is Verdict.SUSPECT_CONGESTED
     w.farm.broadcast_health_digest(0, w.now)
     w.farm.broadcast_health_digest(1, w.now)

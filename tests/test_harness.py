@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sdcps import Bus, build_world, parse_scenario, run_scenario
 from sdcps.cli import main as cli_main
+from sdcps.composition import MAX_SWEEP_INSTANCES, MAX_SWEEP_TASKS
 from sdcps.errors import DuplicateId, ScenarioSyntaxError, ScenarioValidationError, SdcpsError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -507,6 +508,14 @@ def congestion_overflow():
     return doc
 
 
+def huge_weight(fixture, section, key):
+    """The fixture with its first `section` entry's `key` set to an integer
+    of 400 digits, too large to convert to a float."""
+    doc = json.loads((FIXTURES / fixture).read_text())
+    doc[section][0][key] = 10 ** 400
+    return doc
+
+
 CLI_CASES = [
     (["validate", "{good}"], None, 0),
     (["validate", "{invalid}"], None, 1),
@@ -536,6 +545,12 @@ CLI_CASES = [
     (["sweep", "{good}", "--out", "{nodir}"], None, 1),
     (["run", "{good}", "--seed", "abc"], None, 1),
     (["sweep", "{good}", "--tasks", "x"], None, 1),
+    (["run", "{hugelatency}", "--out", "{out}"], None, 1),
+    (["run", "{hugecost}", "--out", "{out}"], None, 1),
+    (["sweep", "{good}", "--instances", ""], None, 1),
+    (["sweep", "{good}", "--instances", ","], None, 1),
+    (["sweep", "{good}", "--instances", f"1,{MAX_SWEEP_INSTANCES + 1}"], None, 1),
+    (["sweep", "{good}", "--tasks", str(MAX_SWEEP_TASKS + 1)], None, 1),
 ]
 
 
@@ -550,7 +565,9 @@ def test_cli_exit_codes(argv, env_seed, code, tmp_path, monkeypatch, capsys):
                       ("abort", json.dumps(RUNTIME_ABORT)),
                       ("overflow", json.dumps(congestion_overflow())),
                       ("deep", "[" * 100_000 + "]" * 100_000),
-                      ("bigint", '{"horizon": ' + "9" * 5_000 + "}")]:
+                      ("bigint", '{"horizon": ' + "9" * 5_000 + "}"),
+                      ("hugelatency", json.dumps(huge_weight("minimal.json", "links", "latency"))),
+                      ("hugecost", json.dumps(huge_weight("composition.json", "services", "cost")))]:
         files[key] = str(tmp_path / f"{key}.json")
         Path(files[key]).write_text(text)
     if env_seed is None:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from sdcps import Bus, Decision, Health, SliceTable, Topology, parse_scenario
-from sdcps.controller import LOSS, HealthEstimate, HealthMonitor, SouthboundReport, Verdict
+from sdcps.controller import LOSS, Controller, HealthEstimate, HealthMonitor, Verdict
 from sdcps.farm import Farm
 from sdcps.scenario import build_world, run_scenario
 
@@ -81,8 +81,7 @@ def test_reused_probes_send_what_fresh_probes_send(make, monkeypatch):
         reference.tick()
         assert sent[world.farm] == sent[reference.farm]
         assert world.rng.getstate() == reference.rng.getstate()
-        reused += sum(r.neighbor_observations is world.topology.probes.get(r.reporter)
-                      for r in sent[world.farm])
+        reused += sum(obs is world.topology.probes.get(r) for r, _tick, obs in sent[world.farm])
         sent.clear()
     assert reused
     assert world.trace_hash() == reference.trace_hash()
@@ -104,19 +103,34 @@ def test_a_health_change_in_a_twin_leaves_the_worlds_reports_alone(monkeypatch):
 
 
 def test_southbound_telemetry_is_one_message_per_domain_per_tick(monkeypatch):
+    """Each reporting domain publishes one message a tick, and the next tick
+    hands each of them whole to `Controller.ingest_report`, the entry point
+    the benchmark traces."""
     world = fixture_world("golden/federated-admission-2-0.json")
     farm, bus = world.farm, world.bus
     domains = len(farm.controllers)
     sent = record_reports(monkeypatch)
+    ingested = []
+    ingest_report = Controller.ingest_report
+
+    def counting_ingest(self, entries, tick):
+        ingested.append(tick)
+        return ingest_report(self, entries, tick)
+
+    monkeypatch.setattr(Controller, "ingest_report", counting_ingest)
+    reported_before = 0  # domains whose report rides the bus into this tick
     for _ in range(40):
         published, reports = bus.published_count, farm.report_count
         world.tick()
         digests = domains * (domains - 1) if world.now % world.options.digest_period == 0 else 0
-        reporting = {farm.resolve(r.reporter) for r in sent[farm]}
+        reporting = {farm.resolve(r) for r, _tick, _obs in sent[farm]}
         assert bus.published_count - published == len(reporting) + digests
         assert bus.published_count - published <= domains + digests
         assert farm.report_count - reports == len(sent[farm]) > domains
+        assert ingested == [world.now - 1] * reported_before
+        reported_before = len(reporting)
         sent.clear()
+        ingested.clear()
 
 
 def test_a_stale_report_in_a_batch_drops_only_itself():
@@ -133,7 +147,7 @@ def test_a_stale_report_in_a_batch_drops_only_itself():
     assert farm.receive(bus.deliver_up_to(2)) == []
 
     # reporter 3's latest becomes tick 2, so its entry in the tick-2 batch is stale
-    assert farm.controllers[0].ingest_report(SouthboundReport(3, 2, ((2, 1), (4, 1)))) == []
+    assert farm.controllers[0].ingest_report(((3, ((2, 1), (4, 1))),), 2) == []
     farm.send_reports(0, (
         (1, ((2, LOSS),)),
         (2, ((1, LOSS),)),
