@@ -124,8 +124,8 @@ class Scheduler:
 
     def _duration(self, cost: int, node: NodeId, congestion: bool) -> int:
         cap = self._topology.node(node).compute_capacity
-        if congestion:
-            scaled = cost * self._topology.slowdown(node) * 1000
+        if congestion and (slowdown := self._topology.slowdown(node)) != 1.0:
+            scaled = cost * slowdown * 1000
             if not math.isfinite(scaled):
                 raise BadParameter(f"node {node}: congested task duration overflows")
             cost = _ceil_div(int(round(scaled)), 1000)

@@ -1,8 +1,9 @@
 """Modelling sandbox: spawn a one-to-one twin of the world, rehearse a
 decision over a horizon, and commit it to the physical world only if the
 rehearsal improved things. A rehearsal runs baseline and decision branches;
-a `place_task` decision, which changes only composition, runs one branch
-unless a pending `place_task` commit could overwrite it at tick 1.
+a `place_task` decision, which changes only composition, replays only the
+tick boundaries of one branch (composition reads nothing the other phases
+change) unless a pending `place_task` commit could overwrite it at tick 1.
 
 A twin is a `World.fork()`: a copy of the live state that shares only what
 nothing changes in place, with its metrics records empty. It runs the same
@@ -128,8 +129,11 @@ def apply_decision(world: World, decision: Decision) -> None:
 def evaluate(twin: World, decision: Decision, horizon: int) -> MetricsDelta:
     """Return candidate minus baseline metrics over `horizon` ticks, leaving
     the twin at its snapshot. Baseline and decision run on two forks, but a
-    `place_task` runs one, composed before and after its override, unless a
-    pending `place_task` commit could overwrite that override at tick 1.
+    `place_task` replays only the boundaries of one (`World.boundary`, which
+    alone changes health and overrides), composed before and after its
+    override, unless a pending `place_task` commit could overwrite that
+    override at tick 1. Only where a fault inside the horizon heals a link
+    overflow does the replay return a delta instead of raising it.
     The branches are untraced: only their counters and makespans are read."""
     if horizon < 1:
         raise UnresolvableDecision("horizon must be >= 1")
@@ -138,7 +142,9 @@ def evaluate(twin: World, decision: Decision, horizon: int) -> MetricsDelta:
     if decision.kind is DecisionKind.PLACE_TASK and DecisionKind.PLACE_TASK not in pending:
         _check_placement(twin, decision)
         branch = twin.fork(traced=False)
-        branch.run(horizon)
+        for _ in range(horizon):
+            branch.now += 1
+            branch.boundary()
         base = branch.run_composition().makespan
         branch.task_overrides[decision.task] = decision.node
         return MetricsDelta(0, 0.0, branch.run_composition().makespan - base, 0, snapshot_tick)

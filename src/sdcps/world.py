@@ -5,7 +5,8 @@ trace digest) so `World.fork()` is a faithful twin. Its only history is the
 per-tick metrics records: event lines fold into the digest and are not kept.
 Each tick runs fixed phases:
 
-  1. boundary changes   scheduled faults, committed decisions
+  1. boundary changes   scheduled faults, committed decisions (`boundary`);
+                        no other phase changes node health or placements
   2. bus delivery       digests and reports published last tick, handed
                         straight to the farm; each domain's report is one
                         message of (reporter, observations) pairs, which
@@ -242,25 +243,28 @@ class World:
             self.log.emit(line)
             self.health_log.append(line)
 
-    def tick(self) -> None:
-        self.mid_tick = True
-        self.now += 1
-        t = self.now
-        self.engine.begin_tick(t)
-
-        # 1. boundary changes
+    def boundary(self) -> None:
+        """Phase 1 at tick `now`: the faults due by now, in (tick, node)
+        order, then the pending commits (see the module docstring)."""
         for fault in sorted(
-            (f for f in self.pending_faults if f.tick <= t),
+            (f for f in self.pending_faults if f.tick <= self.now),
             key=lambda f: (f.tick, f.node),
         ):
             self.apply_health(fault.node, fault.health)
-        self.pending_faults = [f for f in self.pending_faults if f.tick > t]
+        self.pending_faults = [f for f in self.pending_faults if f.tick > self.now]
         if self.pending_commits:
             from .sandbox import apply_decision
 
             for decision in self.pending_commits:
                 apply_decision(self, decision)
             self.pending_commits = []
+
+    def tick(self) -> None:
+        self.mid_tick = True
+        self.now += 1
+        t = self.now
+        self.engine.begin_tick(t)
+        self.boundary()  # 1. boundary changes
 
         # 2. bus delivery, then controller ingestion in delivered order
         for cid, est in self.farm.receive(self.bus.deliver_up_to(t)):

@@ -333,7 +333,7 @@ def reference_topo_order(dag):
 
 def _reference_duration(topology, cost, node, congestion=False):
     cap = topology.node(node).compute_capacity
-    if congestion:
+    if congestion and topology.slowdown(node) != 1.0:
         cost = -(-int(round(cost * topology.slowdown(node) * 1000)) // 1000)
     return -(-cost // cap)
 

@@ -411,6 +411,26 @@ def test_congested_task_duration_overflow_aborts_execution():
         world.run_composition()
 
 
+def test_healthy_task_duration_is_exact_integer_arithmetic():
+    """On a healthy node the congestion-aware duration is the planned one,
+    with no float rounding of a large cost."""
+    topo = providers_topology(1)
+    scheduler = Scheduler(topo, ServiceRegistry(topo))
+    cost = 2**60 + 1
+    assert scheduler._duration(cost, 0, True) == scheduler._duration(cost, 0, False) == cost
+
+
+def test_healthy_execution_of_the_largest_cost_does_not_overflow():
+    topo = providers_topology(1)
+    reg = ServiceRegistry(topo)
+    reg.register_service("svc", topology_module.MAX_WEIGHT, [0])
+    dag = CompositionDag([("a", "svc")])
+    scheduler = Scheduler(topo, reg)
+    plan = scheduler.schedule(dag)
+    report = scheduler.execute(plan, dag)
+    assert report.makespan == plan.makespan == topology_module.MAX_WEIGHT
+
+
 def test_execute_all_providers_failed():
     topo = providers_topology(2, link_latency=1)
     reg = ServiceRegistry(topo)

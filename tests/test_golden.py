@@ -221,10 +221,11 @@ def inside_evaluate(monkeypatch) -> list:
 
 
 def test_rehearsal_runs_one_branch_per_place_task(monkeypatch):
-    """A `place_task` rehearsal forks and ticks one branch, so the rehearsal
-    schedule's 50 placements and 3 repairs at horizon 3 make at most 56
-    forks and 168 ticks inside `evaluate` (106 and 318 with two branches
-    each) and still show the pinned hash."""
+    """A `place_task` rehearsal forks one branch and replays only its tick
+    boundaries, so the rehearsal schedule's 50 placements and 3 repairs at
+    horizon 3 make at most 56 forks and 18 ticks inside `evaluate` (106 and
+    318 with two branches each, 168 with placement branches that tick) and
+    still show the pinned hash."""
     counts = {"fork": 0, "tick": 0}
     inside = inside_evaluate(monkeypatch)
     fork, tick = World.fork, World.tick
@@ -240,7 +241,7 @@ def test_rehearsal_runs_one_branch_per_place_task(monkeypatch):
     name = "golden/twin-rehearsal-2-0.json"
     assert rehearsal_sha256(name) == json.loads(EXPECTED.read_text())[name]["rehearsal_sha256"]
     assert 0 < counts["fork"] <= 56
-    assert 0 < counts["tick"] <= 168
+    assert 0 < counts["tick"] <= 18
 
 
 def test_rehearsal_folds_no_branch_event(monkeypatch):

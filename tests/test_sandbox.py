@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from sdcps import (
     spawn_twin,
 )
 from sdcps.errors import (
+    BadParameter,
     MidTickSpawn,
     NoPathInSlice,
     SdcpsError,
@@ -27,7 +29,7 @@ from sdcps.errors import (
     UnresolvableDecision,
 )
 from sdcps.flow_engine import FlowEngine
-from sdcps.sandbox import DecisionKind, apply_decision
+from sdcps.sandbox import DecisionKind, MetricsDelta, apply_decision
 
 from conftest import build_world, reference_evaluate
 
@@ -325,9 +327,12 @@ def _placements(world):
     return pairs + [(world.dag.tasks[0][0], nodes[-1] + 1)]
 
 
-def _pending_placements(world, task, node):
+def _pending_commits(world, task, node):
     """No pending commit, a pending placement of the same task elsewhere,
-    and one of another task."""
+    and one of another task. For the first provider of each task also a
+    pending repair of a non-healthy node (or the first node) and of the
+    next fault's node, a pending reroute and slice change, and an
+    unresolvable reroute."""
     variants = [[]]
     if world.dag is None:
         return variants
@@ -336,6 +341,19 @@ def _pending_placements(world, task, node):
         providers = sorted(world.registry.lookup(tasks[task]).providers)
         other = next((n for n in providers if n != node), providers[0])
         variants.append([Decision.place_task(task, other)])
+        if node == providers[0]:
+            nodes = sorted(world.topology.nodes)
+            sick = [n for n in nodes if world.topology.node(n).health != Health.healthy()]
+            due = [f.node for f in sorted(world.pending_faults, key=lambda f: (f.tick, f.node))]
+            for repaired in dict.fromkeys([(sick or nodes)[0]] + due[:1]):
+                variants.append([Decision.inject_repair(repaired)])
+            for fid in sorted(world.engine.flows)[:1]:
+                flow = world.engine.flows[fid]
+                variants.append([Decision.reroute(fid, list(flow.path))])
+                variants.append([Decision.reroute(fid, [flow.origin])])
+            for tenant, sl in sorted(world.slices.slices.items())[:1]:
+                variants.append(
+                    [Decision.set_slice(tenant, sorted(sl.links), sl.share, sl.priority)])
     other_task, service = next((t for t in world.dag.tasks if t[0] != task), world.dag.tasks[0])
     variants.append(
         [Decision.place_task(other_task, min(world.registry.lookup(service).providers))]
@@ -365,14 +383,15 @@ def _decisions(world):
         cases.append((Decision.set_slice(tenant, links, -1, sl.priority), []))
         cases.append((Decision.set_slice(tenant, [(nodes[0], missing)], 1, sl.priority), []))
     for task, node in _placements(world):
-        for pending in _pending_placements(world, task, node):
+        for pending in _pending_commits(world, task, node):
             cases.append((Decision.place_task(task, node), pending))
     return cases
 
 
 EQUIVALENCE_TICKS = {
     **{f"fixtures/{p.name}": (0, 3, 8) for p in sorted((TESTS / "fixtures").glob("*.json"))},
-    "golden/twin-rehearsal-2-0.json": (5, 24, 60),
+    # faults land at 15, 37 and 39: inside the horizons from 13 and 36
+    "golden/twin-rehearsal-2-0.json": (5, 13, 24, 36, 60),
 }
 
 
@@ -416,6 +435,79 @@ def test_an_unresolvable_placement_raises_before_any_fork_or_tick(monkeypatch):
         with pytest.raises(UnresolvableDecision, match=f"^{message}$"):
             evaluate(twin, decision, horizon=3)
     assert calls == []
+
+
+def test_a_placement_rehearsal_forks_once_and_never_ticks(monkeypatch):
+    """A `place_task` rehearsal replays only the tick boundaries of one
+    fork; a two-branch rehearsal ticks each of its two forks `horizon`
+    times."""
+    text = (TESTS / "fixtures" / "composition.json").read_text(encoding="utf-8")
+    world = build_scenario_world(parse_scenario(text))
+    world.run_composition()
+    world.run(2)
+    twin = spawn_twin(world)
+    calls = []
+    fork, tick = World.fork, World.tick
+
+    def counting_fork(w, *args, **kwargs):
+        calls.append("fork")
+        return fork(w, *args, **kwargs)
+
+    def counting_tick(w):
+        calls.append("tick")
+        tick(w)
+
+    monkeypatch.setattr(World, "fork", counting_fork)
+    monkeypatch.setattr(World, "tick", counting_tick)
+    slice0 = twin.slices.slices[0]
+    for decision, pending, forks, ticks in [
+        (Decision.place_task("fuse", 3), [], 1, 0),
+        (Decision.place_task("fuse", 3), [Decision.inject_repair(1)], 1, 0),
+        (Decision.place_task("fuse", 3), [Decision.place_task("fuse", 2)], 2, 6),
+        (Decision.inject_repair(1), [], 2, 6),
+        (Decision.set_slice(0, sorted(slice0.links), slice0.share, slice0.priority), [], 2, 6),
+    ]:
+        calls.clear()
+        twin.pending_commits[:] = pending
+        evaluate(twin, decision, horizon=3)
+        assert (calls.count("fork"), calls.count("tick")) == (forks, ticks), decision
+
+
+def _overflow_twin(heal: bool):
+    """composition.json at tick 2, with nodes 1 and 2 congested so far
+    from tick 3 that link (1, 2)'s latency overflows; with `heal`, node 1
+    is healthy again at tick 4. A 3-tick horizon holds both faults."""
+    doc = json.loads((TESTS / "fixtures" / "composition.json").read_text(encoding="utf-8"))
+    huge = {"kind": "congested", "slowdown": 1e200}
+    doc["faults"] = [{"tick": 3, "node": n, "health": huge} for n in (1, 2)]
+    if heal:
+        doc["faults"].append({"tick": 4, "node": 1, "health": "healthy"})
+    world = build_scenario_world(parse_scenario(json.dumps(doc)))
+    world.run_composition()
+    world.run(2)
+    return spawn_twin(world)
+
+
+def test_a_placement_rehearsal_raises_an_overflow_unless_the_horizon_heals_it():
+    """The skipped phases' only error, the congested-latency overflow, is
+    raised by composition too while it lasts to the horizon's end. The one
+    case where the replay differs from running the ticks is an overflow
+    that a fault inside the horizon heals: the two-branch run raises it in
+    the tick's telemetry, while the replay composes under the final health."""
+    decision = Decision.place_task("fuse", 3)
+    overflow = (BadParameter, "link (1, 2): congested latency overflows")
+    twin = _overflow_twin(heal=False)
+    assert _outcome(reference_evaluate, twin, decision, 3) == overflow
+    assert _outcome(evaluate, twin, decision, 3) == overflow
+    twin = _overflow_twin(heal=True)
+    assert _outcome(reference_evaluate, twin, decision, 3) == overflow
+    final = twin.fork(traced=False)
+    final.apply_health(2, Health.congested(1e200))
+    base = final.run_composition().makespan
+    final.task_overrides["fuse"] = 3
+    expected = MetricsDelta(0, 0.0, final.run_composition().makespan - base, 0, twin.now)
+    assert expected.makespan < 0
+    assert evaluate(twin, decision, 3) == expected
 
 
 def test_evaluate_branches_keep_no_trace_hash(monkeypatch):
