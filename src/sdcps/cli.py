@@ -105,6 +105,7 @@ def cmd_twin_compare(args) -> int:
     seed = _seed_for(scenario, args)
     try:
         physical = build_world(scenario, seed=seed)
+        physical.run_composition()  # as `run_scenario` does, before the first tick
         twin = spawn_twin(physical)
         physical.run(horizon)
         twin.run(horizon)

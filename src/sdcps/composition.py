@@ -210,10 +210,12 @@ class Scheduler:
         return Schedule(assignments, makespan, list(replaced))
 
 
-# The largest task count and instance count of a speedup curve: one point
-# at both caps takes about 0.6 s (CPython 3.11, 2-vCPU VM).
+# The largest task count and instance count of a speedup curve, and the most
+# instance counts one curve takes: one point at both caps takes about 0.4 s
+# (CPython 3.11, 2-vCPU VM), so a curve of the most points about 13 s.
 MAX_SWEEP_TASKS = 1024
 MAX_SWEEP_INSTANCES = 1024
+MAX_SWEEP_POINTS = 32
 
 
 def speedup_curve(
@@ -224,8 +226,8 @@ def speedup_curve(
     checked before anything is built."""
     if not 1 <= n_tasks <= MAX_SWEEP_TASKS:
         raise BadParameter(f"task count {n_tasks} must be in 1..{MAX_SWEEP_TASKS}")
-    if not instances:
-        raise BadParameter("no instance count given")
+    if not 1 <= len(instances) <= MAX_SWEEP_POINTS:
+        raise BadParameter(f"{len(instances)} instance counts; a curve takes 1..{MAX_SWEEP_POINTS}")
     for m in instances:
         if not 1 <= m <= MAX_SWEEP_INSTANCES:
             raise BadParameter(f"instance count {m} must be in 1..{MAX_SWEEP_INSTANCES}")

@@ -484,9 +484,7 @@ class FlowEngine:
         for (here, nxt) in sorted(by_link):
             queue = sorted(by_link[(here, nxt)], key=Unit.key)
             lid = link_id(here, nxt)
-            link = self._topology.links.get(lid)
-            if link is None:
-                continue
+            link = self._topology.links[lid]
             pending: dict[TenantId, list[Unit]] = {}
             for u in queue:
                 pending.setdefault(self.flows[u.flow].tenant, []).append(u)

@@ -3,7 +3,8 @@ decision over a horizon, and commit it to the physical world only if the
 rehearsal improved things. A rehearsal runs baseline and decision branches;
 a `place_task` decision, which changes only composition, replays only the
 tick boundaries of one branch (composition reads nothing the other phases
-change) unless a pending `place_task` commit could overwrite it at tick 1.
+change). A pending `place_task` commit of the same task overwrites the
+decision at tick 1, so that rehearsal's makespan delta is 0.
 
 A twin is a `World.fork()`: a copy of the live state that shares only what
 nothing changes in place, with its metrics records empty. It runs the same
@@ -71,14 +72,11 @@ class MetricsDelta:
     snapshot_tick: int
 
 
-def spawn_twin(world: World, twin_seed: Optional[int] = None) -> World:
+def spawn_twin(world: World) -> World:
     """Fork the world at a tick boundary into an isolated twin."""
     if world.mid_tick:
         raise MidTickSpawn("twins may only be spawned between ticks")
-    twin = world.fork()
-    if twin_seed is not None:
-        twin.reseed(twin_seed)
-    return twin
+    return world.fork()
 
 
 def _check_placement(world: World, decision: Decision) -> None:
@@ -131,23 +129,27 @@ def evaluate(twin: World, decision: Decision, horizon: int) -> MetricsDelta:
     the twin at its snapshot. Baseline and decision run on two forks, but a
     `place_task` replays only the boundaries of one (`World.boundary`, which
     alone changes health and overrides), composed before and after its
-    override, unless a pending `place_task` commit could overwrite that
-    override at tick 1. Only where a fault inside the horizon heals a link
-    overflow does the replay return a delta instead of raising it.
-    The branches are untraced: only their counters and makespans are read."""
+    override. A pending `place_task` commit of the same task overwrites it
+    at tick 1, so the makespan delta is 0. Only where a fault inside the
+    horizon heals a link overflow does the replay return a delta instead of
+    raising it. The branches are untraced: only their counters and makespans
+    are read."""
     if horizon < 1:
         raise UnresolvableDecision("horizon must be >= 1")
     snapshot_tick = twin.now
-    pending = {d.kind for d in twin.pending_commits}
-    if decision.kind is DecisionKind.PLACE_TASK and DecisionKind.PLACE_TASK not in pending:
+    if decision.kind is DecisionKind.PLACE_TASK:
         _check_placement(twin, decision)
         branch = twin.fork(traced=False)
         for _ in range(horizon):
             branch.now += 1
             branch.boundary()
         base = branch.run_composition().makespan
-        branch.task_overrides[decision.task] = decision.node
-        return MetricsDelta(0, 0.0, branch.run_composition().makespan - base, 0, snapshot_tick)
+        makespan = 0
+        if not any(d.kind is DecisionKind.PLACE_TASK and d.task == decision.task
+                   for d in twin.pending_commits):
+            branch.task_overrides[decision.task] = decision.node
+            makespan = branch.run_composition().makespan - base
+        return MetricsDelta(0, 0.0, makespan, 0, snapshot_tick)
     baseline = twin.fork(traced=False)
     candidate = twin.fork(traced=False)
     apply_decision(candidate, decision)  # UnresolvableDecision propagates

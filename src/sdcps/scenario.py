@@ -286,8 +286,7 @@ def build_world(scenario: Scenario, seed: Optional[int] = None) -> World:
 def run_scenario(scenario: Scenario, seed: Optional[int] = None):
     """Run a scenario to its horizon; returns (world, trace hash, summary)."""
     world = build_world(scenario, seed=seed)
-    if world.dag is not None:
-        world.run_composition()
+    world.run_composition()  # nothing without a task graph
     world.run(scenario.horizon)
     summary = world.summary()
     if world.composition_report is not None:

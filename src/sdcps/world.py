@@ -196,10 +196,6 @@ class World:
         twin._batches = dict(self._batches)  # the batches are tuples, so shared
         return twin
 
-    def reseed(self, seed: int) -> None:
-        self.seed = seed
-        self.rng.seed(seed)
-
     # -- composition workload ------------------------------------------------------
 
     def set_composition(self, registry, dag) -> None:

@@ -19,7 +19,8 @@ from sdcps import (
     speedup_curve,
 )
 from sdcps import topology as topology_module
-from sdcps.composition import Schedule
+from sdcps import composition
+from sdcps.composition import MAX_SWEEP_POINTS, Schedule
 from sdcps.topology import TRANSFER_KEYS, HealthState
 from sdcps.errors import (
     BadParameter,
@@ -575,6 +576,21 @@ def test_speedup_curve_monotone_and_bounded():
     for (m, makespan, sp) in rows:
         assert makespan == -(-64 // m) * 3
         assert sp <= min(m, 64) + 1e-9
+
+
+def test_speedup_curve_refuses_too_many_points_before_building(monkeypatch):
+    """A curve of up to MAX_SWEEP_POINTS counts runs; one more is refused
+    before any topology is built."""
+    assert len(speedup_curve(4, [1] * MAX_SWEEP_POINTS, 1)) == MAX_SWEEP_POINTS
+
+    def no_build():
+        raise AssertionError("a topology was built")
+
+    monkeypatch.setattr(composition, "Topology", no_build)
+    for instances in ([], [1] * (MAX_SWEEP_POINTS + 1)):
+        message = f"^{len(instances)} instance counts; a curve takes 1..{MAX_SWEEP_POINTS}$"
+        with pytest.raises(BadParameter, match=message):
+            speedup_curve(4, instances, 1)
 
 
 def test_list_schedule_within_bound_of_optimum():

@@ -266,14 +266,15 @@ def decision_for(kind: DecisionKind, world) -> Decision:
 @pytest.mark.parametrize("kind", list(DecisionKind))
 def test_a_twin_decision_leaves_the_world_as_it_was(kind):
     world, reference = rehearsal_world(), rehearsal_world()
-    before = (world.trace_hash(), world.summary())
-    twin = spawn_twin(world, twin_seed=99)
+    before = (world.trace_hash(), world.summary(), world.rng.getstate())
+    twin = spawn_twin(world)
+    assert twin.engine._rng is twin.rng  # the twin's engine draws from its own RNG
     apply_decision(twin, decision_for(kind, twin))
     twin.run(10)
     for src in twin.topology.nodes:  # the twin's health key fills the shared memo first
         twin.topology.paths_from(src)
     assert twin.trace_hash() != before[0]
-    assert (world.trace_hash(), world.summary()) == before
+    assert (world.trace_hash(), world.summary(), world.rng.getstate()) == before
     for src in reference.topology.nodes:
         assert world.topology.paths_from(src) == reference.topology.paths_from(src)
     world.run(10)

@@ -1,5 +1,7 @@
+import argparse
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdcps import Bus, build_world, parse_scenario, run_scenario
-from sdcps.cli import main as cli_main
-from sdcps.composition import MAX_SWEEP_INSTANCES, MAX_SWEEP_TASKS
+from sdcps.cli import build_parser, main as cli_main
+from sdcps.composition import MAX_SWEEP_INSTANCES, MAX_SWEEP_POINTS, MAX_SWEEP_TASKS
 from sdcps.errors import DuplicateId, ScenarioSyntaxError, ScenarioValidationError, SdcpsError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -469,6 +471,54 @@ def test_cli_twin_compare_passes(capsys):
     assert "fidelity PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", all_fixture_names())
+def test_twin_compare_checks_the_world_run_runs(name, tmp_path, capsys):
+    """`twin-compare`'s physical world is `run`'s: same trace hash."""
+    scenario = str(FIXTURES / name)
+    assert cli_main(["run", scenario, "--trace-hash", "--out", str(tmp_path / "m")]) == 0
+    run_hash = capsys.readouterr().out.split()[-1]
+    assert cli_main(["twin-compare", scenario]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"physical {run_hash}"
+    assert out[-1] == "fidelity PASS"
+
+
+def readme_cli_synopsis():
+    """{subcommand: (positionals, {flag: (value or None, bracketed)})} from
+    the README's CLI block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    synopsis = {}
+    for line in text.split("## CLI", 1)[1].split("```")[1].strip().splitlines():
+        flags = re.findall(r"(\[?)(--[\w-]+)(?: ([^\s\[\]-][^\s\]]*))?", line)
+        synopsis[line.split()[1]] = (
+            re.findall(r"<[^>]+>", line),
+            {flag: (value or None, bool(bracket)) for bracket, flag, value in flags},
+        )
+    return synopsis
+
+
+def test_readme_cli_block_matches_the_parser():
+    """Every documented subcommand and flag parses, every flag of each
+    subcommand is documented, bracketed iff optional and with a value iff
+    it takes one."""
+    parser = build_parser()
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    synopsis = readme_cli_synopsis()
+    assert sorted(synopsis) == sorted(subparsers)
+    for command, (positionals, flags) in synopsis.items():
+        actions = subparsers[command]._actions
+        assert len(positionals) == sum(1 for a in actions if not a.option_strings), command
+        options = {o: a for a in actions for o in a.option_strings if o not in ("-h", "--help")}
+        assert sorted(flags) == sorted(options), command
+        argv = [command] + ["scenario.json"] * len(positionals)
+        for flag, (value, bracketed) in flags.items():
+            assert (value is not None) == (options[flag].nargs != 0), (command, flag)
+            assert bracketed != options[flag].required, (command, flag)
+            argv += [flag] + (["1"] if value is not None else [])
+        assert parser.parse_args(argv).command == command
+
+
 def test_cli_sweep_csv(tmp_path):
     out = tmp_path / "curve.csv"
     rc = cli_main(["sweep", str(FIXTURES / "minimal.json"),
@@ -551,6 +601,7 @@ CLI_CASES = [
     (["sweep", "{good}", "--instances", ","], None, 1),
     (["sweep", "{good}", "--instances", f"1,{MAX_SWEEP_INSTANCES + 1}"], None, 1),
     (["sweep", "{good}", "--tasks", str(MAX_SWEEP_TASKS + 1)], None, 1),
+    (["sweep", "{good}", "--instances", ",".join(["1"] * (MAX_SWEEP_POINTS + 1))], None, 1),
 ]
 
 

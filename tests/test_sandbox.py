@@ -1,6 +1,5 @@
 import copy
 import json
-import random
 from pathlib import Path
 
 import pytest
@@ -160,18 +159,6 @@ def test_mid_tick_spawn_rejected(line_world):
         spawn_twin(line_world)
 
 
-def test_twin_divergent_seed_allowed(diamond_world):
-    diamond_world.schedule_flow(0, 0, 3, 4, 0)
-    before = diamond_world.rng.getstate()
-    twin = spawn_twin(diamond_world, twin_seed=999)
-    assert twin.seed == 999
-    # the twin's own RNG, the one its engine draws from, is reseeded in
-    # place to a fresh RNG's state; the world's RNG is left alone
-    assert twin.rng.getstate() == random.Random(999).getstate()
-    assert twin.engine._rng is twin.rng
-    assert diamond_world.rng.getstate() == before
-
-
 # -- evaluate -------------------------------------------------------------------------
 
 def test_repair_decision_improves_delivery():
@@ -328,11 +315,11 @@ def _placements(world):
 
 
 def _pending_commits(world, task, node):
-    """No pending commit, a pending placement of the same task elsewhere,
-    and one of another task. For the first provider of each task also a
-    pending repair of a non-healthy node (or the first node) and of the
-    next fault's node, a pending reroute and slice change, and an
-    unresolvable reroute."""
+    """No pending commit, a pending placement of the same task elsewhere, on
+    the same node, and both in turn, and one of another task. For the first
+    provider of each task also a pending repair of a non-healthy node (or
+    the first node) and of the next fault's node, a pending reroute and
+    slice change, and an unresolvable reroute."""
     variants = [[]]
     if world.dag is None:
         return variants
@@ -341,6 +328,8 @@ def _pending_commits(world, task, node):
         providers = sorted(world.registry.lookup(tasks[task]).providers)
         other = next((n for n in providers if n != node), providers[0])
         variants.append([Decision.place_task(task, other)])
+        variants.append([Decision.place_task(task, node)])
+        variants.append([Decision.place_task(task, other), Decision.place_task(task, node)])
         if node == providers[0]:
             nodes = sorted(world.topology.nodes)
             sick = [n for n in nodes if world.topology.node(n).health != Health.healthy()]
@@ -403,10 +392,11 @@ def test_evaluate_matches_the_two_branch_reference(name):
     world = build_scenario_world(parse_scenario((TESTS / name).read_text(encoding="utf-8")))
     if world.dag is not None:
         world.run_composition()
-    kinds = set()
+    kinds, pending_kinds = set(), set()
     for tick in EQUIVALENCE_TICKS[name]:
         world.run(tick - world.now)
         for decision, pending in _decisions(world):
+            pending_kinds.update(d.kind for d in pending)
             twin = spawn_twin(world)
             twin.pending_commits.extend(pending)
             before = (twin.trace_hash(), twin.now, dict(twin.task_overrides),
@@ -417,6 +407,7 @@ def test_evaluate_matches_the_two_branch_reference(name):
                     list(twin.pending_commits)) == before
             kinds.add(decision.kind)
     assert kinds == set(DecisionKind)
+    assert pending_kinds == (set() if world.dag is None else set(DecisionKind))
 
 
 def test_an_unresolvable_placement_raises_before_any_fork_or_tick(monkeypatch):
@@ -463,7 +454,7 @@ def test_a_placement_rehearsal_forks_once_and_never_ticks(monkeypatch):
     for decision, pending, forks, ticks in [
         (Decision.place_task("fuse", 3), [], 1, 0),
         (Decision.place_task("fuse", 3), [Decision.inject_repair(1)], 1, 0),
-        (Decision.place_task("fuse", 3), [Decision.place_task("fuse", 2)], 2, 6),
+        (Decision.place_task("fuse", 3), [Decision.place_task("fuse", 2)], 1, 0),
         (Decision.inject_repair(1), [], 2, 6),
         (Decision.set_slice(0, sorted(slice0.links), slice0.share, slice0.priority), [], 2, 6),
     ]:
