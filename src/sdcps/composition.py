@@ -11,6 +11,8 @@ nodes relay nothing. Transfer paths and the failed set come from
 `Topology.paths_from` and `Topology.failed_nodes`, memoized per health key
 and shared with forks, so an `execute` after a `schedule` repeats no search.
 Ties break by ascending node id, so equal worlds always produce equal schedules.
+`World.run_composition` keeps one executed schedule per health-key entry,
+under (task graph, registry, overrides); a composition that raises is not.
 """
 
 from __future__ import annotations

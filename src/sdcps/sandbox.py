@@ -3,8 +3,9 @@ decision over a horizon, and commit it to the physical world only if the
 rehearsal improved things. A rehearsal runs baseline and decision branches;
 a `place_task` decision, which changes only composition, replays only the
 tick boundaries of one branch (composition reads nothing the other phases
-change). A pending `place_task` commit of the same task overwrites the
-decision at tick 1, so that rehearsal's makespan delta is 0.
+change): a `World.health_fork` unless a pending reroute or slice commit
+needs flows and slices. A pending `place_task` commit of the same task
+overwrites the decision at tick 1, so that rehearsal's makespan delta is 0.
 
 A twin is a `World.fork()`: a copy of the live state that shares only what
 nothing changes in place, with its metrics records empty. It runs the same
@@ -129,17 +130,19 @@ def evaluate(twin: World, decision: Decision, horizon: int) -> MetricsDelta:
     the twin at its snapshot. Baseline and decision run on two forks, but a
     `place_task` replays only the boundaries of one (`World.boundary`, which
     alone changes health and overrides), composed before and after its
-    override. A pending `place_task` commit of the same task overwrites it
-    at tick 1, so the makespan delta is 0. Only where a fault inside the
-    horizon heals a link overflow does the replay return a delta instead of
-    raising it. The branches are untraced: only their counters and makespans
-    are read."""
+    override: a `health_fork` unless a pending reroute or slice commit reads
+    flows. A pending `place_task` commit of the same task overwrites it at
+    tick 1, so the makespan delta is 0. Only where a fault inside the horizon
+    heals a link overflow does the replay return a delta instead of raising
+    it. The branches are untraced: only their counters and makespans are read."""
     if horizon < 1:
         raise UnresolvableDecision("horizon must be >= 1")
     snapshot_tick = twin.now
     if decision.kind is DecisionKind.PLACE_TASK:
         _check_placement(twin, decision)
-        branch = twin.fork(traced=False)
+        reads_flows = any(d.kind in (DecisionKind.REROUTE, DecisionKind.SET_SLICE)
+                          for d in twin.pending_commits)
+        branch = twin.fork(traced=False) if reads_flows else twin.health_fork()
         for _ in range(horizon):
             branch.now += 1
             branch.boundary()

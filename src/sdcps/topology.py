@@ -174,16 +174,18 @@ TRANSFER_KEYS = 16  # health keys a TransferMemo holds; the oldest goes first
 
 @dataclass
 class _Transfers:
-    """A health key's failed set, all-node adjacency (built by the first search) and rows."""
+    """A health key's failed set, all-node adjacency (built lazily), rows and composition."""
 
     failed: frozenset[NodeId]
     adj: Optional[Adjacency] = None
     rows: dict[NodeId, dict[NodeId, PathKey]] = field(default_factory=dict)
+    composed: tuple = ()  # (key, report), or empty
 
 
 class TransferMemo(dict):
     """Health key -> `_Transfers`, shared whole by a topology and its forks:
-    each entry is a pure function of node/link structure, key and source."""
+    each entry is a pure function of node/link structure, key and source
+    (a composition's, of its task graph, registry and overrides)."""
 
 
 class Topology:
@@ -196,9 +198,9 @@ class Topology:
     reporter's `probes` (`probe`), the transfer searches (`paths_from`) and
     the failed set (`failed_nodes`). A health change drops the changed
     node's latencies and the probes of it and its neighbours, a new link
-    its endpoints' probes. The transfer searches and failed set live in a
-    `TransferMemo` under the health key (each non-healthy node's `Health`),
-    which forks share. A new node or link unbinds it until a read or fork.
+    its endpoints' probes. The transfer searches, failed set and composition
+    live in a `TransferMemo` under the health key (each non-healthy node's
+    `Health`), which forks share. A new node or link unbinds it until a read.
     """
 
     def __init__(self):
@@ -334,7 +336,7 @@ class Topology:
             latency = self._effective[(a, b)] = max(1, math.ceil(scaled))
         return latency
 
-    def _transfers(self) -> _Transfers:
+    def health_entry(self) -> _Transfers:
         if self._memo is None:
             self._memo = TransferMemo()
         entry = self._memo.get(self._health_key)
@@ -346,7 +348,7 @@ class Topology:
         return entry
 
     def failed_nodes(self) -> frozenset[NodeId]:
-        return self._transfers().failed
+        return self.health_entry().failed
 
     def probe(self, reporter: NodeId, rng) -> tuple[tuple[NodeId, object], ...]:
         """What reporter observes of each neighbour, in node order: LOSS for
@@ -401,7 +403,7 @@ class Topology:
         """Best transfer path from src to every node it reaches over every
         link, weighted by `effective_latency`. Failed nodes other than src
         may end a path but never relay one. Memoized per health key."""
-        entry = self._transfers()
+        entry = self.health_entry()
         rows = entry.rows.get(src)
         if rows is None:
             if entry.adj is None:

@@ -172,29 +172,38 @@ class World:
         return self.engine.open_flow(tenant, origin, dest, units, path)
 
     def fork(self, traced: bool = True) -> "World":
-        """Copy the live state, sharing only what nothing changes in place and
-        the topology's transfer memo (see `TransferMemo`). The copy's metrics
-        start empty; its trace hash, counters and totals continue from here.
-        An untraced copy folds no events and has no trace hash, nor do its
-        forks: a rehearsal branch is dropped once its counters are read."""
-        twin = World.__new__(World)
-        twin.seed, twin.options, twin.now = self.seed, replace(self.options), self.now
-        twin.rng = random.Random()
+        """Copy the live state: a `health_fork` plus everything else, sharing
+        only what nothing changes in place and the topology's memo (see
+        `TransferMemo`). The copy's metrics start empty; its trace hash,
+        counters and totals continue from here. An untraced copy folds no
+        events and has no trace hash, nor do its forks."""
+        twin = self.health_fork()
+        twin.seed, twin.mid_tick, twin.metrics = self.seed, self.mid_tick, []
+        twin.rng = random.Random(0)  # setstate overwrites it; `Random()` reads os.urandom
         twin.rng.setstate(self.rng.getstate())
-        twin.log = self.log.fork() if traced else UntracedLog()
-        twin.topology, twin.bus = self.topology.fork(), self.bus.fork()
+        if traced:
+            twin.log = self.log.fork()
+        twin.bus = self.bus.fork()
         twin.slices = self.slices.fork(twin.topology)
         twin.farm = self.farm.fork(twin.topology, twin.slices, twin.bus)
         twin.engine = self.engine.fork(twin.topology, twin.slices, twin.rng, twin.log)
-        twin.mid_tick, twin.metrics = self.mid_tick, []
-        twin.pending_flows, twin.pending_faults, twin.pending_commits = (
-            list(self.pending_flows), list(self.pending_faults), list(self.pending_commits))
-        twin.rejected_flows, twin.health_log = list(self.rejected_flows), list(self.health_log)
-        twin.task_overrides = dict(self.task_overrides)
-        twin.registry, twin.dag = self.registry, self.dag
-        twin.composition_report = self.composition_report
+        twin.pending_flows, twin.rejected_flows = list(self.pending_flows), list(self.rejected_flows)
+        twin.health_log, twin.composition_report = list(self.health_log), self.composition_report
         twin._batches = dict(self._batches)  # the batches are tuples, so shared
         return twin
+
+    def health_fork(self) -> "World":
+        """An untraced copy of only what `boundary` and `run_composition`
+        read: the topology, pending faults and commits, overrides and task
+        graph. A pending reroute or slice commit reads more (`fork`)."""
+        branch = World.__new__(World)
+        branch.now, branch.options, branch.log = self.now, replace(self.options), UntracedLog()
+        branch.topology, branch.registry, branch.dag = self.topology.fork(), self.registry, self.dag
+        branch.pending_faults, branch.pending_commits = (
+            list(self.pending_faults), list(self.pending_commits))
+        branch.task_overrides, branch.pending_flows, branch.health_log = (
+            dict(self.task_overrides), [], [])
+        return branch
 
     # -- composition workload ------------------------------------------------------
 
@@ -207,13 +216,17 @@ class World:
 
     def run_composition(self):
         """Schedule and execute the configured task graph against current
-        health, honoring any committed placement overrides."""
+        health, honoring any committed placement overrides. The report is
+        kept in the health key's memo entry (see `composition`)."""
         if self.registry is None or self.dag is None:
             return None
-        scheduler = Scheduler(self.topology, self.registry)
-        schedule = scheduler.schedule(self.dag, overrides=self.task_overrides)
-        report = scheduler.execute(schedule, self.dag)
-        self.composition_report = report
+        key = (self.dag, self.registry, frozenset(self.task_overrides.items()))
+        entry = self.topology.health_entry()
+        if entry.composed[:1] != (key,):
+            scheduler = Scheduler(self.topology, self.registry)
+            schedule = scheduler.schedule(self.dag, overrides=self.task_overrides)
+            entry.composed = (key, scheduler.execute(schedule, self.dag))
+        report = self.composition_report = entry.composed[1]
         self.log.emit(f"t={self.now} ev=composition makespan={report.makespan}")
         if self.options.materialize_transfers:
             for a, b, size in self.dag.edges:

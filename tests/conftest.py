@@ -6,7 +6,7 @@ from typing import NamedTuple
 import pytest
 
 from sdcps import Node, NodeKind, Priority, Topology, World, flow_engine
-from sdcps.composition import Schedule
+from sdcps.composition import Schedule, Scheduler
 from sdcps.controller import (
     _FRESH_WINDOW,
     DEFAULT_CONGESTION_THRESHOLD,
@@ -501,8 +501,17 @@ def reference_high_water(engine, flow):
     return high_water
 
 
+def reference_makespan(world: World) -> int:
+    """The makespan of `World.run_composition` without its memo: a fresh
+    `Scheduler` plans and executes the world's task graph."""
+    scheduler = Scheduler(world.topology, world.registry)
+    schedule = scheduler.schedule(world.dag, overrides=world.task_overrides)
+    return scheduler.execute(schedule, world.dag).makespan
+
+
 def reference_evaluate(twin: World, decision, horizon: int) -> MetricsDelta:
-    """`sandbox.evaluate` with two branches for every decision kind."""
+    """`sandbox.evaluate` with two branches for every decision kind, each
+    composed by `reference_makespan`."""
     if horizon < 1:
         raise UnresolvableDecision("horizon must be >= 1")
     snapshot_tick = twin.now
@@ -513,8 +522,8 @@ def reference_evaluate(twin: World, decision, horizon: int) -> MetricsDelta:
     candidate.run(horizon)
     makespan = 0
     if baseline.dag is not None:
-        base = baseline.run_composition().makespan
-        makespan = candidate.run_composition().makespan - base
+        base = reference_makespan(baseline)
+        makespan = reference_makespan(candidate) - base
 
     def mean_latency(w: World) -> float:
         e = w.engine

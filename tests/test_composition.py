@@ -559,6 +559,149 @@ def test_placement_matches_the_two_loop_reference():
                                  UnreachableProvider, NoFeasibleProvider)) >= 10, seen
 
 
+# -- composition memo ------------------------------------------------------------------
+
+def scenario_world(name):
+    return build_world(parse_scenario((Path(__file__).parent / name).read_text()))
+
+
+def fresh_composition(world):
+    """What `World.run_composition` reports, from a new `Scheduler`."""
+    scheduler = Scheduler(world.topology, world.registry)
+    return scheduler.execute(scheduler.schedule(world.dag, world.task_overrides), world.dag)
+
+
+def count_schedules(monkeypatch):
+    """Wrap `Scheduler.schedule`; return the list its calls append to."""
+    calls = []
+    schedule = Scheduler.schedule
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return schedule(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scheduler, "schedule", counted)
+    return calls
+
+
+def composition_moves(world, rng):
+    """A random health change of a node, or a random override change, drawn
+    from few values so that earlier (health, overrides) pairs recur. Nodes
+    fail, congest and heal; an override names a provider, or a node that
+    provides nothing of its task's service."""
+    nodes = sorted(world.topology.nodes)
+    healths = [Health.healthy(), Health.healthy(), Health.failed(), Health.congested(2.5)]
+    tasks = [t for t, _ in world.dag.tasks][:3]
+    while True:
+        if rng.random() < 0.5:
+            world.apply_health(rng.choice(nodes[:6]), rng.choice(healths))
+        else:
+            task = rng.choice(tasks)
+            providers = sorted(world.registry.lookup(dict(world.dag.tasks)[task]).providers)
+            choice = rng.choice(providers[:2] * 2 + [nodes[0], None, None])
+            if choice is None:
+                world.task_overrides.pop(task, None)
+            else:
+                world.task_overrides[task] = choice
+        yield
+
+
+@pytest.mark.parametrize("name", ["fixtures/composition.json", "golden/twin-rehearsal-2-0.json"])
+def test_a_memoized_composition_equals_a_fresh_one(monkeypatch, name):
+    """Across health and override changes, on the world and on forks that
+    share its memo, every composition reports (or raises) what a fresh
+    `schedule` + `execute` does, and recurring pairs are not scheduled again."""
+    world = scenario_world(name)
+    rng = random.Random(7)
+    moves = composition_moves(world, rng)
+    calls = count_schedules(monkeypatch)
+    seen, outcomes = set(), Counter()
+    for step in range(150):
+        next(moves)
+        composer = world.fork(traced=False) if step % 3 == 0 else world
+        expected = outcome(fresh_composition, world)
+        before = len(calls)
+        got = outcome(composer.run_composition)
+        assert got == expected, step
+        key = (world.topology._health_key, frozenset(world.task_overrides.items()))
+        hit = len(calls) == before
+        assert not hit or key in seen
+        seen.add(key)
+        outcomes["raised" if isinstance(got, tuple) else "hit" if hit else "miss"] += 1
+    assert min(outcomes.values()) >= 10 and len(outcomes) == 3, outcomes
+
+
+def test_a_composition_that_raises_raises_again(monkeypatch):
+    """No failed composition is kept: an unreachable override, every
+    provider of a task failed, and a congested duration that overflows each
+    raise on every call, scheduling again, until the world changes back."""
+    world = scenario_world("fixtures/composition.json")
+    good = world.run_composition()
+    calls = count_schedules(monkeypatch)
+    overflow = Health.congested(1e306)
+    for error, change, undo in [
+        (UnreachableProvider, lambda: world.task_overrides.update(act=0),
+         lambda: world.task_overrides.clear()),
+        (NoFeasibleProvider, lambda: world.apply_health(4, Health.failed()),
+         lambda: world.apply_health(4, Health.healthy())),
+        (BadParameter, lambda: [world.apply_health(n, overflow) for n in (2, 3)],
+         lambda: [world.apply_health(n, Health.healthy()) for n in (2, 3)]),
+    ]:
+        change()
+        del calls[:]
+        first = outcome(world.run_composition)
+        assert first[0] is error
+        assert outcome(world.run_composition) == first
+        assert outcome(world.fork().run_composition) == first
+        assert len(calls) == 3
+        undo()
+        assert world.run_composition() == good
+
+
+def test_a_new_task_graph_reads_no_old_entry(monkeypatch):
+    """After `set_composition`, a composition under the same health and
+    overrides is the new graph's, even for a graph equal to the old one."""
+    world = scenario_world("fixtures/composition.json")
+    registry, old = world.registry, world.dag
+    world.run_composition()
+    calls = count_schedules(monkeypatch)
+    for dag in [
+        CompositionDag([("ingest", "sense"), ("fuse", "sense"), ("act", "actuate")],
+                       [("ingest", "fuse", 2), ("fuse", "act", 3)]),
+        CompositionDag(old.tasks, old.edges),
+    ]:
+        world.set_composition(registry, dag)
+        del calls[:]
+        assert world.run_composition() == fresh_composition(world)
+        assert len(calls) == 2, dag.tasks  # the memo's and the fresh one
+        assert world.topology.health_entry().composed[0][0] is dag
+
+
+def test_the_memo_holds_one_composition_per_health_key(monkeypatch):
+    """Each health key's entry holds the last composition under it, and
+    only that one: after overrides X, overrides Y and then X again are each
+    scheduled, and X once more is not."""
+    world = scenario_world("golden/twin-rehearsal-2-0.json")
+    moves = composition_moves(world, random.Random(3))
+    for _ in range(60):
+        next(moves)
+        got = outcome(world.run_composition)
+        last = world.topology.health_entry().composed
+        for entry in world.topology._memo.values():
+            assert entry.composed == () or len(entry.composed) == 2
+        if isinstance(got, Schedule):
+            assert last[0][2] == frozenset(world.task_overrides.items())
+    world.task_overrides.clear()
+    world.run_composition()
+    calls = count_schedules(monkeypatch)
+    for overrides in ({}, {"sense0": 22}, {}):
+        world.task_overrides = dict(overrides)
+        world.run_composition()
+    assert len(calls) == 2
+    world.run_composition()
+    assert len(calls) == 2
+
+
 # -- speedup curve ---------------------------------------------------------------------
 
 def test_speedup_curve_arithmetic():

@@ -1,4 +1,5 @@
-"""A fork shares no mutable state with the world it was forked from.
+"""A fork shares no mutable state with the world it was forked from, nor
+does a rehearsal's health-only branch (`World.health_fork`).
 
 `reachable` walks an object graph with `gc.get_referents`. It stops at the
 types a fork shares whole: memoized searches, the service registry, the
@@ -140,6 +141,32 @@ def test_fork_shares_no_mutable_state(live_world, untraced_parent, traced):
     untraced fork and its own fork."""
     world = live_world.fork(traced=False) if untraced_parent else live_world
     assert shared_mutables(world, world.fork(traced=traced)) == []
+
+
+def test_a_health_fork_shares_no_mutable_state(live_world):
+    """A rehearsal's health-only branch and the twin it is taken from, with
+    a commit pending and a task placed."""
+    twin = spawn_twin(live_world)
+    twin.pending_commits.append(Decision.inject_repair(0))
+    task, service = twin.dag.tasks[0]
+    twin.task_overrides.setdefault(task, min(twin.registry.lookup(service).providers))
+    assert shared_mutables(twin, twin.health_fork()) == []
+
+
+@pytest.mark.parametrize("field", ["options", "pending_commits", "task_overrides"])
+def test_guard_catches_a_health_fork_that_shares_a_container(monkeypatch, field):
+    """`WorldOptions` is a mutable dataclass, so sharing it counts too."""
+    health_fork = World.health_fork
+
+    def leaky(self):
+        branch = health_fork(self)
+        setattr(branch, field, getattr(self, field))
+        return branch
+
+    monkeypatch.setattr(World, "health_fork", leaky)
+    twin = spawn_twin(rehearsal_world())
+    leaked = shared_mutables(twin, twin.health_fork())
+    assert any(obj is getattr(twin, field) for obj in leaked)
 
 
 def test_guard_catches_a_fork_that_shares_a_container(monkeypatch):

@@ -39,6 +39,7 @@ import pytest
 from sdcps import World, events, sandbox
 from sdcps import topology as topology_module
 from sdcps.cli import main as cli_main
+from sdcps.composition import Scheduler
 from sdcps.scenario import parse_scenario, run_scenario
 
 from conftest import record_event_lines
@@ -221,27 +222,48 @@ def inside_evaluate(monkeypatch) -> list:
 
 
 def test_rehearsal_runs_one_branch_per_place_task(monkeypatch):
-    """A `place_task` rehearsal forks one branch and replays only its tick
-    boundaries, so the rehearsal schedule's 50 placements and 3 repairs at
-    horizon 3 make at most 56 forks and 18 ticks inside `evaluate` (106 and
-    318 with two branches each, 168 with placement branches that tick) and
-    still show the pinned hash."""
-    counts = {"fork": 0, "tick": 0}
+    """A `place_task` rehearsal replays only the tick boundaries of one
+    health-only branch, so the rehearsal schedule's 50 placements and 3
+    repairs at horizon 3 make at most 56 branches (`health_fork`, which
+    every `fork` builds on), of which at most 6 are full forks, and 18
+    ticks inside `evaluate` (56 full forks and 168 ticks with placement
+    branches that fork and tick) and still show the pinned hash."""
+    counts = {"fork": 0, "health_fork": 0, "tick": 0}
     inside = inside_evaluate(monkeypatch)
-    fork, tick = World.fork, World.tick
 
-    def counted(name, method):
+    def counted(method_name):
+        method = getattr(World, method_name)
+
         def wrapper(world, *args, **kwargs):
-            counts[name] += bool(inside)
+            counts[method_name] += bool(inside)
             return method(world, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(World, "fork", counted("fork", fork))
-    monkeypatch.setattr(World, "tick", counted("tick", tick))
+    for method_name in counts:
+        monkeypatch.setattr(World, method_name, counted(method_name))
     name = "golden/twin-rehearsal-2-0.json"
     assert rehearsal_sha256(name) == json.loads(EXPECTED.read_text())[name]["rehearsal_sha256"]
-    assert 0 < counts["fork"] <= 56
+    assert 0 < counts["fork"] <= 6
+    assert 0 < counts["health_fork"] <= 56
     assert 0 < counts["tick"] <= 18
+
+
+def test_rehearsal_reuses_compositions(monkeypatch):
+    """A world and its branches share the last composition under each
+    health key, so the rehearsal schedule, with its set-up composition,
+    schedules at most 51 times (107 when every composition schedules) and
+    still shows the pinned hash."""
+    calls = []
+    schedule = Scheduler.schedule
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return schedule(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scheduler, "schedule", counted)
+    name = "golden/twin-rehearsal-2-0.json"
+    assert rehearsal_sha256(name) == json.loads(EXPECTED.read_text())[name]["rehearsal_sha256"]
+    assert 0 < len(calls) <= 51
 
 
 def test_rehearsal_folds_no_branch_event(monkeypatch):

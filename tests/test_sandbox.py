@@ -30,7 +30,7 @@ from sdcps.errors import (
 from sdcps.flow_engine import FlowEngine
 from sdcps.sandbox import DecisionKind, MetricsDelta, apply_decision
 
-from conftest import build_world, reference_evaluate
+from conftest import build_world, reference_evaluate, reference_makespan
 
 TESTS = Path(__file__).parent
 
@@ -417,6 +417,7 @@ def test_an_unresolvable_placement_raises_before_any_fork_or_tick(monkeypatch):
     twin = spawn_twin(world)
     calls = []
     monkeypatch.setattr(World, "fork", lambda w: calls.append("fork"))
+    monkeypatch.setattr(World, "health_fork", lambda w: calls.append("health_fork"))
     monkeypatch.setattr(World, "tick", lambda w: calls.append("tick"))
     for decision, message in [
         (Decision.place_task("no-such-task", 0), "task 'no-such-task' is not in the workload"),
@@ -430,38 +431,53 @@ def test_an_unresolvable_placement_raises_before_any_fork_or_tick(monkeypatch):
 
 def test_a_placement_rehearsal_forks_once_and_never_ticks(monkeypatch):
     """A `place_task` rehearsal replays only the tick boundaries of one
-    fork; a two-branch rehearsal ticks each of its two forks `horizon`
-    times."""
+    branch: a `health_fork`, or a full `fork` (which builds on one) while a
+    pending reroute or slice commit needs the flows and slices. A
+    two-branch rehearsal ticks each of its two forks `horizon` times."""
     text = (TESTS / "fixtures" / "composition.json").read_text(encoding="utf-8")
     world = build_scenario_world(parse_scenario(text))
     world.run_composition()
     world.run(2)
     twin = spawn_twin(world)
     calls = []
-    fork, tick = World.fork, World.tick
+    fork, health_fork, tick = World.fork, World.health_fork, World.tick
 
     def counting_fork(w, *args, **kwargs):
         calls.append("fork")
         return fork(w, *args, **kwargs)
+
+    def counting_health_fork(w):
+        calls.append("health_fork")
+        return health_fork(w)
 
     def counting_tick(w):
         calls.append("tick")
         tick(w)
 
     monkeypatch.setattr(World, "fork", counting_fork)
+    monkeypatch.setattr(World, "health_fork", counting_health_fork)
     monkeypatch.setattr(World, "tick", counting_tick)
     slice0 = twin.slices.slices[0]
-    for decision, pending, forks, ticks in [
-        (Decision.place_task("fuse", 3), [], 1, 0),
-        (Decision.place_task("fuse", 3), [Decision.inject_repair(1)], 1, 0),
-        (Decision.place_task("fuse", 3), [Decision.place_task("fuse", 2)], 1, 0),
-        (Decision.inject_repair(1), [], 2, 6),
-        (Decision.set_slice(0, sorted(slice0.links), slice0.share, slice0.priority), [], 2, 6),
+    set_slice = Decision.set_slice(0, sorted(slice0.links), slice0.share, slice0.priority)
+    flow = twin.engine.flows[0]
+    reroute = Decision.reroute(flow.id, list(flow.path))
+    place = Decision.place_task("fuse", 3)
+    for decision, pending, forks, health_forks, ticks in [
+        (place, [], 0, 1, 0),
+        (place, [Decision.inject_repair(1)], 0, 1, 0),
+        (place, [Decision.place_task("fuse", 2)], 0, 1, 0),
+        (place, [Decision.place_task("act", 4)], 0, 1, 0),
+        (place, [reroute], 1, 1, 0),
+        (place, [set_slice], 1, 1, 0),
+        (place, [Decision.inject_repair(1), reroute], 1, 1, 0),
+        (Decision.inject_repair(1), [], 2, 2, 6),
+        (set_slice, [], 2, 2, 6),
     ]:
         calls.clear()
         twin.pending_commits[:] = pending
         evaluate(twin, decision, horizon=3)
-        assert (calls.count("fork"), calls.count("tick")) == (forks, ticks), decision
+        assert (calls.count("fork"), calls.count("health_fork"), calls.count("tick")) == (
+            forks, health_forks, ticks), (decision, pending)
 
 
 def _overflow_twin(heal: bool):
@@ -494,33 +510,44 @@ def test_a_placement_rehearsal_raises_an_overflow_unless_the_horizon_heals_it():
     assert _outcome(reference_evaluate, twin, decision, 3) == overflow
     final = twin.fork(traced=False)
     final.apply_health(2, Health.congested(1e200))
-    base = final.run_composition().makespan
+    base = reference_makespan(final)
     final.task_overrides["fuse"] = 3
-    expected = MetricsDelta(0, 0.0, final.run_composition().makespan - base, 0, twin.now)
+    expected = MetricsDelta(0, 0.0, reference_makespan(final) - base, 0, twin.now)
     assert expected.makespan < 0
     assert evaluate(twin, decision, 3) == expected
 
 
 def test_evaluate_branches_keep_no_trace_hash(monkeypatch):
-    """Every branch `evaluate` forks, for a `place_task` and for a repair,
-    is untraced: it is dropped once its counters and makespans are read."""
+    """Every branch `evaluate` makes, for a `place_task` (with and without a
+    pending reroute) and for a repair, is untraced: it is dropped once its
+    counters and makespans are read. Only the plain placement's branch is
+    health-only, with no flows, farm or bus."""
     text = (TESTS / "fixtures" / "composition.json").read_text(encoding="utf-8")
     world = build_scenario_world(parse_scenario(text))
     world.run_composition()
     world.run(2)
     twin = spawn_twin(world)
-    branches = []
-    fork = World.fork
+    branches = {}
+    fork, health_fork = World.fork, World.health_fork
 
-    def recording(w, *args, **kwargs):
-        branches.append(fork(w, *args, **kwargs))
-        return branches[-1]
+    def recording(make):
+        def made(w, *args, **kwargs):
+            branch = make(w, *args, **kwargs)
+            branches[id(branch)] = branch  # a full fork returns its health fork
+            return branch
+        return made
 
-    monkeypatch.setattr(World, "fork", recording)
+    monkeypatch.setattr(World, "fork", recording(fork))
+    monkeypatch.setattr(World, "health_fork", recording(health_fork))
     evaluate(twin, Decision.place_task("fuse", 3), horizon=3)
+    flow = twin.engine.flows[0]
+    twin.pending_commits.append(Decision.reroute(flow.id, list(flow.path)))
+    evaluate(twin, Decision.place_task("fuse", 3), horizon=3)
+    twin.pending_commits.clear()
     evaluate(twin, Decision.inject_repair(1), horizon=3)
-    assert len(branches) == 3
-    for branch in branches:
+    assert len(branches) == 4
+    assert [hasattr(b, "engine") for b in branches.values()] == [False, True, True, True]
+    for branch in branches.values():
         with pytest.raises(RuntimeError, match="untraced"):
             branch.trace_hash()
     assert twin.trace_hash() == world.trace_hash()
