@@ -259,6 +259,12 @@ class SegmentTable(dict):
     built, so forks share it."""
 
 
+class DomainAdjacency(dict):
+    """node -> ((next, latency, 1), ...) within one domain over one slice's
+    links: a search adjacency with tuple rows. Never changed once built, so
+    forks share it."""
+
+
 class Controller:
     """Owns one domain: its health windows and intra-domain routing over
     the slice links it is handed.
@@ -269,7 +275,8 @@ class Controller:
     (`ingest_report`). `_searches` keeps one full search per (slice links,
     source), together with the domain's suspects it ran with; a read under
     other domain suspects runs it again and replaces it, so the memo holds
-    one search per key."""
+    one search per key. `_adjacency` keeps the domain's search adjacency
+    per slice links, which no health change alters."""
 
     def __init__(
         self,
@@ -289,13 +296,14 @@ class Controller:
         self._domain_suspects: Optional[frozenset[NodeId]] = None
         # (slice links, source) -> (domain suspects it ran with, its rows)
         self._searches: dict[tuple, tuple[frozenset[NodeId], SegmentTable]] = {}
+        self._adjacency: dict[frozenset[LinkId], DomainAdjacency] = {}
 
     def fork(self, topology: Topology) -> "Controller":
         twin = Controller(self.id, self.domain_nodes, topology)
         twin.monitor = self.monitor.fork(topology)
         twin.peer_views = {peer: dict(view) for peer, view in self.peer_views.items()}
         twin._suspects, twin._domain_suspects = self._suspects, self._domain_suspects
-        twin._searches = dict(self._searches)
+        twin._searches, twin._adjacency = dict(self._searches), dict(self._adjacency)
         return twin
 
     # -- health --------------------------------------------------------------
@@ -337,7 +345,10 @@ class Controller:
         suspects = self.domain_suspects()
         memo = self._searches.get((links, source))
         if memo is None or memo[0] != suspects:
-            adj = self._topology.adjacency(self.domain_nodes, links)
+            adj = self._adjacency.get(links)
+            if adj is None:
+                rows = self._topology.adjacency(self.domain_nodes, links).items()
+                adj = self._adjacency[links] = DomainAdjacency((n, tuple(r)) for n, r in rows)
             found = multi_target_paths(adj, source, self.domain_nodes, suspects - {source})
             rows = SegmentTable(
                 ((source, v), (dist, list(seq)))

@@ -117,7 +117,9 @@ class Farm:
             )
         neighbors = self._topology.neighbors  # raises on an unknown node
         own_links = {link_id(n, m) for n in sorted(nodes) for m in neighbors(n) if m in nodes}
-        if nodes and nodes != self._topology.reachable(min(nodes), own_links):
+        if not nodes:
+            raise DisconnectedDomain(f"domain {domain_id} has no nodes")
+        if nodes != self._topology.hops(min(nodes), own_links).keys():
             raise DisconnectedDomain(f"domain {domain_id} induces a disconnected subgraph")
         self.controllers[domain_id] = Controller(
             domain_id, nodes, self._topology, self._window, self._congestion_threshold,
@@ -198,8 +200,8 @@ class Farm:
         each read from a memoized search, runs one search over that overlay
         and splices the segments it crossed. The edges it leaves out, into
         src and out of dst, never change the route to dst, so the route is
-        the one a join of every domain's whole terminal table gives.
-        Matches the merged-graph shortest path latency.
+        the one a join of every domain's whole terminal table gives. Each
+        node's fewest links to dst bound the search, which stays exact (A*).
         """
         orchestrator = self.resolve(src)
         self.resolve(dst)
@@ -222,7 +224,7 @@ class Farm:
                 extra[t] = extra.get(t, join.adj.get(t, ())) + self._edges(links, t, (dst,))
         # shares every other node's edges with the cached graph
         adj = {**join.adj, **extra} if extra else join.adj
-        found = multi_target_paths(adj, src, (dst,)).get(dst)
+        found = multi_target_paths(adj, src, (dst,), bound=self._topology.hops(dst)).get(dst)
         if found is None:
             raise NoPathInSlice(f"tenant {tenant}: no slice route {src}->{dst}")
         seq = found[2]

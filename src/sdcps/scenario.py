@@ -247,7 +247,7 @@ def build_world(scenario: Scenario, seed: Optional[int] = None) -> World:
                           scenario.dag.get("edges", []))
             if dag is not None:
                 attempt("dag", world.set_composition, world.registry, dag)
-    reach: dict[tuple[int, NodeId], set[NodeId]] = {}  # slice-connected groups
+    reach: dict[tuple[int, NodeId], dict[NodeId, int]] = {}  # slice-connected groups
     for i, f in enumerate(scenario.flows):
         where, tenant, origin, dest = f"flows[{i}]", f["tenant"], f["origin"], f["dest"]
         units, start = f.get("units", 1), f.get("start", 0)
@@ -265,7 +265,7 @@ def build_world(scenario: Scenario, seed: Optional[int] = None) -> World:
         if sl is None:
             continue  # the failed allocation is already a violation
         if (tenant, origin) not in reach:
-            group = world.topology.reachable(origin, sl.links)
+            group = world.topology.hops(origin, sl.links)
             reach.update(dict.fromkeys([(tenant, n) for n in group], group))
         if dest not in reach[tenant, origin]:
             problems.append(

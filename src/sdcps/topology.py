@@ -132,6 +132,7 @@ def multi_target_paths(
     src: NodeId,
     targets: Iterable[NodeId],
     stop_at: AbstractSet[NodeId] = frozenset(),
+    bound: Optional[dict[NodeId, int]] = None,
 ) -> dict[NodeId, PathKey]:
     """Best (latency, hops, node sequence) path from src to each target.
 
@@ -142,17 +143,27 @@ def multi_target_paths(
     the result. Nodes in stop_at may end a path but never relay one.
     Unreachable targets are absent from the result; the search stops as soon
     as every target has popped.
+
+    bound, when given, maps each node to a consistent lower bound on the
+    weight left to its nearest target (bound[u] <= weight + bound[v] on each
+    edge u-v); a node with no entry reaches no target and is never entered.
+    The heap then orders by (latency + bound, hops, sequence) (A*) and the
+    result keeps path keys. A node still pops first with its best key: the
+    first unpopped node on a better path has a lower latency + bound, or an
+    equal one and strictly fewer hops.
     """
     remaining = set(targets)
     found: dict[NodeId, PathKey] = {}
     best: dict[NodeId, PathKey] = {src: (0, 0, (src,))}
-    heap = [best[src]]
+    heap: list = [best[src]] if bound is None else (
+        [(bound[src], 0, best[src][2])] if src in bound else [])  # best's own sequence
     while heap and remaining:
-        key = heapq.heappop(heap)
-        dist, hops, seq = key
+        seq = heapq.heappop(heap)[2]
         node = seq[-1]
-        if best[node] < key:
-            continue
+        key = best[node]
+        if key[2] is not seq:
+            continue  # best[node] is a better key, pushed since (checked by identity)
+        dist, hops, _ = key
         if node in remaining:
             remaining.discard(node)
             found[node] = key
@@ -163,9 +174,10 @@ def multi_target_paths(
             if old is not None and dist + weight > old[0]:
                 continue  # cheap reject before building the key
             nkey = (dist + weight, hops + edge_hops, seq + (nxt,))
-            if old is None or nkey < old:
+            if (old is None or nkey < old) and (bound is None or nxt in bound):
                 best[nxt] = nkey
-                heapq.heappush(heap, nkey)
+                heapq.heappush(heap, nkey if bound is None else
+                               (nkey[0] + bound[nxt], nkey[1], nkey[2]))
     return found
 
 
@@ -412,17 +424,17 @@ class Topology:
                 entry.adj, src, entry.adj, entry.failed - {src})
         return rows
 
-    def reachable(
-        self, src: NodeId, links: Optional[AbstractSet[LinkId]] = None
-    ) -> set[NodeId]:
-        """Every node connected to src over the links in links (every link
-        when None), src included."""
+    def hops(self, src: NodeId, links: Optional[AbstractSet[LinkId]] = None) -> dict[NodeId, int]:
+        """Fewest links from src to each node connected to it over the links
+        in links (every link when None), src at 0: one breadth-first walk.
+        Every latency is at least 1, so this is a consistent lower bound on
+        the latency to src (`multi_target_paths`' bound)."""
         self.node(src)
-        seen = {src}
-        frontier = [src]
-        while frontier:
-            for nxt, link in self._adj[frontier.pop()].items():
-                if nxt not in seen and (links is None or link.endpoints in links):
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen
+        level = {src: 0}
+        queue = [src]
+        for n in queue:  # reaches what it appends, in breadth-first order
+            for nxt, link in self._adj[n].items():
+                if nxt not in level and (links is None or link.endpoints in links):
+                    level[nxt] = level[n] + 1
+                    queue.append(nxt)
+        return level

@@ -22,6 +22,7 @@ from sdcps import (
     spawn_twin,
 )
 from sdcps.controller import LOSS
+from sdcps.topology import multi_target_paths
 from sdcps.errors import (
     DisconnectedDomain,
     DuplicateId,
@@ -339,6 +340,58 @@ def test_federated_admission_routes_match_the_reference(monkeypatch, seed):
     assert len(admissions) == len(scenario.flows)
     for a in admissions:
         assert (a.route, a.messages) == (a.expected_route, a.expected_messages), a.request
+
+
+def golden_admission_world():
+    """The golden federated-admission instance (seed 1, instance 0): 50
+    admissions over a 10x10 grid in 5 band domains."""
+    scenario = parse_scenario(generate("federated-admission", 1, 0))
+    return build_world(scenario), scenario.horizon
+
+
+def test_join_searches_pop_no_more_than_measured(monkeypatch):
+    """The golden instance's 50 join searches, bounded by hop counts to the
+    destination, pop 1,342 heap entries; unbounded, they popped 5,543."""
+    joining, pops, searches = [False], [0], [0]
+    heappop, search = heapq.heappop, multi_target_paths
+
+    def counting_pop(heap):
+        pops[0] += joining[0]
+        return heappop(heap)
+
+    def join_search(*args, **kwargs):
+        joining[0] = True
+        searches[0] += 1
+        try:
+            return search(*args, **kwargs)
+        finally:
+            joining[0] = False
+
+    monkeypatch.setattr(heapq, "heappop", counting_pop)
+    monkeypatch.setattr("sdcps.farm.multi_target_paths", join_search)
+    w, horizon = golden_admission_world()
+    w.run(horizon)
+    assert searches[0] == 50
+    assert 0 < pops[0] <= 1342
+
+
+def test_a_controller_builds_each_slice_adjacency_once(monkeypatch):
+    """The golden instance's searches read 5 (controller, slice links)
+    adjacencies; rebuilt on every search miss, they took 131 builds."""
+    w, horizon = golden_admission_world()
+    owner = {id(c.domain_nodes): c.id for c in w.farm.controllers.values()}
+    builds: dict[tuple, int] = {}
+    adjacency = Topology.adjacency
+
+    def counting(self, nodes, links=None, latency_fn=None):
+        if id(nodes) in owner:
+            key = (owner[id(nodes)], links)
+            builds[key] = builds.get(key, 0) + 1
+        return adjacency(self, nodes, links, latency_fn)
+
+    monkeypatch.setattr(Topology, "adjacency", counting)
+    w.run(horizon)
+    assert len(builds) == 5 and set(builds.values()) == {1}
 
 
 def test_memo_holds_one_search_per_source_and_one_join_graph_per_slice():

@@ -2,11 +2,13 @@
 does a rehearsal's health-only branch (`World.health_fork`).
 
 `reachable` walks an object graph with `gc.get_referents`. It stops at the
-types a fork shares whole: memoized searches, the service registry, the
-task graph, the composition report and clone decisions, none of which
-anything changes once made, and the topology's `TransferMemo`, which is
-safe to share because each entry is a pure function of node/link
-structure, health key and source, and a structure change unbinds it.
+types a fork shares whole: memoized searches, a controller's domain
+adjacency per slice links (tuple rows, built from links that never change
+and read only by searches), the service registry, the task graph, the
+composition report and clone decisions, none of which anything changes
+once made, and the topology's `TransferMemo`, which is safe to share
+because each entry is a pure function of node/link structure, health key
+and source, and a structure change unbinds it.
 It skips the fields that are only ever replaced, never changed in place
 (unit routes, flow paths, buffers' onward paths, bus message payloads,
 decision paths and links). Every other object reachable from both a world
@@ -25,7 +27,7 @@ from sdcps import CompositionDag, Decision, ServiceRegistry, Topology, World, pa
 from sdcps.topology import HealthState, TransferMemo
 from sdcps.bus import BusMessage
 from sdcps.composition import Schedule
-from sdcps.controller import Controller, HealthMonitor, SegmentTable
+from sdcps.controller import Controller, DomainAdjacency, HealthMonitor, SegmentTable
 from sdcps.farm import Farm, JoinGraph
 from sdcps.flow_engine import CloneDecision, Flow, FlowState, ReorderBuffer, Unit
 from sdcps.sandbox import DecisionKind, apply_decision, spawn_twin
@@ -36,7 +38,8 @@ from conftest import reference_effective_latency, reference_shortest_path
 TESTS = Path(__file__).parent
 
 SHARED_TYPES = (
-    SegmentTable, ServiceRegistry, CompositionDag, Schedule, CloneDecision, TransferMemo,
+    SegmentTable, DomainAdjacency, ServiceRegistry, CompositionDag, Schedule, CloneDecision,
+    TransferMemo,
 )
 SHARED_FIELDS = {
     Unit: {"route"},
@@ -211,12 +214,24 @@ def test_guard_catches_a_fork_that_shares_a_telemetry_cache(monkeypatch, cls, fi
 
 @pytest.mark.parametrize("cls, field, owner", [
     (Controller, "_searches", lambda world: world.farm.controllers[0]),
+    (Controller, "_adjacency", lambda world: world.farm.controllers[0]),
     (Farm, "_joins", lambda world: world.farm),
     (Farm, "_fetched", lambda world: world.farm),
     (JoinGraph, "adj", lambda world: next(iter(world.farm._joins.values()))),
 ])
 def test_guard_catches_a_fork_that_shares_an_admission_cache(monkeypatch, cls, field, owner):
     assert_guard_catches_a_shared_cache(monkeypatch, cls, field, owner, rehearsal_world)
+
+
+def test_guard_catches_a_fork_that_shares_a_mutable_adjacency(monkeypatch):
+    """A domain adjacency kept as a plain dict is mutable, so a fork that
+    shares the controller's copy of it is caught."""
+    monkeypatch.setattr("sdcps.controller.DomainAdjacency", dict)
+    world = rehearsal_world()
+    kept = [adj for c in world.farm.controllers.values() for adj in c._adjacency.values()]
+    assert kept and all(type(adj) is dict for adj in kept)
+    leaked = shared_mutables(world, world.fork())
+    assert all(any(obj is adj for obj in leaked) for adj in kept)
 
 
 @pytest.mark.parametrize("field", ["_adj", "_unhealthy"])

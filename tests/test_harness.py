@@ -566,6 +566,13 @@ def huge_weight(fixture, section, key):
     return doc
 
 
+def empty_domain():
+    """two_domains.json with a third domain that owns no node."""
+    doc = json.loads((FIXTURES / "two_domains.json").read_text())
+    doc["domains"].append({"id": 99, "nodes": []})
+    return doc
+
+
 CLI_CASES = [
     (["validate", "{good}"], None, 0),
     (["validate", "{invalid}"], None, 1),
@@ -602,6 +609,8 @@ CLI_CASES = [
     (["sweep", "{good}", "--instances", f"1,{MAX_SWEEP_INSTANCES + 1}"], None, 1),
     (["sweep", "{good}", "--tasks", str(MAX_SWEEP_TASKS + 1)], None, 1),
     (["sweep", "{good}", "--instances", ",".join(["1"] * (MAX_SWEEP_POINTS + 1))], None, 1),
+    (["validate", "{emptydomain}"], None, 1),
+    (["run", "{emptydomain}", "--out", "{out}"], None, 1),
 ]
 
 
@@ -618,7 +627,8 @@ def test_cli_exit_codes(argv, env_seed, code, tmp_path, monkeypatch, capsys):
                       ("deep", "[" * 100_000 + "]" * 100_000),
                       ("bigint", '{"horizon": ' + "9" * 5_000 + "}"),
                       ("hugelatency", json.dumps(huge_weight("minimal.json", "links", "latency"))),
-                      ("hugecost", json.dumps(huge_weight("composition.json", "services", "cost")))]:
+                      ("hugecost", json.dumps(huge_weight("composition.json", "services", "cost"))),
+                      ("emptydomain", json.dumps(empty_domain()))]:
         files[key] = str(tmp_path / f"{key}.json")
         Path(files[key]).write_text(text)
     if env_seed is None:

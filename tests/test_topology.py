@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sdcps import Health, Node, NodeKind, Topology
+from sdcps.topology import multi_target_paths
 from sdcps.errors import (
     BadParameter,
     DuplicateId,
@@ -62,18 +63,18 @@ def adj_of(topo):
     return adj
 
 
-def random_topology(rng, max_nodes=12):
+def random_topology(rng, max_nodes=12, max_latency=4):
     n = rng.randint(2, max_nodes)
     topo = Topology()
     for i in range(n):
         topo.add_node(make_node(i))
     # spanning tree keeps it connected, then sprinkle extras
     for i in range(1, n):
-        topo.add_link(i, rng.randrange(i), rng.randint(1, 4), 1)
+        topo.add_link(i, rng.randrange(i), rng.randint(1, max_latency), 1)
     for _ in range(rng.randint(0, n)):
         a, b = rng.randrange(n), rng.randrange(n)
         if a != b and not topo.has_link(a, b):
-            topo.add_link(a, b, rng.randint(1, 4), 1)
+            topo.add_link(a, b, rng.randint(1, max_latency), 1)
     return topo
 
 
@@ -298,36 +299,36 @@ def test_effective_latency_table_matches_the_formula_after_health_changes(seed):
                     )
 
 
-# -- reachable -----------------------------------------------------------------------
+# -- hops ----------------------------------------------------------------------------
 
 def avoiding(topo, excluded):
     """The links of topo with no endpoint in excluded."""
     return {lid for lid in topo.links if not set(lid) & excluded}
 
 
-def test_reachable_line_excluding_middle():
+def test_hops_line_excluding_middle():
     topo = build_topology(3, [(0, 1), (1, 2)])
-    assert 2 not in topo.reachable(0, avoiding(topo, {1}))
+    assert 2 not in topo.hops(0, avoiding(topo, {1}))
 
 
-def test_reachable_diamond_excluding_one_arm():
+def test_hops_diamond_excluding_one_arm():
     topo = build_topology(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
-    assert 3 in topo.reachable(0, avoiding(topo, {1}))
+    assert 3 in topo.hops(0, avoiding(topo, {1}))
 
 
-def test_reachable_empty_exclusion_connected():
+def test_hops_empty_exclusion_connected():
     topo = build_topology(3, [(0, 1), (1, 2)])
-    assert topo.reachable(0) == {0, 1, 2}
+    assert topo.hops(0) == {0: 0, 1: 1, 2: 2}
 
 
-def test_reachable_always_holds_source_and_rejects_unknown():
+def test_hops_always_holds_source_and_rejects_unknown():
     topo = build_topology(2, [(0, 1)])
-    assert topo.reachable(0, frozenset()) == {0}
+    assert topo.hops(0, frozenset()) == {0: 0}
     with pytest.raises(UnknownNode):
-        topo.reachable(5)
+        topo.hops(5)
 
 
-def test_reachable_iff_filtered_kpaths_nonempty():
+def test_hops_iff_filtered_kpaths_nonempty():
     rng = random.Random(99)
     for _ in range(30):
         topo = random_topology(rng, max_nodes=9)
@@ -336,7 +337,66 @@ def test_reachable_iff_filtered_kpaths_nonempty():
         others = [n for n in nodes if n not in (src, dst)]
         excluded = set(rng.sample(others, min(len(others), rng.randint(0, 3))))
         found = topo.shortest_path(src, dst, links=avoiding(topo, excluded))
-        assert (dst in topo.reachable(src, avoiding(topo, excluded))) == (found is not None)
+        assert (dst in topo.hops(src, avoiding(topo, excluded))) == (found is not None)
+
+
+def test_hops_equal_reference_hop_counts_at_unit_latency():
+    rng = random.Random(5)
+    for _ in range(30):
+        topo = random_topology(rng, max_latency=1)
+        links = set(rng.sample(sorted(topo.links), rng.randint(0, len(topo.links))))
+        for src in topo.nodes:
+            levels = topo.hops(src, links)
+            for dst in topo.nodes:
+                found = reference_shortest_path(
+                    topo, src, dst, link_filter=lambda link: link.endpoints in links)
+                assert levels.get(dst) == (None if found is None else len(found[1]) - 1)
+
+
+class Entered(dict):
+    """An adjacency that records each node whose edges a search reads."""
+
+    def __init__(self, adj):
+        super().__init__(adj)
+        self.entered = set()
+
+    def get(self, node, default=None):
+        self.entered.add(node)
+        return super().get(node, default)
+
+
+def test_bounded_search_breaks_equal_estimates_by_hops():
+    """Both routes 0-1-2-3 and 0-4-3 take latency 3, and every node on them
+    is as far from 3 as its bound says. Node 1 and node 2's path to 3 sort
+    before node 4 by sequence, so only the hops part of the heap key puts 4,
+    on the route with fewer hops, first."""
+    topo = build_topology(5, [(0, 1), (1, 2), (2, 3), (0, 4, 2), (4, 3)])
+    adj = topo.adjacency(topo.nodes.keys())
+    assert multi_target_paths(adj, 0, (3,), bound=topo.hops(3)) == {3: (3, 2, (0, 4, 3))}
+
+
+def test_bounded_search_matches_the_unbounded_one():
+    """A hop-count bound, over every link or only the searched ones, gives
+    the same path to each target as no bound, even where low latencies tie
+    and stop_at nodes may only end a path; the search enters no node
+    without a bound entry."""
+    rng = random.Random(28)
+    unbounded_src = 0
+    for _ in range(40):
+        topo = random_topology(rng, max_nodes=16, max_latency=3)
+        links = set(rng.sample(sorted(topo.links), rng.randint(1, len(topo.links))))
+        adj = topo.adjacency(topo.nodes.keys(), links)
+        stop_at = set(rng.sample(sorted(topo.nodes), rng.randint(0, min(3, len(topo.nodes)))))
+        for target in topo.nodes:
+            for bound in (topo.hops(target), topo.hops(target, links)):
+                for src in topo.nodes:
+                    expected = multi_target_paths(adj, src, (target,), stop_at - {src})
+                    seen = Entered(adj)
+                    assert multi_target_paths(
+                        seen, src, (target,), stop_at - {src}, bound=bound) == expected
+                    assert seen.entered <= bound.keys()
+                    unbounded_src += src not in bound
+    assert unbounded_src  # some searches start outside the bound and enter nothing
 
 
 def test_mutation_preserves_unrelated_ids():
