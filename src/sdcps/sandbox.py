@@ -1,18 +1,17 @@
 """Modelling sandbox: spawn a one-to-one twin of the world, rehearse a
-decision over a horizon, and commit it to the physical world only if the
-rehearsal improved things. A rehearsal runs baseline and decision branches;
-a `place_task` decision, which changes only composition, replays only the
-tick boundaries of one branch (composition reads nothing the other phases
-change): a `World.health_fork` unless a pending reroute or slice commit
-needs flows and slices. A pending `place_task` commit of the same task
-overwrites the decision at tick 1, so that rehearsal's makespan delta is 0.
+decision over a horizon on it, and commit the decision to the physical
+world only if the rehearsal improved things. A rehearsal spends its twin: a
+`place_task` decision, which changes only composition, replays the twin's
+own tick boundaries (composition reads nothing the other phases change);
+any other decision runs baseline and decision on two untraced forks of it.
+A commit is applied at the next tick boundary, or refused there if it no
+longer resolves.
 
 A twin is a `World.fork()`: a copy of the live state that shares only what
 nothing changes in place, with its metrics records empty. It runs the same
 code the physical world runs; with the same seed its trace hash and totals
 continue tick for tick from the physical world's. Twin mutations can never
-touch physical state. A rehearsal's branches are untraced forks of the twin:
-they are dropped once their counters and makespans are read.
+touch physical state.
 """
 
 from __future__ import annotations
@@ -126,33 +125,29 @@ def apply_decision(world: World, decision: Decision) -> None:
 
 
 def evaluate(twin: World, decision: Decision, horizon: int) -> MetricsDelta:
-    """Return candidate minus baseline metrics over `horizon` ticks, leaving
-    the twin at its snapshot. Baseline and decision run on two forks, but a
-    `place_task` replays only the boundaries of one (`World.boundary`, which
-    alone changes health and overrides), composed before and after its
-    override: a `health_fork` unless a pending reroute or slice commit reads
-    flows. A pending `place_task` commit of the same task overwrites it at
-    tick 1, so the makespan delta is 0. Only where a fault inside the horizon
-    heals a link overflow does the replay return a delta instead of raising
-    it. The branches are untraced: only their counters and makespans are read."""
+    """Return candidate minus baseline metrics over `horizon` ticks, spending
+    the twin whatever the decision's kind: the caller reads nothing from it
+    afterwards. A `place_task` replays the twin's own boundaries
+    (`World.boundary`, which alone changes health and overrides), composed
+    before and after its override; a pending `place_task` commit of the same
+    task overwrites it at tick 1. Only where a fault inside the horizon heals
+    a link overflow does the replay return a delta instead of raising it. Any
+    other decision runs on two untraced forks, read only for their counters
+    and makespans."""
     if horizon < 1:
         raise UnresolvableDecision("horizon must be >= 1")
     snapshot_tick = twin.now
     if decision.kind is DecisionKind.PLACE_TASK:
         _check_placement(twin, decision)
-        reads_flows = any(d.kind in (DecisionKind.REROUTE, DecisionKind.SET_SLICE)
-                          for d in twin.pending_commits)
-        branch = twin.fork(traced=False) if reads_flows else twin.health_fork()
+        overwritten = any(d.kind is DecisionKind.PLACE_TASK and d.task == decision.task
+                          for d in twin.pending_commits)  # `boundary` clears them
         for _ in range(horizon):
-            branch.now += 1
-            branch.boundary()
-        base = branch.run_composition().makespan
-        makespan = 0
-        if not any(d.kind is DecisionKind.PLACE_TASK and d.task == decision.task
-                   for d in twin.pending_commits):
-            branch.task_overrides[decision.task] = decision.node
-            makespan = branch.run_composition().makespan - base
-        return MetricsDelta(0, 0.0, makespan, 0, snapshot_tick)
+            twin.now += 1
+            twin.boundary()
+        base = twin.run_composition().makespan
+        if not overwritten:  # else the candidate composes as the baseline does
+            twin.task_overrides[decision.task] = decision.node
+        return MetricsDelta(0, 0.0, twin.run_composition().makespan - base, 0, snapshot_tick)
     baseline = twin.fork(traced=False)
     candidate = twin.fork(traced=False)
     apply_decision(candidate, decision)  # UnresolvableDecision propagates

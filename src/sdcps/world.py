@@ -6,7 +6,8 @@ per-tick metrics records: event lines fold into the digest and are not kept.
 Each tick runs fixed phases:
 
   1. boundary changes   scheduled faults, committed decisions (`boundary`);
-                        no other phase changes node health or placements
+                        no other phase changes node health or placements;
+                        a commit that no longer resolves is refused
   2. bus delivery       digests and reports published last tick, handed
                         straight to the farm; each domain's report is one
                         message of (reporter, observations) pairs, which
@@ -35,7 +36,7 @@ from .controller import (
     Priority,
     SliceTable,
 )
-from .errors import BadParameter, SdcpsError, Unrecoverable
+from .errors import BadParameter, SdcpsError, UnresolvableDecision, Unrecoverable
 from .events import EventLog, UntracedLog
 from .farm import DEFAULT_DIGEST_PERIOD, Farm
 from .flow_engine import FlowEngine, FlowState
@@ -172,38 +173,28 @@ class World:
         return self.engine.open_flow(tenant, origin, dest, units, path)
 
     def fork(self, traced: bool = True) -> "World":
-        """Copy the live state: a `health_fork` plus everything else, sharing
-        only what nothing changes in place and the topology's memo (see
-        `TransferMemo`). The copy's metrics start empty; its trace hash,
-        counters and totals continue from here. An untraced copy folds no
-        events and has no trace hash, nor do its forks."""
-        twin = self.health_fork()
-        twin.seed, twin.mid_tick, twin.metrics = self.seed, self.mid_tick, []
+        """Copy the live state, sharing only what nothing changes in place and
+        the topology's memo (see `TransferMemo`). The copy's metrics start
+        empty; its trace hash, counters and totals continue from here. An
+        untraced copy, and any fork of it, folds no events and has no hash."""
+        twin = World.__new__(World)
+        twin.seed, twin.now, twin.mid_tick, twin.metrics, twin.bus = (
+            self.seed, self.now, self.mid_tick, [], self.bus.fork())
         twin.rng = random.Random(0)  # setstate overwrites it; `Random()` reads os.urandom
         twin.rng.setstate(self.rng.getstate())
-        if traced:
-            twin.log = self.log.fork()
-        twin.bus = self.bus.fork()
+        twin.topology = self.topology.fork()
         twin.slices = self.slices.fork(twin.topology)
+        twin.log = self.log.fork() if traced else UntracedLog()
         twin.farm = self.farm.fork(twin.topology, twin.slices, twin.bus)
         twin.engine = self.engine.fork(twin.topology, twin.slices, twin.rng, twin.log)
-        twin.pending_flows, twin.rejected_flows = list(self.pending_flows), list(self.rejected_flows)
-        twin.health_log, twin.composition_report = list(self.health_log), self.composition_report
+        twin.pending_flows, twin.pending_faults, twin.pending_commits = (
+            list(self.pending_flows), list(self.pending_faults), list(self.pending_commits))
+        twin.rejected_flows, twin.health_log, twin.task_overrides = (
+            list(self.rejected_flows), list(self.health_log), dict(self.task_overrides))
+        twin.options, twin.registry, twin.dag, twin.composition_report = (
+            replace(self.options), self.registry, self.dag, self.composition_report)
         twin._batches = dict(self._batches)  # the batches are tuples, so shared
         return twin
-
-    def health_fork(self) -> "World":
-        """An untraced copy of only what `boundary` and `run_composition`
-        read: the topology, pending faults and commits, overrides and task
-        graph. A pending reroute or slice commit reads more (`fork`)."""
-        branch = World.__new__(World)
-        branch.now, branch.options, branch.log = self.now, replace(self.options), UntracedLog()
-        branch.topology, branch.registry, branch.dag = self.topology.fork(), self.registry, self.dag
-        branch.pending_faults, branch.pending_commits = (
-            list(self.pending_faults), list(self.pending_commits))
-        branch.task_overrides, branch.pending_flows, branch.health_log = (
-            dict(self.task_overrides), [], [])
-        return branch
 
     # -- composition workload ------------------------------------------------------
 
@@ -254,7 +245,8 @@ class World:
 
     def boundary(self) -> None:
         """Phase 1 at tick `now`: the faults due by now, in (tick, node)
-        order, then the pending commits (see the module docstring)."""
+        order, then every pending commit, of which one that no longer
+        resolves changes nothing and is logged as refused."""
         for fault in sorted(
             (f for f in self.pending_faults if f.tick <= self.now),
             key=lambda f: (f.tick, f.node),
@@ -265,7 +257,10 @@ class World:
             from .sandbox import apply_decision
 
             for decision in self.pending_commits:
-                apply_decision(self, decision)
+                try:
+                    apply_decision(self, decision)
+                except UnresolvableDecision:  # each checks before it changes anything
+                    self.log.emit(f"t={self.now} ev=refuse kind={decision.kind.value}")
             self.pending_commits = []
 
     def tick(self) -> None:

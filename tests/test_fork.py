@@ -1,5 +1,4 @@
-"""A fork shares no mutable state with the world it was forked from, nor
-does a rehearsal's health-only branch (`World.health_fork`).
+"""A fork shares no mutable state with the world it was forked from.
 
 `reachable` walks an object graph with `gc.get_referents`. It stops at the
 types a fork shares whole: memoized searches, a controller's domain
@@ -137,39 +136,27 @@ def live_world(request):
     return world
 
 
-@pytest.mark.parametrize("untraced_parent, traced", [(False, True), (False, False), (True, True)],
-                         ids=["fork", "untraced-fork", "fork-of-untraced-fork"])
-def test_fork_shares_no_mutable_state(live_world, untraced_parent, traced):
-    """The world and its fork, the world and its untraced fork, and that
-    untraced fork and its own fork."""
-    world = live_world.fork(traced=False) if untraced_parent else live_world
-    assert shared_mutables(world, world.fork(traced=traced)) == []
-
-
-def test_a_health_fork_shares_no_mutable_state(live_world):
-    """A rehearsal's health-only branch and the twin it is taken from, with
-    a commit pending and a task placed."""
-    twin = spawn_twin(live_world)
+def placed_twin(world):
+    """A twin with a commit pending and a task placed."""
+    twin = spawn_twin(world)
     twin.pending_commits.append(Decision.inject_repair(0))
     task, service = twin.dag.tasks[0]
     twin.task_overrides.setdefault(task, min(twin.registry.lookup(service).providers))
-    assert shared_mutables(twin, twin.health_fork()) == []
+    return twin
 
 
-@pytest.mark.parametrize("field", ["options", "pending_commits", "task_overrides"])
-def test_guard_catches_a_health_fork_that_shares_a_container(monkeypatch, field):
-    """`WorldOptions` is a mutable dataclass, so sharing it counts too."""
-    health_fork = World.health_fork
-
-    def leaky(self):
-        branch = health_fork(self)
-        setattr(branch, field, getattr(self, field))
-        return branch
-
-    monkeypatch.setattr(World, "health_fork", leaky)
-    twin = spawn_twin(rehearsal_world())
-    leaked = shared_mutables(twin, twin.health_fork())
-    assert any(obj is getattr(twin, field) for obj in leaked)
+@pytest.mark.parametrize("parent, traced", [
+    (lambda world: world, True),
+    (lambda world: world, False),
+    (lambda world: world.fork(traced=False), True),
+    (placed_twin, True),
+], ids=["fork", "untraced-fork", "fork-of-untraced-fork", "fork-of-placed-twin"])
+def test_fork_shares_no_mutable_state(live_world, parent, traced):
+    """The world and its fork, the world and its untraced fork, that
+    untraced fork and its own fork, and a twin with a commit pending and a
+    task placed and its fork."""
+    world = parent(live_world)
+    assert shared_mutables(world, world.fork(traced=traced)) == []
 
 
 def test_guard_catches_a_fork_that_shares_a_container(monkeypatch):
@@ -188,7 +175,8 @@ def test_guard_catches_a_fork_that_shares_a_container(monkeypatch):
 
 def assert_guard_catches_a_shared_cache(monkeypatch, cls, field, owner, make_world):
     """Make `cls.fork` hand its twin the original's `field`; the guard must
-    find that cache, filled by the world's ticks, shared by the fork."""
+    find that container, filled by the world's set-up and ticks, shared by
+    the fork."""
     fork = cls.fork
 
     def leaky(self, *args):
@@ -210,6 +198,13 @@ def assert_guard_catches_a_shared_cache(monkeypatch, cls, field, owner, make_wor
 ])
 def test_guard_catches_a_fork_that_shares_a_telemetry_cache(monkeypatch, cls, field, owner):
     assert_guard_catches_a_shared_cache(monkeypatch, cls, field, owner, malicious_world)
+
+
+@pytest.mark.parametrize("field", ["options", "pending_commits", "task_overrides"])
+def test_guard_catches_a_fork_that_shares_a_world_container(monkeypatch, field):
+    """`WorldOptions` is a mutable dataclass, so sharing it counts too."""
+    assert_guard_catches_a_shared_cache(monkeypatch, World, field, lambda world: world,
+                                        rehearsal_world)
 
 
 @pytest.mark.parametrize("cls, field, owner", [

@@ -32,6 +32,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -206,14 +207,15 @@ def test_rehearsal_reuses_transfer_searches(monkeypatch):
 
 
 def inside_evaluate(monkeypatch) -> list:
-    """Wrap `sandbox.evaluate`; the returned list is non-empty while it runs."""
+    """Wrap `sandbox.evaluate`; while it runs, the returned list holds the
+    twin it was handed."""
     inside = []
     evaluate = sandbox.evaluate
 
-    def evaluating(*args):
-        inside.append(True)
+    def evaluating(twin, *args):
+        inside.append(twin)
         try:
-            return evaluate(*args)
+            return evaluate(twin, *args)
         finally:
             inside.pop()
 
@@ -222,13 +224,12 @@ def inside_evaluate(monkeypatch) -> list:
 
 
 def test_rehearsal_runs_one_branch_per_place_task(monkeypatch):
-    """A `place_task` rehearsal replays only the tick boundaries of one
-    health-only branch, so the rehearsal schedule's 50 placements and 3
-    repairs at horizon 3 make at most 56 branches (`health_fork`, which
-    every `fork` builds on), of which at most 6 are full forks, and 18
-    ticks inside `evaluate` (56 full forks and 168 ticks with placement
-    branches that fork and tick) and still show the pinned hash."""
-    counts = {"fork": 0, "health_fork": 0, "tick": 0}
+    """A `place_task` rehearsal replays only the tick boundaries of the twin
+    it is handed, so the rehearsal schedule's 50 placements and 3 repairs
+    at horizon 3 make at most 6 forks and 18 ticks inside `evaluate` (56
+    forks and 168 ticks with placement branches that fork and tick) and
+    still show the pinned hash."""
+    counts = {"fork": 0, "tick": 0}
     inside = inside_evaluate(monkeypatch)
 
     def counted(method_name):
@@ -244,7 +245,6 @@ def test_rehearsal_runs_one_branch_per_place_task(monkeypatch):
     name = "golden/twin-rehearsal-2-0.json"
     assert rehearsal_sha256(name) == json.loads(EXPECTED.read_text())[name]["rehearsal_sha256"]
     assert 0 < counts["fork"] <= 6
-    assert 0 < counts["health_fork"] <= 56
     assert 0 < counts["tick"] <= 18
 
 
@@ -268,22 +268,26 @@ def test_rehearsal_reuses_compositions(monkeypatch):
 
 def test_rehearsal_folds_no_branch_event(monkeypatch):
     """The branches `evaluate` forks are dropped once their counters and
-    makespans are read, so nothing is folded into a digest while it runs;
-    the physical world and its twins still fold every line, and the
-    rehearsal schedule still shows the pinned hash."""
-    folded = {"inside": 0, "outside": 0}
+    makespans are read, so while it runs only the twin it was handed folds
+    lines into a digest; the physical world and its twins fold every line,
+    and the rehearsal schedule still shows the pinned hash."""
+    folded = defaultdict(int)  # (log, whether it is the evaluated twin's) -> bytes
+    outside = defaultdict(int)  # log -> bytes
     inside = inside_evaluate(monkeypatch)
-    fold = events.fnv1a_64
+    emit = events.EventLog.emit
 
-    def counted(data, *args):
-        folded["inside" if inside else "outside"] += len(data)
-        return fold(data, *args)
+    def counted(log, line):
+        if inside:
+            folded[log, log is inside[-1].log] += len(line) + 1
+        else:
+            outside[log] += len(line) + 1
+        emit(log, line)
 
-    monkeypatch.setattr(events, "fnv1a_64", counted)
+    monkeypatch.setattr(events.EventLog, "emit", counted)
     name = "golden/twin-rehearsal-2-0.json"
     assert rehearsal_sha256(name) == json.loads(EXPECTED.read_text())[name]["rehearsal_sha256"]
-    assert folded["inside"] == 0
-    assert folded["outside"] > 0
+    assert folded and all(is_twin for _, is_twin in folded)
+    assert outside
 
 
 def test_rehearsal_is_identical_across_hash_seeds():

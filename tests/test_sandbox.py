@@ -265,13 +265,26 @@ def test_committed_slice_change_reroutes_admission():
     assert world.farm.cross_domain_path(0, 3, 0) == [0, 1, 2, 3]
 
 
-def test_evaluate_leaves_twin_at_snapshot(line_world):
-    line_world.schedule_flow(0, 0, 2, 2, 0)
-    line_world.run(2)
-    twin = spawn_twin(line_world)
-    tick_before = twin.now
-    evaluate(twin, Decision.inject_repair(1), horizon=5)
-    assert twin.now == tick_before
+def composition_world(ticks: int = 2):
+    """composition.json composed, then run `ticks` ticks."""
+    text = (TESTS / "fixtures" / "composition.json").read_text(encoding="utf-8")
+    world = build_scenario_world(parse_scenario(text))
+    world.run_composition()
+    world.run(ticks)
+    return world
+
+
+def test_evaluate_spends_the_twin_and_leaves_the_world():
+    """A placement replays the twin itself: it is left at snapshot plus
+    horizon with the override set. Neither that nor a repair, which runs
+    on two forks, changes the world."""
+    world = composition_world()
+    before = (world.trace_hash(), world.summary(), world.now, dict(world.task_overrides))
+    twin = spawn_twin(world)
+    evaluate(twin, Decision.place_task("fuse", 3), horizon=5)
+    assert (twin.now, twin.task_overrides["fuse"]) == (world.now + 5, 3)
+    evaluate(spawn_twin(world), Decision.inject_repair(1), horizon=5)
+    assert (world.trace_hash(), world.summary(), world.now, dict(world.task_overrides)) == before
 
 
 def test_place_task_decision_changes_makespan():
@@ -388,7 +401,8 @@ EQUIVALENCE_TICKS = {
 def test_evaluate_matches_the_two_branch_reference(name):
     """On each scenario at several ticks, every case rehearses to the delta,
     or raises the exception, that running baseline and decision on two
-    branches gives, and leaves the twin as it was."""
+    branches gives, and leaves the world as it was. The reference only
+    forks the twin, so it runs first; `evaluate` then spends the twin."""
     world = build_scenario_world(parse_scenario((TESTS / name).read_text(encoding="utf-8")))
     if world.dag is not None:
         world.run_composition()
@@ -397,28 +411,25 @@ def test_evaluate_matches_the_two_branch_reference(name):
         world.run(tick - world.now)
         for decision, pending in _decisions(world):
             pending_kinds.update(d.kind for d in pending)
+            before = (world.trace_hash(), world.now, dict(world.task_overrides),
+                      list(world.pending_commits))
             twin = spawn_twin(world)
             twin.pending_commits.extend(pending)
-            before = (twin.trace_hash(), twin.now, dict(twin.task_overrides),
-                      list(twin.pending_commits))
             expected = _outcome(reference_evaluate, twin, decision, 3)
             assert _outcome(evaluate, twin, decision, 3) == expected, (tick, decision, pending)
-            assert (twin.trace_hash(), twin.now, dict(twin.task_overrides),
-                    list(twin.pending_commits)) == before
+            assert (world.trace_hash(), world.now, dict(world.task_overrides),
+                    list(world.pending_commits)) == before
             kinds.add(decision.kind)
     assert kinds == set(DecisionKind)
     assert pending_kinds == (set() if world.dag is None else set(DecisionKind))
 
 
 def test_an_unresolvable_placement_raises_before_any_fork_or_tick(monkeypatch):
-    text = (TESTS / "fixtures" / "composition.json").read_text(encoding="utf-8")
-    world = build_scenario_world(parse_scenario(text))
-    world.run(2)
-    twin = spawn_twin(world)
+    twin = spawn_twin(composition_world())
     calls = []
     monkeypatch.setattr(World, "fork", lambda w: calls.append("fork"))
-    monkeypatch.setattr(World, "health_fork", lambda w: calls.append("health_fork"))
     monkeypatch.setattr(World, "tick", lambda w: calls.append("tick"))
+    monkeypatch.setattr(World, "boundary", lambda w: calls.append("boundary"))
     for decision, message in [
         (Decision.place_task("no-such-task", 0), "task 'no-such-task' is not in the workload"),
         (Decision.place_task("act", 2), "node 2 does not provide 'actuate'"),
@@ -429,55 +440,46 @@ def test_an_unresolvable_placement_raises_before_any_fork_or_tick(monkeypatch):
     assert calls == []
 
 
-def test_a_placement_rehearsal_forks_once_and_never_ticks(monkeypatch):
-    """A `place_task` rehearsal replays only the tick boundaries of one
-    branch: a `health_fork`, or a full `fork` (which builds on one) while a
-    pending reroute or slice commit needs the flows and slices. A
-    two-branch rehearsal ticks each of its two forks `horizon` times."""
-    text = (TESTS / "fixtures" / "composition.json").read_text(encoding="utf-8")
-    world = build_scenario_world(parse_scenario(text))
-    world.run_composition()
-    world.run(2)
-    twin = spawn_twin(world)
+def test_a_placement_rehearsal_forks_nothing_and_never_ticks(monkeypatch):
+    """A `place_task` rehearsal replays only the tick boundaries of the
+    twin it is handed, whatever commits are pending. A two-branch
+    rehearsal ticks each of its two forks `horizon` times."""
+    world = composition_world()
     calls = []
-    fork, health_fork, tick = World.fork, World.health_fork, World.tick
+    fork, tick = World.fork, World.tick
 
     def counting_fork(w, *args, **kwargs):
         calls.append("fork")
         return fork(w, *args, **kwargs)
 
-    def counting_health_fork(w):
-        calls.append("health_fork")
-        return health_fork(w)
-
     def counting_tick(w):
         calls.append("tick")
         tick(w)
 
-    monkeypatch.setattr(World, "fork", counting_fork)
-    monkeypatch.setattr(World, "health_fork", counting_health_fork)
-    monkeypatch.setattr(World, "tick", counting_tick)
-    slice0 = twin.slices.slices[0]
+    slice0 = world.slices.slices[0]
     set_slice = Decision.set_slice(0, sorted(slice0.links), slice0.share, slice0.priority)
-    flow = twin.engine.flows[0]
+    flow = world.engine.flows[0]
     reroute = Decision.reroute(flow.id, list(flow.path))
     place = Decision.place_task("fuse", 3)
-    for decision, pending, forks, health_forks, ticks in [
-        (place, [], 0, 1, 0),
-        (place, [Decision.inject_repair(1)], 0, 1, 0),
-        (place, [Decision.place_task("fuse", 2)], 0, 1, 0),
-        (place, [Decision.place_task("act", 4)], 0, 1, 0),
-        (place, [reroute], 1, 1, 0),
-        (place, [set_slice], 1, 1, 0),
-        (place, [Decision.inject_repair(1), reroute], 1, 1, 0),
-        (Decision.inject_repair(1), [], 2, 2, 6),
-        (set_slice, [], 2, 2, 6),
+    for decision, pending, forks, ticks in [
+        (place, [], 0, 0),
+        (place, [Decision.inject_repair(1)], 0, 0),
+        (place, [Decision.place_task("fuse", 2)], 0, 0),
+        (place, [Decision.place_task("act", 4)], 0, 0),
+        (place, [reroute], 0, 0),
+        (place, [set_slice], 0, 0),
+        (place, [Decision.inject_repair(1), reroute], 0, 0),
+        (Decision.inject_repair(1), [], 2, 6),
+        (set_slice, [], 2, 6),
     ]:
-        calls.clear()
+        twin = spawn_twin(world)
         twin.pending_commits[:] = pending
-        evaluate(twin, decision, horizon=3)
-        assert (calls.count("fork"), calls.count("health_fork"), calls.count("tick")) == (
-            forks, health_forks, ticks), (decision, pending)
+        with monkeypatch.context() as mp:
+            mp.setattr(World, "fork", counting_fork)
+            mp.setattr(World, "tick", counting_tick)
+            calls.clear()
+            evaluate(twin, decision, horizon=3)
+        assert (calls.count("fork"), calls.count("tick")) == (forks, ticks), (decision, pending)
 
 
 def _overflow_twin(heal: bool):
@@ -518,39 +520,31 @@ def test_a_placement_rehearsal_raises_an_overflow_unless_the_horizon_heals_it():
 
 
 def test_evaluate_branches_keep_no_trace_hash(monkeypatch):
-    """Every branch `evaluate` makes, for a `place_task` (with and without a
-    pending reroute) and for a repair, is untraced: it is dropped once its
-    counters and makespans are read. Only the plain placement's branch is
-    health-only, with no flows, farm or bus."""
-    text = (TESTS / "fixtures" / "composition.json").read_text(encoding="utf-8")
-    world = build_scenario_world(parse_scenario(text))
-    world.run_composition()
-    world.run(2)
-    twin = spawn_twin(world)
-    branches = {}
-    fork, health_fork = World.fork, World.health_fork
+    """A `place_task` rehearsal, with and without a pending reroute, makes
+    no branch. A repair's two branches are untraced: they are dropped once
+    their counters and makespans are read."""
+    world = composition_world()
+    branches = []
+    fork = World.fork
 
-    def recording(make):
-        def made(w, *args, **kwargs):
-            branch = make(w, *args, **kwargs)
-            branches[id(branch)] = branch  # a full fork returns its health fork
-            return branch
-        return made
+    def recording(w, *args, **kwargs):
+        branch = fork(w, *args, **kwargs)
+        branches.append(branch)
+        return branch
 
-    monkeypatch.setattr(World, "fork", recording(fork))
-    monkeypatch.setattr(World, "health_fork", recording(health_fork))
-    evaluate(twin, Decision.place_task("fuse", 3), horizon=3)
-    flow = twin.engine.flows[0]
-    twin.pending_commits.append(Decision.reroute(flow.id, list(flow.path)))
-    evaluate(twin, Decision.place_task("fuse", 3), horizon=3)
-    twin.pending_commits.clear()
-    evaluate(twin, Decision.inject_repair(1), horizon=3)
-    assert len(branches) == 4
-    assert [hasattr(b, "engine") for b in branches.values()] == [False, True, True, True]
-    for branch in branches.values():
+    flow = world.engine.flows[0]
+    twins = [spawn_twin(world) for _ in range(3)]
+    twins[1].pending_commits.append(Decision.reroute(flow.id, list(flow.path)))
+    monkeypatch.setattr(World, "fork", recording)
+    evaluate(twins[0], Decision.place_task("fuse", 3), horizon=3)
+    evaluate(twins[1], Decision.place_task("fuse", 3), horizon=3)
+    assert branches == []
+    evaluate(twins[2], Decision.inject_repair(1), horizon=3)
+    assert len(branches) == 2
+    for branch in branches:
         with pytest.raises(RuntimeError, match="untraced"):
             branch.trace_hash()
-    assert twin.trace_hash() == world.trace_hash()
+    assert twins[2].trace_hash() == world.trace_hash()
 
 
 # -- commit ------------------------------------------------------------------------------
@@ -593,6 +587,28 @@ def test_rejected_decision_leaves_no_observable_difference():
     w.run(6)
     baseline.run(6)
     assert w.trace_hash() == baseline.trace_hash()
+
+
+def test_a_commit_that_no_longer_resolves_is_refused(diamond_world, event_lines):
+    """Each decision rehearses against the world as it is, so a slice change
+    and then a reroute onto the links it drops are both accepted. At the
+    boundary the reroute no longer resolves: it is refused and logged, the
+    slice change stands, and the world ticks on."""
+    w = diamond_world
+    w.schedule_flow(0, 0, 3, 1, 0)
+    w.run(6)
+    flow = w.engine.flows[0]
+    assert (flow.path, flow.delivered_record) == ([0, 1, 3], [0])
+    for decision in [Decision.set_slice(0, [(0, 1), (1, 3)], 1, Priority.GOLD),
+                     Decision.reroute(0, [0, 2, 3])]:
+        assert commit(w, decision, evaluate(spawn_twin(w), decision, horizon=2)) is True
+    w.tick()
+    assert "t=7 ev=refuse kind=reroute" in event_lines[w.log]
+    assert (w.pending_commits, w.mid_tick) == ([], False)
+    assert (w.slices.get(0).links, flow.path) == ({(0, 1), (1, 3)}, [0, 1, 3])
+    spawn_twin(w).run(2)
+    w.run(2)
+    assert w.now == 9
 
 
 def test_stale_delta_rejected():
