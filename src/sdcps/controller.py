@@ -254,8 +254,8 @@ def merge_verdicts(views: Iterable[dict[NodeId, Verdict]]) -> dict[NodeId, Verdi
 
 
 class SegmentTable(dict):
-    """(node, node) -> (latency, path) through one domain: the rows of one
-    source's search, or a table of terminal pairs. Never changed once
+    """node -> (latency, hops, node sequence): one source's search through
+    one domain, as `multi_target_paths` returns it. Never changed once
     built, so forks share it."""
 
 
@@ -339,9 +339,9 @@ class Controller:
     # -- routing -------------------------------------------------------------
 
     def search(self, links: frozenset[LinkId], source: NodeId) -> SegmentTable:
-        """(source, node) -> (latency, path) for every node of the domain
-        that source reaches over the slice links. Suspects other than the
-        source may end a path but never relay one."""
+        """The best path key from source to every node of the domain that
+        source reaches over the slice links, source itself included.
+        Suspects other than the source may end a path but never relay one."""
         suspects = self.domain_suspects()
         memo = self._searches.get((links, source))
         if memo is None or memo[0] != suspects:
@@ -350,37 +350,33 @@ class Controller:
                 rows = self._topology.adjacency(self.domain_nodes, links).items()
                 adj = self._adjacency[links] = DomainAdjacency((n, tuple(r)) for n, r in rows)
             found = multi_target_paths(adj, source, self.domain_nodes, suspects - {source})
-            rows = SegmentTable(
-                ((source, v), (dist, list(seq)))
-                for v, (dist, _hops, seq) in found.items() if v != source
-            )
-            memo = self._searches[(links, source)] = (suspects, rows)
+            memo = self._searches[(links, source)] = (suspects, SegmentTable(found))
         return memo[1]
 
     def segment(self, links: frozenset[LinkId], u: NodeId, v: NodeId):
-        """(latency, path) from u to v through this domain, or None: from u's
-        search when u < v, else the reverse of v's, so both directions
-        break ties alike."""
+        """(latency, hops, node sequence) from u to v through this domain, or
+        None: u's search key when u < v, else v's with its sequence
+        reversed, so both directions break ties alike."""
         if u < v:
-            return self.search(links, u).get((u, v))
-        found = self.search(links, v).get((v, u))
-        return None if found is None else (found[0], found[1][::-1])
+            return self.search(links, u).get(v)
+        found = self.search(links, v).get(u)
+        return None if found is None else (found[0], found[1], found[2][::-1])
 
-    def segment_table(self, links: frozenset[LinkId], terminals: list[NodeId]) -> SegmentTable:
-        """All-pairs paths over the slice links between terminals, through this domain only.
+    def segment_table(self, links: frozenset[LinkId], terminals: list[NodeId]) -> dict:
+        """(u, v) -> (latency, hops, node sequence) over the slice links
+        between terminals, through this domain only.
 
         Served over the westbound surface; peers never see the topology
         itself, just these segments. Read from the memoized per-source
-        searches: (u, v) with u < v from u's, (v, u) its reverse.
-        """
-        table = SegmentTable()
+        searches: (u, v) with u < v is u's key for v, (v, u) that key
+        with its sequence reversed."""
+        table = {}
         terms = sorted(set(terminals) & self.domain_nodes)
         for i, u in enumerate(terms[:-1]):
             rows = self.search(links, u)
             for v in terms[i + 1:]:
-                found = rows.get((u, v))
+                found = rows.get(v)
                 if found is not None:
-                    dist, path = found
-                    table[(u, v)] = (dist, list(path))
-                    table[(v, u)] = (dist, path[::-1])
+                    table[(u, v)] = found
+                    table[(v, u)] = (found[0], found[1], found[2][::-1])
         return table

@@ -231,20 +231,20 @@ class Farm:
         route = [src]
         for u, v in zip(seq, seq[1:]):
             if owner[u] == owner[v]:
-                route += self.controllers[owner[u]].segment(links, u, v)[1][1:]
+                route += self.controllers[owner[u]].segment(links, u, v)[2][1:]
             else:  # a gateway link
                 route.append(v)
         return route
 
     def _edges(self, links, u: NodeId, targets) -> tuple:
         """Join edges (v, latency, hops) from u to each target it reaches
-        within its domain."""
+        within its domain, read from the segment's key."""
         ctrl = self.controllers[self._owner[u]]
         edges = []
         for v in targets:
             found = ctrl.segment(links, u, v)
             if found is not None:
-                edges.append((v, found[0], len(found[1]) - 1))
+                edges.append((v, found[0], found[1]))
         return tuple(edges)
 
     def _join_graph(self, links) -> JoinGraph:
@@ -264,8 +264,8 @@ class Farm:
                 continue
             join.suspects[cid] = suspects
             edges: dict[NodeId, list] = {u: [] for u in terms}
-            for (u, v), (w, path) in ctrl.segment_table(links, terms).items():
-                edges[u].append((v, w, len(path) - 1))
+            for (u, v), (w, hops, _seq) in ctrl.segment_table(links, terms).items():
+                edges[u].append((v, w, hops))
             for u in terms:
                 join.adj[u] = (*edges[u], *join.gateway_edges[u])
         return join

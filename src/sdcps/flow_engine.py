@@ -20,6 +20,7 @@ from typing import AbstractSet, Optional
 
 from .controller import SliceTable, TenantId, qos_schedule
 from .errors import (
+    BadParameter,
     NotIntermediate,
     StaleDecision,
     UnknownFlow,
@@ -180,6 +181,8 @@ class FlowEngine:
 
     def open_flow(self, tenant: TenantId, origin: NodeId, dest: NodeId,
                   units: int, path: list[NodeId]) -> int:
+        if units < 0:
+            raise BadParameter("units must be >= 0")
         fid = self._next_flow_id
         self._next_flow_id += 1
         flow = Flow(fid, tenant, origin, dest, units, list(path), start_tick=self.now)

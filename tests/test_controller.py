@@ -332,7 +332,7 @@ def test_admit_flow_on_line_slice():
     ctrl, slices = make_controller(topo)
     sl = slices.allocate(0, [(0, 1), (1, 2)], 1, Priority.GOLD)
     assert ctrl.segment_table(sl.links, [0, 2]) == {
-        (0, 2): (2, [0, 1, 2]), (2, 0): (2, [2, 1, 0])
+        (0, 2): (2, 2, (0, 1, 2)), (2, 0): (2, 2, (2, 1, 0))
     }
 
 
@@ -392,8 +392,9 @@ def test_segment_table_matches_pairwise_oracle(seed):
                 topo, u, v, link_filter=in_slice, exclude_nodes=suspects - {u, v}
             )
             if found is not None:
-                expected[(u, v)] = found
-                expected[(v, u)] = (found[0], list(reversed(found[1])))
+                dist, path = found
+                expected[(u, v)] = (dist, len(path) - 1, tuple(path))
+                expected[(v, u)] = (dist, len(path) - 1, tuple(reversed(path)))
     assert list(ctrl.segment_table(sl.links, terminals).items()) == list(expected.items())
 
 
@@ -408,10 +409,10 @@ def test_admit_flow_routes_around_suspect():
     topo = build_topology(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
     ctrl, slices = make_controller(topo)
     sl = slices.allocate(0, [(0, 1), (1, 3), (0, 2), (2, 3)], 1, Priority.GOLD)
-    assert ctrl.segment_table(sl.links, [0, 3])[(0, 3)] == (2, [0, 1, 3])
+    assert ctrl.segment_table(sl.links, [0, 3])[(0, 3)] == (2, 2, (0, 1, 3))
     for t in range(1, 4):
         ctrl.ingest_report(loss_report(0, 1), t)
-    assert ctrl.segment_table(sl.links, [0, 3])[(0, 3)] == (2, [0, 2, 3])
+    assert ctrl.segment_table(sl.links, [0, 3])[(0, 3)] == (2, 2, (0, 2, 3))
 
 
 def test_merged_view_and_suspects_are_kept_until_a_digest_or_a_transition():

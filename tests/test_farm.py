@@ -32,7 +32,7 @@ from sdcps.errors import (
     UnassignedNode,
 )
 
-from conftest import make_node, path_latency, record_admissions
+from conftest import make_node, path_latency, record_admissions, reference_cross_domain_path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -205,7 +205,21 @@ def test_same_domain_pair_degenerates_to_intra():
     w = farm_world({0: [0, 1, 2]}, [(0, 1), (1, 2)])
     assert w.farm.cross_domain_path(0, 2, 0) == [0, 1, 2]
     table = w.farm.controllers[0].segment_table(w.slices.get(0).links, [0, 2])
-    assert table[(0, 2)] == (2, [0, 1, 2])
+    assert table[(0, 2)] == (2, 2, (0, 1, 2))
+
+
+def test_admission_edges_count_their_segments_hops():
+    """0 and 1 share a domain: its own path 0-2-3-4-5-1 ties in latency
+    with 0-6-8-7-1 through domain 1, which has one link fewer. The join
+    edges out of 0 and into 1 must count their segments' links, or the
+    tie goes to the shorter join sequence (0, 1)."""
+    w = farm_world(
+        {0: [0, 1, 2, 3, 4, 5, 6, 7], 1: [8]},
+        [(0, 2), (2, 3), (3, 4), (4, 5), (5, 1), (0, 6), (6, 8), (8, 7, 2), (7, 1)],
+    )
+    route = w.farm.cross_domain_path(0, 1, 0)
+    assert route == [0, 6, 8, 7, 1]
+    assert route == reference_cross_domain_path(w.farm, {}, 0, 1, 0)[0]
 
 
 def test_no_cross_domain_link_in_slice_is_no_path():

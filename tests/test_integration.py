@@ -170,6 +170,19 @@ def test_schedule_fault_checks_node_and_tick(line_world):
     assert line_world.pending_faults == []
 
 
+def test_negative_unit_flow_is_rejected(line_world):
+    """A flow of -3 units would never terminate: a queued one is rejected
+    at admission and a direct one raises."""
+    line_world.schedule_flow(0, 0, 2, -3, 0)
+    line_world.run(horizon=2)
+    assert line_world.engine.flows == {} and line_world.engine.all_terminal()
+    [(pf, cause)] = line_world.rejected_flows
+    assert (pf.units, cause) == (-3, "units must be >= 0")
+    with pytest.raises(BadParameter, match="units must be >= 0"):
+        line_world.open_flow(0, 0, 2, -3)
+    assert line_world.engine.flows == {}
+
+
 def test_set_composition_checks_dag_and_services(line_world):
     registry = ServiceRegistry(line_world.topology)
     registry.register_service("svc", 1, [0])
