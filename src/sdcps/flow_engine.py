@@ -1,10 +1,12 @@
 """Flow transport and the subflow clone/recompose resilience protocol.
 
 Flows carry sequence-numbered units along an admitted path. When the control
-plane flags an intermediary, the engine picks a branch point with confirmed
-custody of the at-risk units, duplicates them onto a detour, and recomposes
-the stream through reorder buffers so the destination sees each sequence
-number exactly once, in order.
+plane flags an intermediary, `FlowEngine.on_unhealthy` recovers the flow in one
+call: with no unit at risk it returns None; otherwise it picks a branch point
+with confirmed custody of the at-risk units, has `clone_subflow` duplicate them
+onto a detour and logs `recovering` then `active` (the state never outlives the
+call). Reorder buffers recompose the stream so the destination sees each
+sequence number exactly once, in order.
 
 Clone destination selection: if a detour can rejoin the original path at a
 downstream intermediate node no more expensively than detouring straight to
@@ -20,7 +22,6 @@ from typing import AbstractSet, Optional
 
 from .controller import SliceTable, TenantId, qos_schedule
 from .errors import (
-    BadParameter,
     NotIntermediate,
     StaleDecision,
     UnknownFlow,
@@ -181,8 +182,6 @@ class FlowEngine:
 
     def open_flow(self, tenant: TenantId, origin: NodeId, dest: NodeId,
                   units: int, path: list[NodeId]) -> int:
-        if units < 0:
-            raise BadParameter("units must be >= 0")
         fid = self._next_flow_id
         self._next_flow_id += 1
         flow = Flow(fid, tenant, origin, dest, units, list(path), start_tick=self.now)
@@ -219,11 +218,14 @@ class FlowEngine:
 
     # -- resilience --------------------------------------------------------------
 
-    def on_unhealthy(self, fid: int, bad: NodeId, suspects: AbstractSet[NodeId]) -> CloneDecision:
-        """Decide how to recover a flow around a flagged intermediary.
+    def on_unhealthy(self, fid: int, bad: NodeId,
+                     suspects: AbstractSet[NodeId]) -> Optional[CloneDecision]:
+        """Recover a flow around a flagged intermediary `bad`, marking it handled.
 
-        `suspects` is the deciding controller's current set of
-        suspected-failed nodes; detours avoid them all, plus `bad`.
+        None, and no other change, when no unit is at risk (`at_risk_seqs`);
+        else the decision, enacted by `clone_subflow` while the flow is
+        `recovering`. The detour avoids `bad` and `suspects`, the deciding
+        controller's current set of suspected-failed nodes.
         """
         flow = self._flow(fid)
         if flow.state is not FlowState.ACTIVE:
@@ -232,12 +234,14 @@ class FlowEngine:
         if bad_idx is None or bad_idx == 0 or bad_idx == len(flow.path) - 1:
             raise NotIntermediate(f"node {bad} is not an intermediate of flow {fid}")
         flow.handled_bad.add(bad)
+        cloned = self.at_risk_seqs(fid, bad)
+        if not cloned:
+            return None
         self._set_state(flow, FlowState.RECOVERING)
 
         avoid = (set(suspects) | {bad}) - {flow.origin, flow.destination}
         branch_idx = self._branch_index(flow, bad_idx, avoid)
         branch = flow.path[branch_idx]
-        cloned = self.at_risk_seqs(fid, bad)
 
         # one search from the branch point reaches the destination and
         # every rejoin candidate over the slice; the branch is never in avoid
@@ -285,6 +289,8 @@ class FlowEngine:
             f"branch={branch} dest={clone_dest} detour={_fmt_path(detour)} "
             f"seqs={_fmt_seqs(cloned)}"
         )
+        self.clone_subflow(decision)
+        self._set_state(flow, FlowState.ACTIVE)
         return decision
 
     def _dest_buffer(self, flow: Flow) -> ReorderBuffer:
@@ -368,8 +374,6 @@ class FlowEngine:
             flow.path[:branch_idx] + decision.detour + flow.path[dest_idx + 1:]
         )
         self._rebase_progress(flow)
-        if flow.state is FlowState.RECOVERING:
-            self._set_state(flow, FlowState.ACTIVE)
         return subflow_id
 
     def _rebase_progress(self, flow: Flow) -> None:
@@ -460,9 +464,7 @@ class FlowEngine:
         self.latency_sum += self.now - unit.injected_tick
         self.latency_count += 1
         self._log.emit(f"t={self.now} ev=deliver flow={flow.id} seq={unit.seq}")
-        if len(flow.delivered_record) == flow.units and flow.state in (
-            FlowState.ACTIVE, FlowState.RECOVERING,
-        ):
+        if len(flow.delivered_record) == flow.units and flow.state is FlowState.ACTIVE:
             self._set_state(flow, FlowState.DELIVERED)
 
     def _drop(self, unit: Unit, node: NodeId, cause: str) -> None:
@@ -515,10 +517,7 @@ class FlowEngine:
     # -- introspection ---------------------------------------------------------------
 
     def active_flow_count(self) -> int:
-        return sum(
-            1 for f in self.flows.values()
-            if f.state in (FlowState.ACTIVE, FlowState.RECOVERING)
-        )
+        return sum(1 for f in self.flows.values() if f.state is FlowState.ACTIVE)
 
     def all_terminal(self) -> bool:
         return all(

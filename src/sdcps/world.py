@@ -16,7 +16,9 @@ Each tick runs fixed phases:
                         wrote nothing
   3. flow admissions    scenario flows starting this tick
   4. digest broadcast   every digest-period ticks
-  5. clone decisions    recovery for flows crossing suspected-failed nodes
+  5. clone decisions    `FlowEngine.on_unhealthy` on each active flow's
+                        unhandled suspects in path order, until one
+                        clones or fails the flow
   6. movement           arrivals, QoS-scheduled transmissions, telemetry
   7. metrics            one record per tick
 """
@@ -168,7 +170,9 @@ class World:
     # -- routing helpers -----------------------------------------------------------
 
     def open_flow(self, tenant, origin, dest, units) -> int:
-        """Admit a flow on its federated slice route."""
+        """Admit a flow of `units` >= 0 units on its federated slice route."""
+        if units < 0:
+            raise BadParameter("units must be >= 0")
         path = self.farm.cross_domain_path(origin, dest, tenant)
         return self.engine.open_flow(tenant, origin, dest, units, path)
 
@@ -337,13 +341,9 @@ class World:
             for node in flow.path[1:-1]:
                 if node not in suspects or node in flow.handled_bad:
                     continue
-                if not self.engine.at_risk_seqs(fid, node):
-                    # every unit is already safely beyond it; nothing to clone
-                    flow.handled_bad.add(node)
-                    continue
                 try:
-                    decision = self.engine.on_unhealthy(fid, node, suspects)
-                    self.engine.clone_subflow(decision)
+                    if self.engine.on_unhealthy(fid, node, suspects) is None:
+                        continue  # every unit is already safely beyond it
                 except Unrecoverable:
                     pass
                 break

@@ -13,6 +13,8 @@ sys.path.insert(0, str(BENCH))
 import harness  # noqa: E402
 from spans import Tracer, instrument  # noqa: E402
 
+from sdcps import FlowEngine  # noqa: E402
+
 GOLDEN = Path(__file__).parent / "golden"
 
 # span name -> why no run reaches it
@@ -55,3 +57,20 @@ def test_one_rehearsing_instance_runs_clean():
     assert out.bad_records == []
     assert out.stats[0]["rehearsals"] > 0
     assert out.stats[0]["rehearsal_errors"] == 0
+
+
+def test_one_at_risk_pass_per_recovery(monkeypatch):
+    """A recovery reads the at-risk units once, inside on_unhealthy, and
+    every decision it returns was enacted once."""
+    calls = {"at_risk_seqs": 0, "on_unhealthy": 0, "clone_subflow": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(FlowEngine, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(FlowEngine, name, counted)
+    text = (GOLDEN / "federated-admission-2-0.json").read_text()
+    scenario, world, _ = harness.set_up(text)
+    harness.run_instance(harness.PassResult(), "federated-admission-2-0", False, scenario, world)
+    assert calls["on_unhealthy"] > 0
+    assert calls["at_risk_seqs"] == calls["on_unhealthy"]
+    assert calls["clone_subflow"] == len(world.engine.decisions)

@@ -469,6 +469,15 @@ def test_cross_domain_path_counts_peer_tables_on_cache_miss_only():
     assert w.farm.message_count == before + 8
 
 
+def test_negative_unit_flow_is_rejected_before_any_table_fetch():
+    w = farm_world({0: [0, 1], 1: [2, 3]}, [(0, 1), (1, 2), (2, 3)])
+    w.schedule_flow(0, 0, 3, -3, 0)
+    w.tick()
+    [(pf, cause)] = w.rejected_flows
+    assert (pf.units, cause) == (-3, "units must be >= 0")
+    assert w.farm.message_count == 0 and w.engine.flows == {}
+
+
 LINE3 = ({0: [0, 1], 1: [2, 3], 2: [4, 5]}, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
 
 

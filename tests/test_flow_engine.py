@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from sdcps import CloneCase, FlowState, Health, Priority, ReorderBuffer, Unit, World
+from sdcps import (
+    CloneCase,
+    CloneDecision,
+    FlowState,
+    Health,
+    Priority,
+    ReorderBuffer,
+    Unit,
+    World,
+)
 from sdcps.errors import (
     NoPathInSlice,
     NotIntermediate,
@@ -127,14 +136,33 @@ def test_malicious_intermediate_drops_probabilistically():
 
 # -- on_unhealthy case arbitration -----------------------------------------------------
 
-def test_diamond_selects_detour_to_destination(diamond_world):
+def test_diamond_selects_detour_to_destination(diamond_world, event_lines):
     fid = diamond_world.open_flow(0, 0, 3, 4)
     d = diamond_world.engine.on_unhealthy(fid, 1, set())
     assert d.case_tag is CloneCase.TO_DESTINATION
     assert d.clone_destination == 3
     assert d.detour == [0, 2, 3]
     assert d.branch_point == 0
-    assert diamond_world.engine.flows[fid].state is FlowState.RECOVERING
+    # the flow recovers inside the call: recovering, then active again
+    states = [l for l in event_lines[diamond_world.log] if "ev=state" in l]
+    assert states == [f"t=0 ev=state flow={fid} state=recovering",
+                      f"t=0 ev=state flow={fid} state=active"]
+    assert diamond_world.engine.flows[fid].state is FlowState.ACTIVE
+
+
+def test_nothing_at_risk_marks_handled_and_changes_nothing(chord_world):
+    """Once every unit is past the flagged node there is nothing to clone:
+    on_unhealthy only marks the node handled and returns None."""
+    w = chord_world
+    fid = w.open_flow(0, 0, 3, 2)
+    w.run(2)  # both units now on the wire from node 1 toward node 2
+    flow, engine = w.engine.flows[fid], w.engine
+    assert flow.state is FlowState.ACTIVE and engine.at_risk_seqs(fid, 1) == frozenset()
+    digest, path = w.trace_hash(), flow.path
+    assert engine.on_unhealthy(fid, 1, set()) is None
+    assert flow.handled_bad == {1}
+    assert w.trace_hash() == digest and engine.decisions == []
+    assert flow.state is FlowState.ACTIVE and flow.path is path and flow.clone_count == 0
 
 
 def test_chord_selects_rejoin(chord_world):
@@ -233,6 +261,8 @@ def reference_detour(w, flow, bad, suspects):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_on_unhealthy_matches_pairwise_reference(seed):
+    """25 arbitrated cases per seed; a flow with nothing at risk is not
+    arbitrated, and on_unhealthy returns None for it."""
     rng = random.Random(seed)
     checked = 0
     while checked < 25:
@@ -260,6 +290,11 @@ def test_on_unhealthy_matches_pairwise_reference(seed):
             continue
         bad = rng.choice(flow.path[1:-1])
         suspects = set(rng.sample(range(n), rng.randint(0, 2)))
+        bad_idx, done = flow.path.index(bad), w.engine.buffers[(fid, dest)].done
+        if all(s in done or reference_safely_past(w.engine, flow, s, bad_idx)
+               for s in range(flow.units)):
+            assert w.engine.on_unhealthy(fid, bad, suspects) is None
+            continue
         expected = reference_detour(w, flow, bad, suspects)
         checked += 1
         if expected is None:
@@ -274,7 +309,8 @@ def test_on_unhealthy_matches_pairwise_reference(seed):
 def test_unit_positions_match_per_seq_scans(seed):
     """at_risk_seqs, a new REJOIN buffer's done set and the progress rebase
     agree with per-seq scans of the unit list, over repeated recoveries that
-    strand units on old detours."""
+    strand units on old detours. The done set is scanned on a fork taken
+    before the recovery, since on_unhealthy enacts what it decides."""
     rng = random.Random(seed)
     rejoins = checked = 0
     while checked < 30 or rejoins < 3:
@@ -298,21 +334,22 @@ def test_unit_positions_match_per_seq_scans(seed):
                 s for s in range(flow.units)
                 if s not in done and not reference_safely_past(engine, flow, s, bad_idx)
             )
+            before = w.fork()
             try:
                 d = engine.on_unhealthy(fid, bad, set())
             except Unrecoverable:
                 break
+            if d is None:
+                continue
             key = (fid, d.clone_destination)
-            expected_done = None
-            if d.case_tag is CloneCase.REJOIN and key not in engine.buffers:
-                dest_idx = flow.path.index(d.clone_destination)
-                expected_done = set(done) | {
-                    s for s in range(flow.units)
-                    if reference_beyond_buffer_point(engine, flow, s, dest_idx)
+            if d.case_tag is CloneCase.REJOIN and key not in before.engine.buffers:
+                was = before.engine.flows[fid]
+                dest_idx = was.path.index(d.clone_destination)
+                done = before.engine.buffers[(fid, was.destination)].done
+                assert engine.buffers[key].done == done | {
+                    s for s in range(was.units)
+                    if reference_beyond_buffer_point(before.engine, was, s, dest_idx)
                 }
-            engine.clone_subflow(d)
-            if expected_done is not None:
-                assert engine.buffers[key].done == expected_done
                 rejoins += 1
             assert flow.progress == max(reference_high_water(engine, flow).values(), default=0)
             checked += 1
@@ -325,7 +362,6 @@ def test_clone_duplicates_exact_cardinality(diamond_world):
     before = len(diamond_world.engine.units)
     d = diamond_world.engine.on_unhealthy(fid, 1, set())
     assert sorted(d.cloned_seqs) == [0, 1, 2, 3]
-    diamond_world.engine.clone_subflow(d)
     assert len(diamond_world.engine.units) == before + 4
     assert diamond_world.engine.flows[fid].state is FlowState.ACTIVE
 
@@ -333,8 +369,9 @@ def test_clone_duplicates_exact_cardinality(diamond_world):
 def test_clone_with_no_seqs_is_noop_but_installs_buffer(chord_world):
     fid = chord_world.open_flow(0, 0, 3, 4)
     engine = chord_world.engine
-    d = engine.on_unhealthy(fid, 1, set())
-    d.cloned_seqs = frozenset()
+    d = CloneDecision(flow=fid, case_tag=CloneCase.REJOIN, branch_point=0,
+                      clone_destination=2, detour=[0, 2], cloned_seqs=frozenset(),
+                      decided_tick=0)
     before = len(engine.units)
     engine.clone_subflow(d)
     assert len(engine.units) == before
@@ -350,7 +387,6 @@ def test_rejoin_buffer_dedupes_original_and_clone(event_lines):
     d = w.engine.on_unhealthy(fid, 1, set())
     assert d.case_tag is CloneCase.REJOIN and d.clone_destination == 2
     assert 0 in d.cloned_seqs
-    w.engine.clone_subflow(d)
     w.run(20)
     flow = w.engine.flows[fid]
     assert flow.state is FlowState.DELIVERED
@@ -440,7 +476,6 @@ def test_destination_prebuffer_record_keeps_duplicates(diamond_world):
     fid = diamond_world.open_flow(0, 0, 3, 3)
     d = diamond_world.engine.on_unhealthy(fid, 1, set())
     assert d.case_tag is CloneCase.TO_DESTINATION
-    diamond_world.engine.clone_subflow(d)
     diamond_world.run(15)
     flow = diamond_world.engine.flows[fid]
     assert flow.state is FlowState.DELIVERED
@@ -451,6 +486,21 @@ def test_destination_prebuffer_record_keeps_duplicates(diamond_world):
 
 
 # -- end-to-end recovery through the controller path ----------------------------------------
+
+def test_harmless_suspect_does_not_stop_later_recovery(monkeypatch):
+    """Phase 5 passes over a suspect with nothing at risk and recovers the
+    flow from the next suspect on its path in the same tick."""
+    w = build_world(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2, 3), (2, 4, 3)])
+    fid = w.open_flow(0, 0, 5, 2)
+    flow = w.engine.flows[fid]
+    assert flow.path == [0, 1, 2, 3, 4, 5]
+    w.run(2)  # both units on the wire from node 1 toward node 2
+    monkeypatch.setattr(w.farm.controllers[0], "suspect_failed", lambda: frozenset({1, 3}))
+    w.tick()
+    [d] = w.engine.decisions
+    assert (d.decided_tick, d.cloned_seqs) == (w.now, frozenset({0, 1}))
+    assert flow.handled_bad == {1, 3}
+
 
 def test_diamond_fault_recovers_exactly_once(diamond_world):
     diamond_world.schedule_flow(0, 0, 3, 4, 0)

@@ -116,7 +116,6 @@ def test_branch_walks_back_past_suspect_nodes():
     d = w.engine.on_unhealthy(fid, 3, {2, 3})
     assert d.branch_point == 1
     assert set(d.detour).isdisjoint({2, 3})
-    w.engine.clone_subflow(d)
     w.run(30)
     assert flow.state is FlowState.DELIVERED
     assert flow.delivered_record == [0, 1]
