@@ -45,20 +45,23 @@ class CloneCase(IntEnum):
 
 @dataclass(eq=False)
 class Unit:
+    """One copy of unit `seq` of a flow on its way along `route`. A copy
+    carries no tick of its own: original, clone and released copy alike
+    count their delivery latency from the flow's start tick."""
+
     flow: int
     seq: int
     route: list[NodeId]  # replaced, never changed in place, so forks share it
     position: int  # index into route of current (or arrival) node
     in_transit: bool = False
     arrives: int = 0  # tick the unit reaches route[position], while in transit
-    injected_tick: int = 0
 
     def key(self) -> tuple[int, int]:
         return (self.flow, self.seq)
 
     def fork(self) -> "Unit":
         return Unit(self.flow, self.seq, self.route, self.position, self.in_transit,
-                    self.arrives, self.injected_tick)
+                    self.arrives)
 
 
 @dataclass
@@ -191,7 +194,7 @@ class FlowEngine:
             f"t={self.now} ev=open flow={fid} tenant={tenant} "
             f"path={_fmt_path(path)} units={units}"
         )
-        fresh = [Unit(fid, seq, flow.path, 0, injected_tick=self.now) for seq in range(units)]
+        fresh = [Unit(fid, seq, flow.path, 0) for seq in range(units)]
         if units == 0:
             self._set_state(flow, FlowState.DELIVERED)
         elif origin == dest:
@@ -360,8 +363,7 @@ class FlowEngine:
 
         branch_idx = flow.path_index(decision.branch_point)
         for seq in sorted(decision.cloned_seqs):
-            dup = Unit(flow.id, seq, list(decision.detour), 0,
-                       injected_tick=flow.start_tick)
+            dup = Unit(flow.id, seq, list(decision.detour), 0)
             self.units.append(dup)
             self.total_cloned += 1
             self._log.emit(
@@ -446,22 +448,21 @@ class FlowEngine:
                     self._log.emit(
                         f"t={self.now} ev=release flow={flow.id} seq={r.seq} at={node}"
                     )
-                    self.units.append(
-                        Unit(flow.id, r.seq, list(buf.onward), 0,
-                             injected_tick=r.injected_tick)
-                    )
+                    self.units.append(Unit(flow.id, r.seq, list(buf.onward), 0))
             return
         if unit.position == len(unit.route) - 1:
             # route exhausted off the canonical machinery; absorb quietly
             self.units.remove(unit)
 
     def _deliver(self, flow: Flow, unit: Unit) -> None:
+        """Record a unit released at the destination; its latency counts
+        from the flow's start tick, whichever copy arrived."""
         flow.delivered_record.append(unit.seq)
         self.total_delivered += 1
         self.delivered_this_tick[flow.tenant] = (
             self.delivered_this_tick.get(flow.tenant, 0) + 1
         )
-        self.latency_sum += self.now - unit.injected_tick
+        self.latency_sum += self.now - flow.start_tick
         self.latency_count += 1
         self._log.emit(f"t={self.now} ev=deliver flow={flow.id} seq={unit.seq}")
         if len(flow.delivered_record) == flow.units and flow.state is FlowState.ACTIVE:
@@ -519,25 +520,14 @@ class FlowEngine:
     def active_flow_count(self) -> int:
         return sum(1 for f in self.flows.values() if f.state is FlowState.ACTIVE)
 
-    def all_terminal(self) -> bool:
-        return all(
-            f.state in (FlowState.DELIVERED, FlowState.FAILED)
-            for f in self.flows.values()
-        )
-
 
 def _simplify(path: list[NodeId]) -> list[NodeId]:
     """Cut loops so the canonical path visits each node at most once."""
     out: list[NodeId] = []
-    at: dict[NodeId, int] = {}
     for node in path:
-        if node in at:
-            del out[at[node] + 1:]
-            for n in list(at):
-                if at[n] > at[node]:
-                    del at[n]
+        if node in out:
+            del out[out.index(node) + 1:]
         else:
-            at[node] = len(out)
             out.append(node)
     return out
 

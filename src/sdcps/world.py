@@ -321,16 +321,9 @@ class World:
         self.metrics.append(rec)
         self.mid_tick = False
 
-    def run(self, horizon: int, stop_when_quiescent: bool = False) -> None:
+    def run(self, horizon: int) -> None:
         for _ in range(horizon):
             self.tick()
-            if (
-                stop_when_quiescent
-                and self.engine.all_terminal()
-                and not self.pending_flows
-                and not self.pending_faults
-            ):
-                break
 
     def _clone_decisions(self) -> None:
         for fid in sorted(self.engine.flows):

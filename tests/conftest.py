@@ -75,10 +75,10 @@ def reference_shortest_path(topo, src, dst, link_filter=None, exclude_nodes=(),
             continue
         if node == dst:
             return dist, list(path)
-        for nxt in sorted(topo._adj[node]):
+        for nxt in topo.neighbors(node):
             if nxt in excluded or nxt in path:
                 continue
-            link = topo._adj[node][nxt]
+            link = topo.link(node, nxt)
             if link_filter is not None and not link_filter(link):
                 continue
             nkey = (dist + cost(node, nxt), hops + 1, path + (nxt,))

@@ -130,7 +130,12 @@ def test_acceptance_1_exactly_once_resilience():
                 break
         if len(delivered) == units:
             exposed = False
-        w.run(250, stop_when_quiescent=True)
+        for _ in range(250):  # until every flow is delivered or failed, with nothing pending
+            w.tick()
+            if not w.pending_flows and not w.pending_faults and all(
+                f.state in (FlowState.DELIVERED, FlowState.FAILED) for f in w.engine.flows.values()
+            ):
+                break
         record = w.engine.flows[0].delivered_record
         state = w.engine.flows[0].state
         if not exposed:

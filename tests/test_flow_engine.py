@@ -19,6 +19,7 @@ from sdcps.errors import (
     UnknownFlow,
     Unrecoverable,
 )
+from sdcps.flow_engine import _simplify
 
 from conftest import (
     build_world,
@@ -510,6 +511,32 @@ def test_diamond_fault_recovers_exactly_once(diamond_world):
     assert flow.state is FlowState.DELIVERED
     assert flow.delivered_record == [0, 1, 2, 3]
     assert len(diamond_world.engine.decisions) == 1
+
+
+def test_clone_latency_counts_from_flow_start(event_lines):
+    """A clone injected ticks after its flow opened still counts its
+    delivery latency from the flow's start tick, not from the decision."""
+    w = build_world(4, [(0, 1, 4), (1, 3), (0, 2), (2, 3, 5)])
+    w.run(2)
+    fid = w.open_flow(0, 0, 3, 2)  # path 0-1-3; both units reach node 1 at t=7
+    w.run(2)
+    w.apply_health(1, Health.failed())
+    d = w.engine.on_unhealthy(fid, 1, set())
+    w.run(12)
+    flow, engine = w.engine.flows[fid], w.engine
+    assert (flow.start_tick, d.decided_tick, d.detour) == (2, 4, [0, 2, 3])
+    assert engine.total_dropped == 2 and flow.delivered_record == [0, 1]  # clones delivered
+    delivered = [int(l.split()[0][2:]) for l in event_lines[w.log] if " ev=deliver " in l]
+    assert delivered == [11, 11]
+    assert (engine.latency_sum, engine.latency_count) == (2 * (11 - 2), 2)
+
+
+@pytest.mark.parametrize("path, simple", [
+    ([0, 1, 2, 1, 3], [0, 1, 3]),
+    ([0, 1, 2, 0, 4], [0, 4]),
+], ids=["inner-loop", "loop-to-origin"])
+def test_simplify_cuts_each_loop_back_to_the_first_visit(path, simple):
+    assert _simplify(path) == simple
 
 
 def test_determinism_same_seed_same_trace(diamond_world):

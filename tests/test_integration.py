@@ -174,7 +174,7 @@ def test_negative_unit_flow_is_rejected(line_world):
     at admission and a direct one raises."""
     line_world.schedule_flow(0, 0, 2, -3, 0)
     line_world.run(horizon=2)
-    assert line_world.engine.flows == {} and line_world.engine.all_terminal()
+    assert line_world.engine.flows == {}
     [(pf, cause)] = line_world.rejected_flows
     assert (pf.units, cause) == (-3, "units must be >= 0")
     with pytest.raises(BadParameter, match="units must be >= 0"):

@@ -210,9 +210,7 @@ def test_mean_latency_matches_list_oracle(monkeypatch):
     deliver = FlowEngine._deliver
 
     def recording(self, flow, unit):
-        self.__dict__.setdefault("oracle_latencies", []).append(
-            self.now - unit.injected_tick
-        )
+        self.__dict__.setdefault("oracle_latencies", []).append(self.now - flow.start_tick)
         deliver(self, flow, unit)
 
     monkeypatch.setattr(FlowEngine, "_deliver", recording)
