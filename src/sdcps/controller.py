@@ -159,12 +159,11 @@ class HealthMonitor:
     A run's length stops growing at `window`, the only length ever read, so
     a node's (run, length, verdict) tuple stops changing once a run has
     set its verdict. The monitor writes a tuple only when it changes and
-    counts the writes. A report that wrote nothing and held no stale entry
-    is remembered with the count at that time: `ingest` skips whole a
-    repeat of it while the count is unchanged, since equal observations
-    over unchanged windows write nothing again. A skipped report still
-    makes each of its entries its reporter's latest, so a later entry
-    with an earlier tick is still stale."""
+    counts the writes. A report that wrote nothing is remembered until the
+    next report: `ingest` skips whole a repeat of it, since equal
+    observations over unchanged windows write nothing again. Reports come
+    off the ordered bus one per domain per tick, each a tick later than the
+    last, so the monitor keeps no per-reporter tick."""
 
     def __init__(self, topology: Topology, window: int = DEFAULT_WINDOW,
                  congestion_threshold: float = DEFAULT_CONGESTION_THRESHOLD):
@@ -172,14 +171,12 @@ class HealthMonitor:
         self.window = window
         self.congestion_threshold = congestion_threshold
         self._windows: dict[NodeId, tuple[Verdict, int, Verdict]] = {}
-        self._last_tick: dict[NodeId, int] = {}
         self._writes = 0
-        self._quiet: Optional[tuple] = None  # (last batch that wrote nothing, _writes then)
+        self._quiet: Optional[tuple] = None  # the last report, if it wrote nothing
 
     def fork(self, topology: Topology) -> "HealthMonitor":
         twin = HealthMonitor(topology, self.window, self.congestion_threshold)
-        twin._windows, twin._last_tick = dict(self._windows), dict(self._last_tick)
-        twin._writes, twin._quiet = self._writes, self._quiet
+        twin._windows, twin._writes, twin._quiet = dict(self._windows), self._writes, self._quiet
         return twin
 
     def estimates(self) -> dict[NodeId, Verdict]:
@@ -189,27 +186,19 @@ class HealthMonitor:
             if verdict is not Verdict.HEALTHY
         }
 
-    def ingest(self, entries: tuple, tick: int) -> list[HealthEstimate]:
+    def ingest(self, entries: tuple) -> list[HealthEstimate]:
         """Ingest a report's (reporter, ((neighbour, latency or LOSS), ...))
-        pairs, all at tick, in order; an entry no later than its reporter's
-        latest is stale and dropped alone."""
-        last, writes = self._last_tick, self._writes
-        if self._quiet == (entries, writes) and all(last[r] < tick for r, _ in entries):
-            last.update(dict.fromkeys([r for r, _ in entries], tick))
+        pairs in order."""
+        if entries == self._quiet:
             return []
-        transitions, stale = [], False
+        writes, transitions, self._quiet = self._writes, [], None
         for reporter, observations in entries:
-            if reporter in last and last[reporter] >= tick:
-                stale = True
-            else:
-                transitions += self._ingest(reporter, tick, observations)
-        if self._writes == writes and not stale:
-            self._quiet = (entries, writes)
+            transitions += self._ingest(reporter, observations)
+        self._quiet = entries if self._writes == writes else None
         return transitions
 
-    def _ingest(self, reporter: NodeId, tick: int, observations) -> list[HealthEstimate]:
+    def _ingest(self, reporter: NodeId, observations) -> list[HealthEstimate]:
         self._topology.node(reporter)
-        self._last_tick[reporter] = tick
         transitions = []
         for neighbor, observation in observations:
             self._topology.node(neighbor)
@@ -308,9 +297,10 @@ class Controller:
 
     # -- health --------------------------------------------------------------
 
-    def ingest_report(self, entries: tuple, tick: int) -> list[HealthEstimate]:
-        """A domain's report, its (reporter, observations) pairs of one tick."""
-        transitions = self.monitor.ingest(entries, tick)
+    def ingest_report(self, entries: tuple) -> list[HealthEstimate]:
+        """A domain's report, its (reporter, observations) pairs of one tick,
+        which the bus delivers a tick after the last."""
+        transitions = self.monitor.ingest(entries)
         if transitions:
             self._suspects = self._domain_suspects = None
         return transitions

@@ -56,9 +56,9 @@ class Farm:
     exact bus topics, whose messages the world's next tick delivers and
     `receive` hands it: southbound reports from its domain's nodes
     (`south/<domain>/reports`, one message per tick holding (reporter,
-    observations) pairs in reporter order, each at the message's tick: the
-    domain's report, which `Controller.ingest_report` takes whole) and
-    health digests from its peers
+    observations) pairs in reporter order: the domain's report, which
+    `Controller.ingest_report` takes whole, without its tick, since each
+    arrives a tick after the last) and health digests from its peers
     (`west/to/<receiver>`, each carrying its sender). Segments are direct
     calls.
 
@@ -172,8 +172,7 @@ class Farm:
     def receive(self, messages) -> list[tuple[ControllerId, HealthEstimate]]:
         """Hand each controller, in id order, its digests and then its
         domain's reports among the delivered `messages`, each topic in the
-        order given (a stale entry is dropped, not fatal); return the
-        verdict changes in that order."""
+        order given; return the verdict changes in that order."""
         by_topic: dict[str, list] = {}
         for msg in messages:
             by_topic.setdefault(msg.topic, []).append(msg)
@@ -183,7 +182,7 @@ class Farm:
                 self.deliver_digest(cid, *msg.payload)
             ctrl = self.controllers[cid]
             for msg in by_topic.get(f"south/{cid}/reports", ()):
-                for est in ctrl.ingest_report(msg.payload, msg.tick):
+                for est in ctrl.ingest_report(msg.payload):
                     changes.append((cid, est))
                     self.invalidate_caches()
         return changes

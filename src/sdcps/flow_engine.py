@@ -4,9 +4,9 @@ Flows carry sequence-numbered units along an admitted path. When the control
 plane flags an intermediary, `FlowEngine.on_unhealthy` recovers the flow in one
 call: with no unit at risk it returns None; otherwise it picks a branch point
 with confirmed custody of the at-risk units, has `clone_subflow` duplicate them
-onto a detour and logs `recovering` then `active` (the state never outlives the
-call). Reorder buffers recompose the stream so the destination sees each
-sequence number exactly once, in order.
+onto a detour and logs `recovering` then `active` (a logged line, not a state:
+the flow stays active). Reorder buffers recompose the stream so the destination
+sees each sequence number exactly once, in order.
 
 Clone destination selection: if a detour can rejoin the original path at a
 downstream intermediate node no more expensively than detouring straight to
@@ -33,7 +33,6 @@ from .topology import HealthState, NodeId, Topology, link_id, multi_target_paths
 
 class FlowState(str, Enum):
     ACTIVE = "active"
-    RECOVERING = "recovering"
     DELIVERED = "delivered"
     FAILED = "failed"
 
@@ -214,8 +213,6 @@ class FlowEngine:
         return self.flows[fid]
 
     def _set_state(self, flow: Flow, state: FlowState) -> None:
-        if flow.state is state:
-            return
         flow.state = state
         self._log.emit(f"t={self.now} ev=state flow={flow.id} state={state.value}")
 
@@ -226,9 +223,10 @@ class FlowEngine:
         """Recover a flow around a flagged intermediary `bad`, marking it handled.
 
         None, and no other change, when no unit is at risk (`at_risk_seqs`);
-        else the decision, enacted by `clone_subflow` while the flow is
-        `recovering`. The detour avoids `bad` and `suspects`, the deciding
-        controller's current set of suspected-failed nodes.
+        else the decision, enacted by `clone_subflow` between a logged
+        `recovering` line and an `active` one; the flow stays active. The
+        detour avoids `bad` and `suspects`, the deciding controller's
+        current set of suspected-failed nodes.
         """
         flow = self._flow(fid)
         if flow.state is not FlowState.ACTIVE:
@@ -240,7 +238,7 @@ class FlowEngine:
         cloned = self.at_risk_seqs(fid, bad)
         if not cloned:
             return None
-        self._set_state(flow, FlowState.RECOVERING)
+        self._log.emit(f"t={self.now} ev=state flow={fid} state=recovering")
 
         avoid = (set(suspects) | {bad}) - {flow.origin, flow.destination}
         branch_idx = self._branch_index(flow, bad_idx, avoid)
@@ -449,10 +447,6 @@ class FlowEngine:
                         f"t={self.now} ev=release flow={flow.id} seq={r.seq} at={node}"
                     )
                     self.units.append(Unit(flow.id, r.seq, list(buf.onward), 0))
-            return
-        if unit.position == len(unit.route) - 1:
-            # route exhausted off the canonical machinery; absorb quietly
-            self.units.remove(unit)
 
     def _deliver(self, flow: Flow, unit: Unit) -> None:
         """Record a unit released at the destination; its latency counts

@@ -113,7 +113,6 @@ class ReferenceHealthMonitor:
         self.window = window
         self.congestion_threshold = congestion_threshold
         self._windows = {}
-        self._last_tick = {}
 
     def estimates(self):
         return {
@@ -122,16 +121,11 @@ class ReferenceHealthMonitor:
             if verdict is not Verdict.HEALTHY
         }
 
-    def ingest(self, entries, tick):
-        """Apply each (reporter, observations) pair at tick in turn; a pair
-        no later than its reporter's latest is stale and changes nothing."""
+    def ingest(self, entries):
+        """Apply each (reporter, observations) pair in turn."""
         transitions = []
         for reporter, observations in entries:
             self._topology.node(reporter)
-            last = self._last_tick.get(reporter)
-            if last is not None and tick <= last:
-                continue
-            self._last_tick[reporter] = tick
             for neighbor, observation in observations:
                 self._topology.node(neighbor)
                 nominal = self._topology.link(reporter, neighbor).latency

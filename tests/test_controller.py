@@ -94,8 +94,8 @@ def test_three_losses_escalate():
     topo = build_topology(2, [(0, 1)])
     mon = HealthMonitor(topo)
     out = []
-    for t in range(1, 4):
-        out += mon.ingest(loss_report(0, 1), t)
+    for _ in range(3):
+        out += mon.ingest(loss_report(0, 1))
     assert [(e.node, e.verdict) for e in out] == [(1, Verdict.SUSPECT_FAILED)]
 
 
@@ -104,8 +104,8 @@ def test_clean_report_resets_window():
     mon = HealthMonitor(topo)
     seq = [LOSS, LOSS, 1, LOSS, LOSS]
     out = []
-    for t, obs in enumerate(seq, start=1):
-        out += mon.ingest(((0, ((1, obs),)),), t)
+    for obs in seq:
+        out += mon.ingest(((0, ((1, obs),)),))
     assert out == []
     assert mon.estimates() == {}
 
@@ -114,31 +114,21 @@ def test_unknown_reporter_and_neighbor():
     topo = build_topology(2, [(0, 1)])
     mon = HealthMonitor(topo)
     with pytest.raises(UnknownNode):
-        mon.ingest(loss_report(5, 1), 1)
+        mon.ingest(loss_report(5, 1))
     with pytest.raises(UnknownNode):
-        mon.ingest(loss_report(0, 5), 1)
-
-
-def test_stale_report_rejected():
-    topo = build_topology(2, [(0, 1)])
-    mon = HealthMonitor(topo)
-    mon.ingest(loss_report(0, 1), 5)
-    before = (dict(mon._last_tick), mon._writes, mon.estimates())
-    for tick in (5, 3):  # a fresh loss would lengthen node 1's run
-        assert mon.ingest(loss_report(0, 1), tick) == []
-        assert (mon._last_tick, mon._writes, mon.estimates()) == before
+        mon.ingest(loss_report(0, 5))
 
 
 def test_congestion_detection_threshold_is_strict():
     topo = build_topology(2, [(0, 1, 2)])  # nominal latency 2
     mon = HealthMonitor(topo)
-    for t in range(1, 4):
-        mon.ingest(clean_report(0, 1, latency=4), t)  # exactly 2x: not over
+    for _ in range(3):
+        mon.ingest(clean_report(0, 1, latency=4))  # exactly 2x: not over
     assert mon.estimates() == {}
     mon2 = HealthMonitor(topo)
     out = []
-    for t in range(1, 4):
-        out += mon2.ingest(clean_report(0, 1, latency=5), t)
+    for _ in range(3):
+        out += mon2.ingest(clean_report(0, 1, latency=5))
     assert [(e.node, e.verdict) for e in out] == [(1, Verdict.SUSPECT_CONGESTED)]
 
 
@@ -169,8 +159,8 @@ def window_oracle(observations, w=3, threshold=2.0, nominal=1):
 def test_window_automaton_matches_replay_oracle(observations):
     topo = build_topology(2, [(0, 1)])
     mon = HealthMonitor(topo)
-    for t, obs in enumerate(observations, start=1):
-        mon.ingest(((0, ((1, obs),)),), t)
+    for obs in observations:
+        mon.ingest(((0, ((1, obs),)),))
     got = mon.estimates().get(1, Verdict.HEALTHY)
     assert got == window_oracle(observations)
 
@@ -180,10 +170,10 @@ def test_escalation_exactly_at_wth_report():
     topo = build_topology(2, [(0, 1)])
     for w in (2, 3, 4):
         mon = HealthMonitor(topo, window=w)
-        for t in range(1, w):
-            mon.ingest(loss_report(0, 1), t)
+        for _ in range(1, w):
+            mon.ingest(loss_report(0, 1))
             assert mon.estimates() == {}
-        out = mon.ingest(loss_report(0, 1), w)
+        out = mon.ingest(loss_report(0, 1))
         assert [e.verdict for e in out] == [Verdict.SUSPECT_FAILED]
 
 
@@ -198,8 +188,7 @@ REPORT_STEPS = st.lists(
     st.tuples(
         st.integers(0, 4),  # reporter
         st.sampled_from([True, True, False]),  # repeat its last observations verbatim
-        st.integers(-3, 1),  # tick offset: some reports are stale, repeats included
-        st.booleans(),  # replay the report at once, which is always stale
+        st.booleans(),  # replay the report at once: skipped if it wrote nothing
         st.lists(st.sampled_from(OBSERVATIONS), min_size=3, max_size=3),  # one per neighbour
     ),
     max_size=60,
@@ -213,21 +202,19 @@ def test_capped_skipping_monitor_matches_the_reference(window, threshold, steps)
     mon = HealthMonitor(topo, window, threshold)
     ref = ReferenceHealthMonitor(topo, window, threshold)
     last = {}
-    for step, (reporter, repeat, offset, replay, values) in enumerate(steps):
+    for reporter, repeat, replay, values in steps:
         if not (repeat and reporter in last):
             last[reporter] = tuple(zip(topo.neighbors(reporter), values))
-        report, tick = ((reporter, last[reporter]),), step + offset
+        report = ((reporter, last[reporter]),)
         for _ in range(1 + replay):
-            assert mon.ingest(report, tick) == ref.ingest(report, tick)
+            assert mon.ingest(report) == ref.ingest(report)
             assert mon.estimates() == ref.estimates()
-            assert mon._last_tick == ref._last_tick  # both found the same reports stale
 
 
 BATCHES = st.lists(
     st.tuples(
         st.sampled_from(["batch", "repeat", "repeat", "single"]),  # repeat: the last batch again
         st.integers(1, 5),  # how many REPORT_STEPS a new batch takes
-        st.integers(-3, 1),  # tick offset: some entries are stale, repeats included
     ),
     max_size=40,
 )
@@ -236,39 +223,37 @@ BATCHES = st.lists(
 @given(st.integers(1, 4), st.sampled_from([1.0, 1.5, 2.0, 2.5]), REPORT_STEPS, BATCHES)
 @settings(max_examples=500, deadline=None)
 def test_a_batch_ingests_what_its_reports_ingest_one_at_a_time(window, threshold, steps, kinds):
-    """Batches of (reporter, observations) pairs, repeats included, some of
-    whose entries are stale, with single reports in between."""
+    """Batches of (reporter, observations) pairs, repeats included, with
+    single reports in between."""
     topo = build_topology(5, SHARED_NEIGHBOURS)
     mon = HealthMonitor(topo, window, threshold)
     ref = ReferenceHealthMonitor(topo, window, threshold)
     last, entries = {}, ()
-    for n, (kind, size, offset) in enumerate(kinds, start=1):
+    for kind, size in kinds:
         take = 1 if kind == "single" else size
         group, steps = steps[:take], steps[take:]
-        for reporter, repeat, _offset, _replay, values in group:
+        for reporter, repeat, _replay, values in group:
             if not (repeat and reporter in last):
                 last[reporter] = tuple(zip(topo.neighbors(reporter), values))
-        tick = n + offset
         if kind == "single" and group:
             report = ((group[0][0], last[group[0][0]]),)
-            assert mon.ingest(report, tick) == ref.ingest(report, tick)
+            assert mon.ingest(report) == ref.ingest(report)
         else:
             if kind == "batch" or not entries:
                 entries = tuple(sorted({step[0]: last[step[0]] for step in group}.items()))
             expected = []
             for entry in entries:
-                expected += ref.ingest((entry,), tick)
-            assert mon.ingest(entries, tick) == expected
+                expected += ref.ingest((entry,))
+            assert mon.ingest(entries) == expected
         assert mon.estimates() == ref.estimates()
-        assert mon._last_tick == ref._last_tick
 
 
-def test_a_repeated_report_is_still_checked_for_staleness(monkeypatch):
+def test_a_repeated_quiet_report_is_skipped_until_a_write(monkeypatch):
     topo = build_topology(3, [(0, 1), (1, 2)])
     mon = HealthMonitor(topo)
     report = ((1, ((0, LOSS), (2, 1))),)
-    for t in range(1, 5):
-        mon.ingest(report, t)
+    for _ in range(4):
+        mon.ingest(report)
     assert mon.estimates() == {0: Verdict.SUSPECT_FAILED}
     observed = []
     observe = HealthMonitor._observe
@@ -278,24 +263,21 @@ def test_a_repeated_report_is_still_checked_for_staleness(monkeypatch):
         return observe(self, *args)
 
     monkeypatch.setattr(HealthMonitor, "_observe", recording_observe)
-    # tick 4 wrote nothing, so its repeat at tick 5 is skipped whole
-    assert mon.ingest(report, 5) == []
-    assert observed == [] and mon._last_tick[1] == 5
-    before = (dict(mon._last_tick), mon._writes, mon.estimates())
-    assert mon.ingest(report, 5) == []  # stale: observes and changes nothing
-    assert observed == [] and (mon._last_tick, mon._writes, mon.estimates()) == before
-    mon.ingest(((0, ((1, 1),)),), 5)  # writes node 1's window
-    assert mon.ingest(report, 6) == []
+    # the fourth report wrote nothing, so its repeat is skipped whole
+    assert mon.ingest(report) == []
+    assert observed == []
+    mon.ingest(((0, ((1, 1),)),))  # writes node 1's window
+    assert mon.ingest(report) == []
     assert mon.estimates() == {0: Verdict.SUSPECT_FAILED}
-    assert len(observed) == 3 and mon._last_tick == {0: 5, 1: 6}
+    assert len(observed) == 3
 
 
-def test_a_repeated_quiet_batch_is_skipped_until_a_write_or_a_stale_entry(monkeypatch):
+def test_a_repeated_quiet_batch_is_skipped_until_a_write(monkeypatch):
     topo = build_topology(3, [(0, 1), (1, 2)])
     mon = HealthMonitor(topo, window=1)
     batch = ((0, ((1, LOSS),)), (2, ((1, LOSS),)))
-    assert mon.ingest(batch, 1) == [HealthEstimate(1, Verdict.SUSPECT_FAILED)]
-    assert mon.ingest(batch, 2) == []  # wrote nothing: remembered
+    assert mon.ingest(batch) == [HealthEstimate(1, Verdict.SUSPECT_FAILED)]
+    assert mon.ingest(batch) == []  # wrote nothing: remembered
     ingested = []
     ingest = HealthMonitor._ingest
 
@@ -304,16 +286,26 @@ def test_a_repeated_quiet_batch_is_skipped_until_a_write_or_a_stale_entry(monkey
         return ingest(self, reporter, *args)
 
     monkeypatch.setattr(HealthMonitor, "_ingest", recording_ingest)
-    assert mon.ingest(batch, 3) == []
-    assert ingested == [] and mon._last_tick == {0: 3, 2: 3}
-    # reporter 0's latest becomes 5, so its entry at tick 4 is stale and
-    # never reaches `_ingest`
-    assert mon.ingest(((0, ((1, LOSS),)),), 5) == []
-    assert mon.ingest(batch, 4) == []
-    assert ingested == [0, 2] and mon._last_tick == {0: 5, 2: 4}
+    assert mon.ingest(batch) == []
+    assert ingested == []
+    # another quiet report is the one remembered now, so the batch runs again
+    assert mon.ingest(((0, ((1, LOSS),)),)) == []
+    assert mon.ingest(batch) == []
+    assert ingested == [0, 0, 2]
     # a write: node 1 clears, and the batch must set it again
-    assert mon.ingest(((0, ((1, 1),)),), 6) == [HealthEstimate(1, Verdict.HEALTHY)]
-    assert mon.ingest(batch, 7) == [HealthEstimate(1, Verdict.SUSPECT_FAILED)]
+    assert mon.ingest(((0, ((1, 1),)),)) == [HealthEstimate(1, Verdict.HEALTHY)]
+    assert mon.ingest(batch) == [HealthEstimate(1, Verdict.SUSPECT_FAILED)]
+
+
+def test_a_report_that_raises_part_way_forgets_the_quiet_report():
+    topo = build_topology(3, [(0, 1), (1, 2)])
+    mon = HealthMonitor(topo, window=1)
+    quiet = loss_report(0, 1)
+    assert mon.ingest(quiet) == [HealthEstimate(1, Verdict.SUSPECT_FAILED)]
+    assert mon.ingest(quiet) == []  # wrote nothing: remembered
+    with pytest.raises(UnknownLink):  # clears node 1, then reports on a non-neighbour
+        mon.ingest(((2, ((1, 1),)), (0, ((2, LOSS),))))
+    assert mon.ingest(quiet) == [HealthEstimate(1, Verdict.SUSPECT_FAILED)]
 
 
 def test_merge_verdicts_most_severe_wins():
@@ -402,7 +394,7 @@ def test_ingest_report_about_non_neighbour_raises_unknown_link():
     topo = build_topology(3, [(0, 1)])
     mon = HealthMonitor(topo)
     with pytest.raises(UnknownLink):
-        mon.ingest(loss_report(0, 2), 1)
+        mon.ingest(loss_report(0, 2))
 
 
 def test_admit_flow_routes_around_suspect():
@@ -410,8 +402,8 @@ def test_admit_flow_routes_around_suspect():
     ctrl, slices = make_controller(topo)
     sl = slices.allocate(0, [(0, 1), (1, 3), (0, 2), (2, 3)], 1, Priority.GOLD)
     assert ctrl.segment_table(sl.links, [0, 3])[(0, 3)] == (2, 2, (0, 1, 3))
-    for t in range(1, 4):
-        ctrl.ingest_report(loss_report(0, 1), t)
+    for _ in range(3):
+        ctrl.ingest_report(loss_report(0, 1))
     assert ctrl.segment_table(sl.links, [0, 3])[(0, 3)] == (2, 2, (0, 2, 3))
 
 
@@ -422,17 +414,17 @@ def test_merged_view_and_suspects_are_kept_until_a_digest_or_a_transition():
     assert view == {} and suspects == frozenset()
     view[1] = Verdict.SUSPECT_FAILED  # a copy: the caller's to change
     assert ctrl.merged_view() == {} and ctrl.suspect_failed() is suspects
-    ctrl.ingest_report(clean_report(0, 1), 1)  # no transition keeps both
+    ctrl.ingest_report(clean_report(0, 1))  # no transition keeps both
     assert ctrl.suspect_failed() is suspects
-    for t in range(2, 5):
-        ctrl.ingest_report(loss_report(0, 1), t)
+    for _ in range(3):
+        ctrl.ingest_report(loss_report(0, 1))
     assert ctrl.suspect_failed() == {1} and ctrl.merged_view() == {1: Verdict.SUSPECT_FAILED}
     ctrl.receive_digest(7, {3: Verdict.SUSPECT_FAILED, 2: Verdict.SUSPECT_CONGESTED})
     assert ctrl.suspect_failed() == {1, 3} and ctrl.domain_suspects() == {1, 3}
     assert ctrl.merged_view() == {
         1: Verdict.SUSPECT_FAILED, 2: Verdict.SUSPECT_CONGESTED, 3: Verdict.SUSPECT_FAILED}
-    for t in range(5, 8):
-        ctrl.ingest_report(clean_report(0, 1), t)
+    for _ in range(3):
+        ctrl.ingest_report(clean_report(0, 1))
     assert ctrl.suspect_failed() == {3}
     ctrl.receive_digest(7, {})
     assert ctrl.merged_view() == {} and ctrl.suspect_failed() == frozenset()

@@ -572,9 +572,8 @@ def test_twin_shares_pending_bus_messages():
 def fail_node(w, node, reporter, domain):
     """Feed the reporter's controller enough LOSS reports to escalate."""
     ctrl = w.farm.controllers[domain]
-    base = w.now * 1000 + 1
-    for i in range(3):
-        ctrl.ingest_report(((reporter, ((node, LOSS),)),), base + i)
+    for _ in range(3):
+        ctrl.ingest_report(((reporter, ((node, LOSS),)),))
 
 
 def test_receive_hands_each_controller_its_digests_then_its_reports(monkeypatch):
@@ -586,9 +585,9 @@ def test_receive_hands_each_controller_its_digests_then_its_reports(monkeypatch)
         calls.append((self.id, "digest", peer))
         return receive_digest(self, peer, estimates)
 
-    def recording_report(self, entries, tick):
-        calls.append((self.id, "reports", tick))
-        return ingest_report(self, entries, tick)
+    def recording_report(self, entries):
+        calls.append((self.id, "reports", entries))
+        return ingest_report(self, entries)
 
     monkeypatch.setattr(Controller, "receive_digest", recording_digest)
     monkeypatch.setattr(Controller, "ingest_report", recording_report)
@@ -597,9 +596,9 @@ def test_receive_hands_each_controller_its_digests_then_its_reports(monkeypatch)
         w.farm.broadcast_health_digest(cid, w.now)
     assert w.farm.receive(w.bus.deliver_up_to(w.now + 1)) == []
     assert calls == [
-        (0, "digest", 1), (0, "digest", 2), (0, "reports", w.now),
-        (1, "digest", 0), (1, "digest", 2), (1, "reports", w.now),
-        (2, "digest", 0), (2, "digest", 1), (2, "reports", w.now),
+        (0, "digest", 1), (0, "digest", 2), (0, "reports", ((0, ()),)),
+        (1, "digest", 0), (1, "digest", 2), (1, "reports", ((2, ()),)),
+        (2, "digest", 0), (2, "digest", 1), (2, "reports", ((4, ()),)),
     ]
 
 
@@ -621,9 +620,9 @@ def test_empty_digests_leave_views_empty():
 def test_conflicting_verdicts_most_severe_wins():
     w = farm_world({0: [0, 1], 1: [2, 3]}, [(0, 1), (1, 2), (2, 3)])
     a, b = w.farm.controllers[0], w.farm.controllers[1]
-    for t in range(1, 4):
-        a.ingest_report(((1, ((2, 9),)),), t)  # high latency
-        b.ingest_report(((3, ((2, LOSS),)),), t)
+    for _ in range(3):
+        a.ingest_report(((1, ((2, 9),)),))  # high latency
+        b.ingest_report(((3, ((2, LOSS),)),))
     assert a.merged_view()[2] is Verdict.SUSPECT_CONGESTED
     w.farm.broadcast_health_digest(0, w.now)
     w.farm.broadcast_health_digest(1, w.now)

@@ -15,6 +15,7 @@ or no longer exists, fails too, so the table only shrinks honestly.
 
 Run as a script (`python tests/test_reach.py OUT_DIR`), this file makes
 that traced run and writes the reached functions to `OUT_DIR/reached.json`.
+With `--lines` it also writes the statements no run executed to `OUT_DIR/unreached_lines.txt`.
 """
 
 import ast
@@ -86,13 +87,30 @@ def reached_functions(out_dir: Path) -> set:
     return {tuple(k) for k in json.loads((out_dir / "reached.json").read_text())}
 
 
-def drive(out_dir: Path) -> None:
+def unreached_statements(ran: set) -> list:
+    """'file:line: statement' per package statement whose lines (a compound's header) never ran."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        rows = path.read_text().splitlines()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.stmt) and not (  # a docstring runs no code
+                    isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)):
+                first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+                last = node.body[0].lineno - 1 if hasattr(node, "body") else node.end_lineno
+                if not any((str(path), n) in ran for n in range(first, max(first, last) + 1)):
+                    out.append((path.name, node.lineno, rows[node.lineno - 1].strip()))
+    return [f"{name}:{line}: {text}\n" for name, line, text in sorted(out)]
+
+
+def drive(out_dir: Path, lines: bool = False) -> None:
     """Trace every scenario the repository ships through the CLI and the
     benchmark harness; write the reached package functions as JSON."""
-    codes = set()
+    codes, ran = set(), set()
 
-    def tracer(frame, event, arg):
-        codes.add(frame.f_code)  # 'call' events only: no local tracing
+    def tracer(frame, event, arg):  # 'call' events, and with `lines` the package's line events
+        codes.add(frame.f_code)
+        ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return tracer if lines and frame.f_code.co_filename.startswith(str(PACKAGE)) else None
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     sys.settrace(tracer)
@@ -132,6 +150,8 @@ def drive(out_dir: Path) -> None:
     reached = sorted({(Path(c.co_filename).name, c.co_firstlineno, c.co_name)
                       for c in codes if str(Path(c.co_filename).parent) == package})
     (out_dir / "reached.json").write_text(json.dumps(reached))
+    if lines:
+        (out_dir / "unreached_lines.txt").write_text("".join(unreached_statements(ran)))
 
 
 @pytest.fixture(scope="module")
@@ -153,4 +173,4 @@ def test_library_only_lists_only_unreached_functions(reached):
 
 
 if __name__ == "__main__":
-    drive(Path(sys.argv[1]))
+    drive(Path(sys.argv[1]), lines="--lines" in sys.argv[2:])

@@ -8,19 +8,22 @@ leave the RNG in the same state.
 """
 
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from sdcps import Bus, Decision, Health, SliceTable, Topology, parse_scenario
-from sdcps.controller import LOSS, Controller, HealthEstimate, HealthMonitor, Verdict
-from sdcps.farm import Farm
+from sdcps import Bus, Decision, Health, Topology, parse_scenario, spawn_twin
+from sdcps.controller import Controller, HealthMonitor
 from sdcps.scenario import build_world, run_scenario
 
-from conftest import make_node, record_reports, reference_telemetry
+from conftest import record_reports, reference_telemetry
 
 TESTS = Path(__file__).parent
+sys.path.insert(0, str(TESTS.parent / "perfbench"))
+
+import harness  # noqa: E402
 
 
 def fixture_world(name):
@@ -102,6 +105,28 @@ def test_a_health_change_in_a_twin_leaves_the_worlds_reports_alone(monkeypatch):
     assert world.trace_hash() == reference.trace_hash()
 
 
+def check_reports_ride_the_bus_in_order(monkeypatch):
+    """Wrap `Bus.deliver_up_to`, which only `World.tick` calls, on every bus:
+    each delivered report carries the tick before the delivering one,
+    there is at most one per domain topic, and no reporter appears twice
+    in one. `HealthMonitor.ingest` keeps no per-reporter tick because of
+    this order. Return the record: (bus, reports delivered) per call."""
+    deliver, record = Bus.deliver_up_to, []
+
+    def checked(bus, tick):
+        delivered = deliver(bus, tick)
+        reports = [m for m in delivered if m.topic.startswith("south/")]
+        assert len({m.topic for m in reports}) == len(reports)
+        for msg in reports:
+            reporters = [reporter for reporter, _obs in msg.payload]
+            assert msg.tick == tick - 1 and len(set(reporters)) == len(reporters)
+        record.append((bus, len(reports)))
+        return delivered
+
+    monkeypatch.setattr(Bus, "deliver_up_to", checked)
+    return record
+
+
 def test_southbound_telemetry_is_one_message_per_domain_per_tick(monkeypatch):
     """Each reporting domain publishes one message a tick, and the next tick
     hands each of them whole to `Controller.ingest_report`, the entry point
@@ -110,12 +135,13 @@ def test_southbound_telemetry_is_one_message_per_domain_per_tick(monkeypatch):
     farm, bus = world.farm, world.bus
     domains = len(farm.controllers)
     sent = record_reports(monkeypatch)
+    delivered = check_reports_ride_the_bus_in_order(monkeypatch)
     ingested = []
     ingest_report = Controller.ingest_report
 
-    def counting_ingest(self, entries, tick):
-        ingested.append(tick)
-        return ingest_report(self, entries, tick)
+    def counting_ingest(self, entries):
+        ingested.append(entries)
+        return ingest_report(self, entries)
 
     monkeypatch.setattr(Controller, "ingest_report", counting_ingest)
     reported_before = 0  # domains whose report rides the bus into this tick
@@ -127,41 +153,37 @@ def test_southbound_telemetry_is_one_message_per_domain_per_tick(monkeypatch):
         assert bus.published_count - published == len(reporting) + digests
         assert bus.published_count - published <= domains + digests
         assert farm.report_count - reports == len(sent[farm]) > domains
-        assert ingested == [world.now - 1] * reported_before
+        assert delivered == [(bus, reported_before)] and len(ingested) == reported_before
         reported_before = len(reporting)
         sent.clear()
+        delivered.clear()
         ingested.clear()
 
 
-def test_a_stale_report_in_a_batch_drops_only_itself():
-    topo = Topology()
-    for i in range(5):
-        topo.add_node(make_node(i))
-    for i in range(4):
-        topo.add_link(i, i + 1, 1, 1)
-    bus = Bus()
-    farm = Farm(topo, SliceTable(topo), bus, window=1)
-    farm.register_domain(0, range(5))
-    farm.send_reports(0, tuple(
-        (r, tuple((n, 1) for n in topo.neighbors(r))) for r in range(5)), 1)
-    assert farm.receive(bus.deliver_up_to(2)) == []
-
-    # reporter 3's latest becomes tick 2, so its entry in the tick-2 batch is stale
-    assert farm.controllers[0].ingest_report(((3, ((2, 1), (4, 1))),), 2) == []
-    farm.send_reports(0, (
-        (1, ((2, LOSS),)),
-        (2, ((1, LOSS),)),
-        (3, ((4, LOSS),)),
-        (4, ((3, LOSS),)),
-    ), 2)
-    assert farm.report_count == 9
-    failed = Verdict.SUSPECT_FAILED
-    assert farm.receive(bus.deliver_up_to(3)) == [
-        (0, HealthEstimate(2, failed)),
-        (0, HealthEstimate(1, failed)),
-        (0, HealthEstimate(3, failed)),
-    ]
-    assert farm.controllers[0].monitor.estimates() == {1: failed, 2: failed, 3: failed}
+def test_reports_ride_the_bus_in_order_in_twins_and_rehearsals(monkeypatch):
+    """The twin-rehearsal golden instance through the benchmark harness,
+    rehearsing, so every repair branch ticks too; then a twin spawned
+    mid-run ticked to the horizon beside its world, as `twin-compare`
+    does."""
+    delivered = check_reports_ride_the_bus_in_order(monkeypatch)
+    text = (TESTS / "golden/twin-rehearsal-2-0.json").read_text()
+    scenario, world, _ = harness.set_up(text)
+    out = harness.PassResult()
+    harness.run_instance(out, "twin-rehearsal-2-0", True, scenario, world)
+    assert out.stats[0]["rehearsals"] > 0 and out.stats[0]["rehearsal_errors"] == 0
+    branches = {bus for bus, _n in delivered} - {world.bus}
+    assert branches and sum(n for bus, n in delivered if bus in branches) > 0
+    delivered.clear()
+    scenario, world, _ = harness.set_up(text)
+    half = scenario.horizon // 2
+    world.run(half)
+    twin = spawn_twin(world)
+    world.run(scenario.horizon - half)
+    twin.run(scenario.horizon - half)
+    assert twin.trace_hash() == world.trace_hash()
+    for w, ran in ((world, scenario.horizon), (twin, scenario.horizon - half)):
+        reports = [n for bus, n in delivered if bus is w.bus]
+        assert len(reports) == ran and sum(reports) > 0
 
 
 def test_telemetry_probes_and_ingests_only_what_changed(monkeypatch):
