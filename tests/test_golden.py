@@ -6,9 +6,11 @@ The sha256 of the bytes it writes (every per-tick metrics record plus the
 summary line), the sha256 of every event line it emits (each followed by a
 newline, recorded by wrapping `EventLog.emit`), its trace hash and its
 delivered, dropped, cloned and messages totals must equal the values in
-tests/golden/expected.json. The generated scenarios were made
-once with `perfbench/gen.py` (federated-admission and twin-rehearsal, seed 2,
-instance 0) and are committed as JSON.
+tests/golden/expected.json. The three generated scenarios were made with
+`perfbench/gen.py` (federated-admission and twin-rehearsal at seed 2, and
+bulk-transport at seed 1, each instance 0) and are committed as JSON; each
+`<workload>-<seed>-<k>.json` must still equal, byte for byte, what the
+generator writes for that workload, seed and instance.
 
 The generated twin-rehearsal scenario also pins `rehearsal_sha256`: it is
 run again on the benchmark's rehearsal schedule (`perfbench/harness.py`), and
@@ -48,6 +50,7 @@ from conftest import record_event_lines
 TESTS = Path(__file__).parent
 sys.path.insert(0, str(TESTS.parent / "perfbench"))
 
+from gen import generate_all  # noqa: E402
 from harness import (  # noqa: E402
     FIRST_REHEARSAL,
     REHEARSAL_EVERY,
@@ -144,6 +147,15 @@ def test_repin_lists_only_changed_keys():
         "b.json trace_hash: None -> y",
     ]
     assert repin_changes(new, new) == []
+
+
+@pytest.mark.parametrize("name", [s for s in SCENARIOS if s.startswith("golden/")])
+def test_generated_instance_matches_generator(name):
+    """A committed instance that drifted from `perfbench/gen.py` would pin
+    a scenario the benchmark no longer runs."""
+    workload, seed, k = Path(name).stem.rsplit("-", 2)
+    generated = generate_all(workload, int(seed))[int(k)].encode("utf-8")
+    assert (TESTS / name).read_bytes() == generated
 
 
 def test_corpus_is_fully_pinned():
