@@ -59,8 +59,9 @@ class Farm:
     observations) pairs in reporter order: the domain's report, which
     `Controller.ingest_report` takes whole, without its tick, since each
     arrives a tick after the last) and health digests from its peers
-    (`west/to/<receiver>`, each carrying its sender). Segments are direct
-    calls.
+    (`west/to/<receiver>`, each carrying its sender). The farm alone orders
+    what it hands on: controllers in id order, each taking its digests, in
+    publish order, before its reports. Segments are direct calls.
 
     An admission names a tenant: the farm looks up its slice's links once and
     hands controllers only links. It keeps no clock; messages go out at the
@@ -153,10 +154,7 @@ class Farm:
             if peer == sender:
                 continue
             self.message_count += 1
-            self._bus.publish(
-                f"west/to/{peer}", (sender, estimates), tick,
-                f"controller/{sender:06d}",
-            )
+            self._bus.publish(f"west/to/{peer}", (sender, estimates), tick)
 
     def deliver_digest(self, receiver: ControllerId, sender: ControllerId, estimates) -> None:
         self.controllers[receiver].receive_digest(sender, estimates)
@@ -166,13 +164,13 @@ class Farm:
         """Publish one tick's reports of a domain's nodes, (reporter,
         observations) pairs in reporter order, to its controller's topic as
         one message at tick; each pair counts as a report."""
-        self._bus.publish(f"south/{cid}/reports", entries, tick, f"domain/{cid:06d}")
+        self._bus.publish(f"south/{cid}/reports", entries, tick)
         self.report_count += len(entries)
 
     def receive(self, messages) -> list[tuple[ControllerId, HealthEstimate]]:
         """Hand each controller, in id order, its digests and then its
         domain's reports among the delivered `messages`, each topic in the
-        order given; return the verdict changes in that order."""
+        order the bus delivered it; return the verdict changes in that order."""
         by_topic: dict[str, list] = {}
         for msg in messages:
             by_topic.setdefault(msg.topic, []).append(msg)

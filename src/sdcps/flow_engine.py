@@ -46,11 +46,12 @@ class CloneCase(IntEnum):
 class Unit:
     """One copy of unit `seq` of a flow on its way along `route`. A copy
     carries no tick of its own: original, clone and released copy alike
-    count their delivery latency from the flow's start tick."""
+    count their delivery latency from the flow's start tick. A reorder
+    buffer keeps only the seq of a copy it absorbs."""
 
     flow: int
     seq: int
-    route: list[NodeId]  # replaced, never changed in place, so forks share it
+    route: list[NodeId]  # replaced, never changed in place, so copies and forks share it
     position: int  # index into route of current (or arrival) node
     in_transit: bool = False
     arrives: int = 0  # tick the unit reaches route[position], while in transit
@@ -65,36 +66,33 @@ class Unit:
 
 @dataclass
 class ReorderBuffer:
-    """Releases a flow's units strictly in sequence order, once each.
+    """Releases a flow's sequence numbers strictly in order, once each.
 
-    `done` holds sequence numbers that will never be (or were already)
-    released here: duplicates of them are absorbed silently.
+    `held` holds the seqs that arrived ahead of `next_expected`; `done`
+    holds those that will never be (or were already) released here:
+    duplicates of either are absorbed silently.
     """
 
-    onward: list[NodeId]  # remaining path after release; [] delivers; shared by forks
-    held: dict[int, Unit] = field(default_factory=dict)
+    onward: list[NodeId]  # remaining path after release; [] delivers; shared by copies
+    held: set[int] = field(default_factory=set)
     done: set[int] = field(default_factory=set)
     next_expected: int = 0
 
     def fork(self) -> "ReorderBuffer":
-        held = {seq: u.fork() for seq, u in self.held.items()}
-        return ReorderBuffer(self.onward, held, set(self.done), self.next_expected)
+        return ReorderBuffer(self.onward, set(self.held), set(self.done), self.next_expected)
 
-    def absorb(self, unit: Unit) -> list[Unit]:
-        """Take one arrival; return the units released by it, in order."""
-        if unit.seq in self.done or unit.seq in self.held:
+    def absorb(self, seq: int) -> list[int]:
+        """Take one arrival; return the seqs released by it, in order."""
+        if seq in self.done or seq in self.held:
             return []
-        self.held[unit.seq] = unit
+        self.held.add(seq)
         released = []
-        while True:
+        while self.next_expected in self.held or self.next_expected in self.done:
             if self.next_expected in self.held:
-                released.append(self.held.pop(self.next_expected))
+                self.held.remove(self.next_expected)
                 self.done.add(self.next_expected)
-                self.next_expected += 1
-            elif self.next_expected in self.done:
-                self.next_expected += 1
-            else:
-                break
+                released.append(self.next_expected)
+            self.next_expected += 1
         return released
 
 
@@ -193,18 +191,17 @@ class FlowEngine:
             f"t={self.now} ev=open flow={fid} tenant={tenant} "
             f"path={_fmt_path(path)} units={units}"
         )
-        fresh = [Unit(fid, seq, flow.path, 0) for seq in range(units)]
         if units == 0:
             self._set_state(flow, FlowState.DELIVERED)
         elif origin == dest:
             # degenerate self-flow: units are already home
             buf = self._dest_buffer(flow)
-            for u in fresh:
-                flow.destination_arrivals.append(u.seq)
-                for r in buf.absorb(u):
+            for seq in range(units):
+                flow.destination_arrivals.append(seq)
+                for r in buf.absorb(seq):
                     self._deliver(flow, r)
         else:
-            self.units.extend(fresh)
+            self.units.extend(Unit(fid, seq, flow.path, 0) for seq in range(units))
         return fid
 
     def _flow(self, fid: int) -> Flow:
@@ -361,7 +358,7 @@ class FlowEngine:
 
         branch_idx = flow.path_index(decision.branch_point)
         for seq in sorted(decision.cloned_seqs):
-            dup = Unit(flow.id, seq, list(decision.detour), 0)
+            dup = Unit(flow.id, seq, decision.detour, 0)
             self.units.append(dup)
             self.total_cloned += 1
             self._log.emit(
@@ -400,7 +397,7 @@ class FlowEngine:
                 continue
             here = unit.route[unit.position]
             if here in path:
-                unit.route = list(path)
+                unit.route = flow.path
                 unit.position = path.index(here)
         self._rebase_progress(flow)
         self._log.emit(f"t={self.now} ev=reroute flow={fid} path={_fmt_path(path)}")
@@ -437,28 +434,28 @@ class FlowEngine:
         if buf is not None:
             if node == flow.destination:
                 flow.destination_arrivals.append(unit.seq)
-            released = buf.absorb(unit)
+            released = buf.absorb(unit.seq)
             self.units.remove(unit)
-            for r in released:
+            for seq in released:
                 if node == flow.destination:
-                    self._deliver(flow, r)
+                    self._deliver(flow, seq)
                 else:
                     self._log.emit(
-                        f"t={self.now} ev=release flow={flow.id} seq={r.seq} at={node}"
+                        f"t={self.now} ev=release flow={flow.id} seq={seq} at={node}"
                     )
-                    self.units.append(Unit(flow.id, r.seq, list(buf.onward), 0))
+                    self.units.append(Unit(flow.id, seq, buf.onward, 0))
 
-    def _deliver(self, flow: Flow, unit: Unit) -> None:
-        """Record a unit released at the destination; its latency counts
+    def _deliver(self, flow: Flow, seq: int) -> None:
+        """Record a seq released at the destination; its latency counts
         from the flow's start tick, whichever copy arrived."""
-        flow.delivered_record.append(unit.seq)
+        flow.delivered_record.append(seq)
         self.total_delivered += 1
         self.delivered_this_tick[flow.tenant] = (
             self.delivered_this_tick.get(flow.tenant, 0) + 1
         )
         self.latency_sum += self.now - flow.start_tick
         self.latency_count += 1
-        self._log.emit(f"t={self.now} ev=deliver flow={flow.id} seq={unit.seq}")
+        self._log.emit(f"t={self.now} ev=deliver flow={flow.id} seq={seq}")
         if len(flow.delivered_record) == flow.units and flow.state is FlowState.ACTIVE:
             self._set_state(flow, FlowState.DELIVERED)
 

@@ -595,9 +595,10 @@ def test_receive_hands_each_controller_its_digests_then_its_reports(monkeypatch)
         w.farm.send_reports(cid, ((2 * cid, ()),), w.now)
         w.farm.broadcast_health_digest(cid, w.now)
     assert w.farm.receive(w.bus.deliver_up_to(w.now + 1)) == []
+    # controllers in id order; each takes its digests in publish order
     assert calls == [
-        (0, "digest", 1), (0, "digest", 2), (0, "reports", ((0, ()),)),
-        (1, "digest", 0), (1, "digest", 2), (1, "reports", ((2, ()),)),
+        (0, "digest", 2), (0, "digest", 1), (0, "reports", ((0, ()),)),
+        (1, "digest", 2), (1, "digest", 0), (1, "reports", ((2, ()),)),
         (2, "digest", 0), (2, "digest", 1), (2, "reports", ((4, ()),)),
     ]
 

@@ -9,7 +9,6 @@ from sdcps import (
     Health,
     Priority,
     ReorderBuffer,
-    Unit,
     World,
 )
 from sdcps.errors import (
@@ -401,34 +400,29 @@ def test_rejoin_buffer_dedupes_original_and_clone(event_lines):
 
 # -- recompose --------------------------------------------------------------------------
 
-def unit(flow, seq):
-    return Unit(flow, seq, [0], 0)
-
-
 def test_recompose_reorders():
     buf = ReorderBuffer(onward=[])
-    assert buf.absorb(unit(0, 1)) == []
-    released = buf.absorb(unit(0, 0))
-    assert [u.seq for u in released] == [0, 1]
+    assert buf.absorb(1) == []
+    assert buf.absorb(0) == [0, 1]
 
 
 def test_recompose_dedupes():
     buf = ReorderBuffer(onward=[])
-    assert [u.seq for u in buf.absorb(unit(0, 0))] == [0]
-    assert buf.absorb(unit(0, 0)) == []
+    assert buf.absorb(0) == [0]
+    assert buf.absorb(0) == []
 
 
 def test_recompose_in_order_is_immediate():
     buf = ReorderBuffer(onward=[])
     for seq in range(4):
-        assert [u.seq for u in buf.absorb(unit(0, seq))] == [seq]
+        assert buf.absorb(seq) == [seq]
 
 
 def test_recompose_skips_preseeded():
     buf = ReorderBuffer(onward=[])
     buf.done = {0, 2}
-    assert [u.seq for u in buf.absorb(unit(0, 1))] == [1]
-    assert [u.seq for u in buf.absorb(unit(0, 3))] == [3]
+    assert buf.absorb(1) == [1]
+    assert buf.absorb(3) == [3]
 
 
 # -- delivered records ---------------------------------------------------------------------

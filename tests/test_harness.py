@@ -30,29 +30,21 @@ def test_bus_per_publisher_fifo():
     bus = Bus()
     bus.subscribe("a/topic")
     for i in range(3):
-        bus.publish("a/topic", f"m{i}", tick=0, publisher="p")
+        bus.publish("a/topic", f"m{i}", tick=0)
     assert [m.payload for m in bus.deliver_up_to(1)] == ["m0", "m1", "m2"]
-
-
-def test_bus_two_publishers_ordered_by_id():
-    bus = Bus()
-    bus.subscribe("t")
-    bus.publish("t", "late-publisher-first", tick=0, publisher="z")
-    bus.publish("t", "early-publisher", tick=0, publisher="a")
-    assert [m.payload for m in bus.deliver_up_to(1)] == ["early-publisher", "late-publisher-first"]
 
 
 def test_bus_tick_order_dominates():
     bus = Bus()
     bus.subscribe("t")
-    bus.publish("t", "second", tick=1, publisher="a")
-    bus.publish("t", "first", tick=0, publisher="z")
+    bus.publish("t", "second", tick=1)
+    bus.publish("t", "first", tick=0)
     assert [m.payload for m in bus.deliver_up_to(2)] == ["first", "second"]
 
 
 def test_bus_no_subscriber_drops_and_counts():
     bus = Bus()
-    bus.publish("lonely", "x", tick=0, publisher="p")
+    bus.publish("lonely", "x", tick=0)
     bus.deliver_up_to(1)
     assert bus.dropped_no_subscriber == 1
 
@@ -61,7 +53,7 @@ def test_bus_delivers_by_exact_topic():
     bus = Bus()
     bus.subscribe("south")
     bus.subscribe("south/*")
-    bus.publish("south/0/reports", "a", tick=0, publisher="p")
+    bus.publish("south/0/reports", "a", tick=0)
     assert bus.deliver_up_to(1) == []
     assert bus.dropped_no_subscriber == 1
 
@@ -72,8 +64,8 @@ def test_bus_refuses_a_second_subscriber_of_a_topic():
     with pytest.raises(DuplicateId):
         bus.subscribe("t")
     assert bus.topics == {"t"}
-    bus.publish("t", "m1", tick=1, publisher="p")
-    bus.publish("t", "m0", tick=0, publisher="p")
+    bus.publish("t", "m1", tick=1)
+    bus.publish("t", "m0", tick=0)
     delivered = bus.deliver_up_to(2) + bus.deliver_up_to(3)
     assert [m.payload for m in delivered] == ["m0", "m1"]
     assert bus.dropped_no_subscriber == 0
@@ -82,33 +74,13 @@ def test_bus_refuses_a_second_subscriber_of_a_topic():
 def test_bus_at_most_once_per_subscriber():
     bus = Bus()
     bus.subscribe("t")
-    bus.publish("t", "once", tick=0, publisher="p")
+    bus.publish("t", "once", tick=0)
     assert len(bus.deliver_up_to(1) + bus.deliver_up_to(2)) == 1
-
-
-def test_bus_total_order_extends_per_publisher_fifo():
-    rng = random.Random(8)
-    bus = Bus()
-    bus.subscribe("t")
-    sent = {}
-    for tick in range(4):
-        for p in ("a", "b", "c"):
-            for _ in range(rng.randint(0, 3)):
-                m = bus.publish("t", None, tick=tick, publisher=p)
-                sent.setdefault(p, []).append(m.seq)
-    got = bus.deliver_up_to(10)
-    keys = [m.order_key() for m in got]
-    assert keys == sorted(keys)
-    per_pub = {}
-    for m in got:
-        per_pub.setdefault(m.publisher, []).append(m.seq)
-    assert per_pub == sent
 
 
 BUS_TOPICS = ("a", "b", "c", "d")
 BUS_STEPS = st.lists(st.one_of(
-    st.tuples(st.just("publish"), st.sampled_from(BUS_TOPICS),
-              st.sampled_from(("p", "q", "r")), st.integers(0, 8)),  # topic, publisher, tick
+    st.tuples(st.just("publish"), st.sampled_from(BUS_TOPICS), st.integers(0, 8)),  # topic, tick
     st.tuples(st.just("deliver"), st.integers(1, 3)),  # how far the delivery tick moves
 ), max_size=40)
 
@@ -117,8 +89,8 @@ BUS_STEPS = st.lists(st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_bus_delivers_each_subscribed_message_once_in_order(subscribed, steps, fork_at):
     """Across increasing delivery ticks, each message on a subscribed topic
-    comes back exactly once, after its tick, each call in total order; the
-    rest count as dropped. A fork taken between calls, then given the same
+    comes back exactly once, after its tick, each call in tick order and,
+    within a tick, in publish order; the rest count as dropped. A fork taken between calls, then given the same
     calls, returns what the original returns."""
     bus, twin, now = Bus(), None, 0
     for topic in sorted(subscribed):
@@ -128,21 +100,20 @@ def test_bus_delivers_each_subscribed_message_once_in_order(subscribed, steps, f
         if i == fork_at:
             twin = bus.fork()
         if step[0] == "publish":
-            _, topic, publisher, tick = step
-            sent.append(bus.publish(topic, i, tick, publisher))
+            _, topic, tick = step
+            sent.append(bus.publish(topic, i, tick))  # the payload counts publishes
             if twin is not None:
-                twin.publish(topic, i, tick, publisher)
+                twin.publish(topic, i, tick)
             continue
         now += step[1]
         delivered = bus.deliver_up_to(now)
-        keys = [m.order_key() for m in delivered]
+        keys = [(m.tick, m.payload) for m in delivered]
         assert keys == sorted(keys)
         assert all(m.tick < now for m in delivered)
         if twin is not None:
             assert twin.deliver_up_to(now) == delivered
         got += delivered
-    assert sorted(m.order_key() for m in got) == sorted(
-        m.order_key() for m in sent if m.topic in subscribed)
+    assert sorted(m.payload for m in got) == [m.payload for m in sent if m.topic in subscribed]
     assert bus.dropped_no_subscriber == sum(m.topic not in subscribed for m in sent)
     if twin is not None:
         assert (twin.dropped_no_subscriber, twin.published_count) == (
