@@ -4,8 +4,8 @@ Every observable simulation event is rendered as one stable text line and
 folded into a 64-bit FNV-1a digest. Equal scenarios with equal seeds yield
 equal digests; the twin fidelity and determinism checks compare these. The
 lines themselves are not kept, so a log's size does not grow with the run.
-Rehearsal branches log to an `UntracedLog`, which folds nothing: each branch
-is dropped once its counters and makespans are read, so no one reads its digest.
+A rehearsal untraces the log of the twin it spends (`EventLog.untrace`):
+from then on the log, and any fork of it, folds nothing and has no hash.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ def fnv1a_64(data: bytes, state: int = FNV_OFFSET) -> int:
 
 
 class EventLog:
-    """The running digest of every emitted event line."""
+    """The running digest of every emitted event line, or None once untraced."""
 
     def __init__(self):
         self._digest = FNV_OFFSET
@@ -34,21 +34,14 @@ class EventLog:
         twin._digest = self._digest
         return twin
 
+    def untrace(self) -> None:
+        self._digest = None
+
     def emit(self, line: str) -> None:
-        self._digest = fnv1a_64(line.encode() + b"\n", self._digest)
+        if self._digest is not None:
+            self._digest = fnv1a_64(line.encode() + b"\n", self._digest)
 
     def trace_hash(self) -> str:
+        if self._digest is None:
+            raise RuntimeError("an untraced world keeps no trace hash")
         return f"{self._digest:016x}"
-
-
-class UntracedLog:
-    """Folds nothing: the log of a world whose digest no one reads."""
-
-    def fork(self) -> "UntracedLog":
-        return UntracedLog()
-
-    def emit(self, line: str) -> None:
-        pass
-
-    def trace_hash(self) -> str:
-        raise RuntimeError("an untraced world keeps no trace hash")

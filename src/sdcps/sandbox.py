@@ -1,9 +1,10 @@
 """Modelling sandbox: spawn a one-to-one twin of the world, rehearse a
 decision over a horizon on it, and commit the decision to the physical
-world only if the rehearsal improved things. A rehearsal spends its twin: a
-`place_task` decision, which changes only composition, replays the twin's
-own tick boundaries (composition reads nothing the other phases change);
-any other decision runs baseline and decision on two untraced forks of it.
+world only if the rehearsal improved things. A rehearsal spends its twin
+and untraces its log, since no one reads its digest: a `place_task`
+decision, which changes only composition, replays the twin's own tick
+boundaries (composition reads nothing the other phases change); any other
+decision runs the baseline on the twin and the decision on one fork of it.
 A commit is applied at the next tick boundary, or refused there if it no
 longer resolves.
 
@@ -127,15 +128,17 @@ def apply_decision(world: World, decision: Decision) -> None:
 def evaluate(twin: World, decision: Decision, horizon: int) -> MetricsDelta:
     """Return candidate minus baseline metrics over `horizon` ticks, spending
     the twin whatever the decision's kind: the caller reads nothing from it
-    afterwards. A `place_task` replays the twin's own boundaries
-    (`World.boundary`, which alone changes health and overrides), composed
-    before and after its override; a pending `place_task` commit of the same
-    task overwrites it at tick 1. Only where a fault inside the horizon heals
-    a link overflow does the replay return a delta instead of raising it. Any
-    other decision runs on two untraced forks, read only for their counters
-    and makespans."""
+    afterwards, so its log is untraced first and folds nothing. A
+    `place_task` replays the twin's own boundaries (`World.boundary`, which
+    alone changes health and overrides), composed before and after its
+    override; a pending `place_task` commit of the same task overwrites it
+    at tick 1. Only where a fault inside the horizon heals a link overflow
+    does the replay return a delta instead of raising it. Any other decision
+    runs the baseline on the twin and the candidate on a fork taken before
+    either runs, both read only for their counters and makespans."""
     if horizon < 1:
         raise UnresolvableDecision("horizon must be >= 1")
+    twin.log.untrace()
     snapshot_tick = twin.now
     if decision.kind is DecisionKind.PLACE_TASK:
         _check_placement(twin, decision)
@@ -148,8 +151,7 @@ def evaluate(twin: World, decision: Decision, horizon: int) -> MetricsDelta:
         if not overwritten:  # else the candidate composes as the baseline does
             twin.task_overrides[decision.task] = decision.node
         return MetricsDelta(0, 0.0, twin.run_composition().makespan - base, 0, snapshot_tick)
-    baseline = twin.fork(traced=False)
-    candidate = twin.fork(traced=False)
+    baseline, candidate = twin, twin.fork()
     apply_decision(candidate, decision)  # UnresolvableDecision propagates
     baseline.run(horizon)
     candidate.run(horizon)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -50,7 +51,7 @@ def _is_int(v) -> bool:
 
 
 def _is_num(v) -> bool:
-    return type(v) in (int, float) and math.isfinite(v)
+    return type(v) is float and math.isfinite(v) or type(v) is int and abs(v) <= sys.float_info.max
 
 
 def _is_str(v) -> bool:

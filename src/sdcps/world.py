@@ -39,7 +39,7 @@ from .controller import (
     SliceTable,
 )
 from .errors import BadParameter, SdcpsError, UnresolvableDecision, Unrecoverable
-from .events import EventLog, UntracedLog
+from .events import EventLog
 from .farm import DEFAULT_DIGEST_PERIOD, Farm
 from .flow_engine import FlowEngine, FlowState
 from .topology import Health, Node, NodeId, Topology
@@ -176,11 +176,10 @@ class World:
         path = self.farm.cross_domain_path(origin, dest, tenant)
         return self.engine.open_flow(tenant, origin, dest, units, path)
 
-    def fork(self, traced: bool = True) -> "World":
+    def fork(self) -> "World":
         """Copy the live state, sharing only what nothing changes in place and
         the topology's memo (see `TransferMemo`). The copy's metrics start
-        empty; its trace hash, counters and totals continue from here. An
-        untraced copy, and any fork of it, folds no events and has no hash."""
+        empty; its trace hash, counters and totals continue from here."""
         twin = World.__new__(World)
         twin.seed, twin.now, twin.mid_tick, twin.metrics, twin.bus = (
             self.seed, self.now, self.mid_tick, [], self.bus.fork())
@@ -188,7 +187,7 @@ class World:
         twin.rng.setstate(self.rng.getstate())
         twin.topology = self.topology.fork()
         twin.slices = self.slices.fork(twin.topology)
-        twin.log = self.log.fork() if traced else UntracedLog()
+        twin.log = self.log.fork()
         twin.farm = self.farm.fork(twin.topology, twin.slices, twin.bus)
         twin.engine = self.engine.fork(twin.topology, twin.slices, twin.rng, twin.log)
         twin.pending_flows, twin.pending_faults, twin.pending_commits = (

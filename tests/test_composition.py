@@ -618,7 +618,7 @@ def test_a_memoized_composition_equals_a_fresh_one(monkeypatch, name):
     seen, outcomes = set(), Counter()
     for step in range(150):
         next(moves)
-        composer = world.fork(traced=False) if step % 3 == 0 else world
+        composer = world.fork() if step % 3 == 0 else world
         expected = outcome(fresh_composition, world)
         before = len(calls)
         got = outcome(composer.run_composition)

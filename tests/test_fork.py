@@ -145,18 +145,24 @@ def placed_twin(world):
     return twin
 
 
-@pytest.mark.parametrize("parent, traced", [
-    (lambda world: world, True),
-    (lambda world: world, False),
-    (lambda world: world.fork(traced=False), True),
-    (placed_twin, True),
+def untraced(world):
+    """The world with its log untraced, as a rehearsal leaves its twin."""
+    world.log.untrace()
+    return world
+
+
+@pytest.mark.parametrize("parent", [
+    lambda world: world,
+    untraced,
+    lambda world: untraced(world).fork(),
+    placed_twin,
 ], ids=["fork", "untraced-fork", "fork-of-untraced-fork", "fork-of-placed-twin"])
-def test_fork_shares_no_mutable_state(live_world, parent, traced):
-    """The world and its fork, the world and its untraced fork, that
-    untraced fork and its own fork, and a twin with a commit pending and a
+def test_fork_shares_no_mutable_state(live_world, parent):
+    """The world and its fork, an untraced world and its fork, a fork of
+    that world and its own fork, and a twin with a commit pending and a
     task placed and its fork."""
     world = parent(live_world)
-    assert shared_mutables(world, world.fork(traced=traced)) == []
+    assert shared_mutables(world, world.fork()) == []
 
 
 def test_guard_catches_a_fork_that_shares_a_container(monkeypatch):

@@ -34,7 +34,6 @@ import random
 import subprocess
 import sys
 import tempfile
-from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -55,7 +54,9 @@ from harness import (  # noqa: E402
     FIRST_REHEARSAL,
     REHEARSAL_EVERY,
     REHEARSAL_HORIZON,
+    PassResult,
     _decision,
+    run_instance,
     set_up,
 )
 
@@ -237,10 +238,10 @@ def inside_evaluate(monkeypatch) -> list:
 
 def test_rehearsal_runs_one_branch_per_place_task(monkeypatch):
     """A `place_task` rehearsal replays only the tick boundaries of the twin
-    it is handed, so the rehearsal schedule's 50 placements and 3 repairs
-    at horizon 3 make at most 6 forks and 18 ticks inside `evaluate` (56
-    forks and 168 ticks with placement branches that fork and tick) and
-    still show the pinned hash."""
+    it is handed, and a repair forks one branch, so the rehearsal
+    schedule's 50 placements and 3 repairs at horizon 3 make at most 3
+    forks and 18 ticks inside `evaluate` (53 forks and 168 ticks with
+    placement branches that fork and tick) and still show the pinned hash."""
     counts = {"fork": 0, "tick": 0}
     inside = inside_evaluate(monkeypatch)
 
@@ -256,8 +257,33 @@ def test_rehearsal_runs_one_branch_per_place_task(monkeypatch):
         monkeypatch.setattr(World, method_name, counted(method_name))
     name = "golden/twin-rehearsal-2-0.json"
     assert rehearsal_sha256(name) == json.loads(EXPECTED.read_text())[name]["rehearsal_sha256"]
-    assert 0 < counts["fork"] <= 6
+    assert 0 < counts["fork"] <= 3
     assert 0 < counts["tick"] <= 18
+
+
+def test_a_benchmark_rehearsal_forks_its_twin_and_one_branch_per_repair(monkeypatch):
+    """One benchmark instance with rehearsals (`harness.run_instance`)
+    forks the world once per rehearsal, for the twin, and once more per
+    repair rehearsal, for its candidate: the baseline runs on the twin."""
+    name = "twin-rehearsal-2-0"
+    scenario, world, _ = set_up((TESTS / "golden" / f"{name}.json").read_text(encoding="utf-8"))
+    forks, kinds = [], []
+    fork, evaluate = World.fork, sandbox.evaluate
+
+    def counted_fork(w):
+        forks.append(w)
+        return fork(w)
+
+    def counted_evaluate(twin, decision, horizon):
+        kinds.append(decision.kind)
+        return evaluate(twin, decision, horizon)
+
+    monkeypatch.setattr(World, "fork", counted_fork)
+    monkeypatch.setattr(sandbox, "evaluate", counted_evaluate)
+    run_instance(PassResult(), name, True, scenario, world)
+    repairs = kinds.count(sandbox.DecisionKind.INJECT_REPAIR)
+    assert 0 < repairs < len(kinds)
+    assert len(forks) == len(kinds) + repairs
 
 
 def test_rehearsal_reuses_compositions(monkeypatch):
@@ -279,27 +305,22 @@ def test_rehearsal_reuses_compositions(monkeypatch):
 
 
 def test_rehearsal_folds_no_branch_event(monkeypatch):
-    """The branches `evaluate` forks are dropped once their counters and
-    makespans are read, so while it runs only the twin it was handed folds
-    lines into a digest; the physical world and its twins fold every line,
-    and the rehearsal schedule still shows the pinned hash."""
-    folded = defaultdict(int)  # (log, whether it is the evaluated twin's) -> bytes
-    outside = defaultdict(int)  # log -> bytes
+    """`evaluate` spends the twin it is handed and untraces it before
+    anything runs, so while it runs nothing folds a line into a digest:
+    neither the twin nor its branch. The physical world and its twins fold
+    every line, and the rehearsal schedule still shows the pinned hash."""
+    folded = {True: 0, False: 0}  # inside `evaluate`? -> bytes folded
     inside = inside_evaluate(monkeypatch)
-    emit = events.EventLog.emit
+    fold = events.fnv1a_64
 
-    def counted(log, line):
-        if inside:
-            folded[log, log is inside[-1].log] += len(line) + 1
-        else:
-            outside[log] += len(line) + 1
-        emit(log, line)
+    def counted(data, state=events.FNV_OFFSET):
+        folded[bool(inside)] += len(data)
+        return fold(data, state)
 
-    monkeypatch.setattr(events.EventLog, "emit", counted)
+    monkeypatch.setattr(events, "fnv1a_64", counted)
     name = "golden/twin-rehearsal-2-0.json"
     assert rehearsal_sha256(name) == json.loads(EXPECTED.read_text())[name]["rehearsal_sha256"]
-    assert folded and all(is_twin for _, is_twin in folded)
-    assert outside
+    assert folded[True] == 0 and folded[False] > 0
 
 
 def test_rehearsal_is_identical_across_hash_seeds():

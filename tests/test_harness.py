@@ -529,11 +529,16 @@ def congestion_overflow():
     return doc
 
 
-def huge_weight(fixture, section, key):
-    """The fixture with its first `section` entry's `key` set to an integer
-    of 400 digits, too large to convert to a float."""
+def huge_number(fixture, *path):
+    """The fixture with the field at `path` (keys and list indices, creating
+    missing objects) set to an integer of 400 digits, too large to convert
+    to a float."""
     doc = json.loads((FIXTURES / fixture).read_text())
-    doc[section][0][key] = 10 ** 400
+    *parents, key = path
+    node = doc
+    for step in parents:
+        node = node[step] if type(step) is int else node.setdefault(step, {})
+    node[key] = 10 ** 400
     return doc
 
 
@@ -582,6 +587,9 @@ CLI_CASES = [
     (["sweep", "{good}", "--instances", ",".join(["1"] * (MAX_SWEEP_POINTS + 1))], None, 1),
     (["validate", "{emptydomain}"], None, 1),
     (["run", "{emptydomain}", "--out", "{out}"], None, 1),
+    (["validate", "{hugethreshold}"], None, 1),
+    (["validate", "{hugeslowdown}"], None, 1),
+    (["validate", "{hugedropprob}"], None, 1),
 ]
 
 
@@ -597,8 +605,16 @@ def test_cli_exit_codes(argv, env_seed, code, tmp_path, monkeypatch, capsys):
                       ("overflow", json.dumps(congestion_overflow())),
                       ("deep", "[" * 100_000 + "]" * 100_000),
                       ("bigint", '{"horizon": ' + "9" * 5_000 + "}"),
-                      ("hugelatency", json.dumps(huge_weight("minimal.json", "links", "latency"))),
-                      ("hugecost", json.dumps(huge_weight("composition.json", "services", "cost"))),
+                      ("hugelatency", json.dumps(
+                          huge_number("minimal.json", "links", 0, "latency"))),
+                      ("hugecost", json.dumps(
+                          huge_number("composition.json", "services", 0, "cost"))),
+                      ("hugethreshold", json.dumps(
+                          huge_number("minimal.json", "options", "congestion_threshold"))),
+                      ("hugeslowdown", json.dumps(
+                          huge_number("congested.json", "faults", 0, "health", "slowdown"))),
+                      ("hugedropprob", json.dumps(
+                          huge_number("malicious.json", "faults", 0, "health", "drop_prob"))),
                       ("emptydomain", json.dumps(empty_domain()))]:
         files[key] = str(tmp_path / f"{key}.json")
         Path(files[key]).write_text(text)

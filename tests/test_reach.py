@@ -14,7 +14,8 @@ A function that nothing reaches is either deleted or listed in
 or no longer exists, fails too, so the table only shrinks honestly.
 
 Run as a script (`python tests/test_reach.py OUT_DIR`), this file makes
-that traced run and writes the reached functions to `OUT_DIR/reached.json`.
+that traced run and writes the reached functions to `OUT_DIR/reached.json`,
+creating `OUT_DIR` if it does not exist.
 With `--lines` it also writes the statements no run executed to `OUT_DIR/unreached_lines.txt`.
 """
 
@@ -44,10 +45,6 @@ LIBRARY_ONLY = {
         "builds a reroute decision; no document can ask for one yet",
     "sandbox.Decision.set_slice":
         "builds a slice decision; no document can ask for one yet",
-    "events.UntracedLog.fork":
-        "a fork of an untraced world, which the README documents",
-    "events.UntracedLog.trace_hash":
-        "a guard: an untraced world keeps no hash to read",
     "topology.Health.congested":
         "library constructor; documents build Health in parse_health",
     "topology.Health.failed":
@@ -105,6 +102,7 @@ def unreached_statements(ran: set) -> list:
 def drive(out_dir: Path, lines: bool = False) -> None:
     """Trace every scenario the repository ships through the CLI and the
     benchmark harness; write the reached package functions as JSON."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     codes, ran = set(), set()
 
     def tracer(frame, event, arg):  # 'call' events, and with `lines` the package's line events

@@ -144,8 +144,9 @@ def test_twin_continues_the_world_hash_tick_for_tick():
 def test_an_untraced_world_and_its_forks_keep_no_trace_hash(diamond_world):
     """A hash read from a world that folds no events fails loudly, and not
     as an `SdcpsError`, which a caller could take for a refused decision."""
-    branch = diamond_world.fork(traced=False)
-    for world in (branch, branch.fork(), branch.fork(traced=True)):
+    branch = diamond_world.fork()
+    branch.log.untrace()
+    for world in (branch, branch.fork()):
         world.run(2)
         with pytest.raises(RuntimeError, match="untraced") as raised:
             world.trace_hash()
@@ -441,14 +442,14 @@ def test_an_unresolvable_placement_raises_before_any_fork_or_tick(monkeypatch):
 def test_a_placement_rehearsal_forks_nothing_and_never_ticks(monkeypatch):
     """A `place_task` rehearsal replays only the tick boundaries of the
     twin it is handed, whatever commits are pending. A two-branch
-    rehearsal ticks each of its two forks `horizon` times."""
+    rehearsal ticks the twin and its one fork `horizon` times each."""
     world = composition_world()
     calls = []
     fork, tick = World.fork, World.tick
 
-    def counting_fork(w, *args, **kwargs):
+    def counting_fork(w):
         calls.append("fork")
-        return fork(w, *args, **kwargs)
+        return fork(w)
 
     def counting_tick(w):
         calls.append("tick")
@@ -467,8 +468,8 @@ def test_a_placement_rehearsal_forks_nothing_and_never_ticks(monkeypatch):
         (place, [reroute], 0, 0),
         (place, [set_slice], 0, 0),
         (place, [Decision.inject_repair(1), reroute], 0, 0),
-        (Decision.inject_repair(1), [], 2, 6),
-        (set_slice, [], 2, 6),
+        (Decision.inject_repair(1), [], 1, 6),
+        (set_slice, [], 1, 6),
     ]:
         twin = spawn_twin(world)
         twin.pending_commits[:] = pending
@@ -508,7 +509,7 @@ def test_a_placement_rehearsal_raises_an_overflow_unless_the_horizon_heals_it():
     assert _outcome(evaluate, twin, decision, 3) == overflow
     twin = _overflow_twin(heal=True)
     assert _outcome(reference_evaluate, twin, decision, 3) == overflow
-    final = twin.fork(traced=False)
+    final = twin.fork()
     final.apply_health(2, Health.congested(1e200))
     base = reference_makespan(final)
     final.task_overrides["fuse"] = 3
@@ -519,14 +520,15 @@ def test_a_placement_rehearsal_raises_an_overflow_unless_the_horizon_heals_it():
 
 def test_evaluate_branches_keep_no_trace_hash(monkeypatch):
     """A `place_task` rehearsal, with and without a pending reroute, makes
-    no branch. A repair's two branches are untraced: they are dropped once
-    their counters and makespans are read."""
+    no branch. A repair makes one. The branch and the twin it spends are
+    untraced: they are dropped once their counters and makespans are read.
+    The world's own hash is untouched."""
     world = composition_world()
     branches = []
     fork = World.fork
 
-    def recording(w, *args, **kwargs):
-        branch = fork(w, *args, **kwargs)
+    def recording(w):
+        branch = fork(w)
         branches.append(branch)
         return branch
 
@@ -537,12 +539,13 @@ def test_evaluate_branches_keep_no_trace_hash(monkeypatch):
     evaluate(twins[0], Decision.place_task("fuse", 3), horizon=3)
     evaluate(twins[1], Decision.place_task("fuse", 3), horizon=3)
     assert branches == []
+    before = world.trace_hash()
     evaluate(twins[2], Decision.inject_repair(1), horizon=3)
-    assert len(branches) == 2
-    for branch in branches:
+    assert len(branches) == 1
+    for spent in (*branches, twins[2]):
         with pytest.raises(RuntimeError, match="untraced"):
-            branch.trace_hash()
-    assert twins[2].trace_hash() == world.trace_hash()
+            spent.trace_hash()
+    assert world.trace_hash() == before
 
 
 # -- commit ------------------------------------------------------------------------------
